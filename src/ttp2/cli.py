@@ -7,9 +7,7 @@ Exit codes: 0 ok, 1 infeasible/quality failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -191,21 +189,14 @@ def cmd_bench(args) -> int:
     directory = Path(args.directory)
     files = sorted(p for p in directory.glob("*") if p.is_file() and p.suffix != ".csv")
     baseline = _load_baseline(args.baseline)
-    workers = int(os.environ.get("TTP2_THREADS", "0")) or None
-
-    def solve_one(path):
-        inst = parse_instance(path.read_text())
-        report, schedule = _solve_instance(inst, path.stem, args.rounds, args.seed, False, "auto")
-        feasible = validate_schedule(schedule).feasible
-        return report, feasible
 
     results = []
     any_infeasible = False
-    if files:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for report, feasible in pool.map(solve_one, files):
-                results.append(report)
-                any_infeasible |= not feasible
+    for path in files:
+        inst = parse_instance(path.read_text())
+        report, schedule = _solve_instance(inst, path.stem, args.rounds, args.seed, False, "auto")
+        results.append(report)
+        any_infeasible |= not validate_schedule(schedule).feasible
 
     ratios = []
     for report in results:

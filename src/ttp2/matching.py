@@ -8,10 +8,12 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 from .instance import Instance
 
@@ -34,23 +36,19 @@ class LowerBound:
     total: object
 
 
-def _exact_weights(inst: Instance) -> list[list[int]]:
-    """Distances as exact integers (floats are scaled by a power of two)."""
-    n = inst.n
-    if inst.integral:
-        return [[int(inst.dist[i, j]) for j in range(n)] for i in range(n)]
-    fracs = [[Fraction(float(inst.dist[i, j])) for j in range(n)] for i in range(n)]
-    den = 1
-    for row in fracs:
-        for f in row:
-            den = den * f.denominator // _gcd(den, f.denominator)
-    return [[int(f * den) for f in row] for row in fracs]
+def _exact_weights(inst: Instance) -> tuple[np.ndarray, int]:
+    """Distances as exact Python ints, with the scale that produced them.
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    Returns (w, scale) with w == scale * dist exactly, as an object array.
+    Integer instances have scale 1; floats are binary fractions, so scaling
+    by the least common multiple of their denominators makes them integers.
+    """
+    if inst.dist.dtype.kind in "iu":
+        return inst.dist.astype(object), 1
+    fracs = [Fraction(x) for x in inst.dist.ravel().tolist()]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    w = np.array([int(f * scale) for f in fracs], dtype=object).reshape(inst.n, inst.n)
+    return w, scale
 
 
 def min_weight_perfect_matching(inst: Instance) -> Matching:
@@ -61,7 +59,7 @@ def min_weight_perfect_matching(inst: Instance) -> Matching:
     is the lexicographically smallest pair list among all optima.
     """
     n = inst.n
-    w = _exact_weights(inst)
+    w, _ = _exact_weights(inst)
 
     # Penalty pen(i,j) = (j+1) * B^(n-1-i) for i < j prefers, among equal-weight
     # matchings, small partners for small teams.  B = n^2 dominates the sum of
@@ -76,7 +74,7 @@ def min_weight_perfect_matching(inst: Instance) -> Matching:
     combined = {}
     for i in range(n):
         for j in range(i + 1, n):
-            combined[(i, j)] = w[i][j] * big_k + pen[(i, j)]
+            combined[(i, j)] = w[i, j] * big_k + pen[(i, j)]
 
     top = max(combined.values()) + 1
     graph = nx.Graph()

@@ -6,6 +6,16 @@ sigma_i to slot i and orients it with bit pi_i.  Because the total distance
 of any binding is a fixed linear form over label-pair travel counts, the
 conditional expectation under random orderings can be evaluated exactly,
 which drives both the derandomization and cheap swap deltas.
+
+`derandomize` fixes the ordering in two phases by the method of conditional
+probabilities.  The sigma phase fills slots 0..m-1 in turn, giving each the
+free edge with the least expectation over the remaining edges and all
+orientations.  The pi phase then sets the bits in slot order, each to the
+orientation whose expectation over the open bits is lower; only the terms
+touching that slot differ, so a bit costs O(n).  Both phases run on exact
+integer weights (floats scaled by a common denominator) in Python ints, so
+the chain of expectations is exact and never rises, whatever the magnitude
+or type of the distances.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .instance import Instance
-from .matching import Matching
+from .matching import Matching, _exact_weights
 from .schedule import Schedule, total_distance
 
 Chain = list[Fraction]
@@ -94,177 +104,52 @@ def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int
     """Total distance of a binding straight from the linear form."""
     perm = np.array(bind)
     d_perm = inst.dist[np.ix_(perm, perm)]
-    tot = (coeffs.c * d_perm).sum()
-    val = tot.item() / 2
-    return int(val) if inst.integral else val
+    tot = (coeffs.c * d_perm).sum().item()  # every travel is counted from both ends
+    return tot // 2 if isinstance(tot, int) else tot / 2
 
 
 # ---------------------------------------------------------------------------
 # Derandomization by conditional expectations (exact rational arithmetic).
 # ---------------------------------------------------------------------------
 
-def _super_aggregates(coeffs: TravelCoefficients):
-    """Collapse label coefficients to super-team slots.
-
-    CS[i][j] sums c over the four cross label pairs of slots i, j; CP[i] is
-    the coefficient between a slot's own two labels.
-    """
-    n = coeffs.n
-    m = n // 2
-    c = coeffs.c
-    CS = np.zeros((m, m), dtype=np.int64)
-    CP = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        CP[i] = c[2 * i, 2 * i + 1]
-        for j in range(i + 1, m):
-            block = c[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].sum()
-            CS[i, j] = CS[j, i] = block
-    return CS, CP
-
-
-def _edge_tables(inst: Instance, matching: Matching):
-    m = inst.n // 2
-    pairs = matching.pairs
-    PD = [inst.d(a, b) for a, b in pairs]
-    SD = [[0] * m for _ in range(m)]
-    for e in range(m):
-        for f in range(e + 1, m):
-            a, b = pairs[e]
-            x, y = pairs[f]
-            s = inst.d(a, x) + inst.d(a, y) + inst.d(b, x) + inst.d(b, y)
-            SD[e][f] = SD[f][e] = s
-    return SD, PD
-
-
-def _sigma_expectation(CS, CP, SD, PD, assigned: list[int], free: list[int]) -> Fraction:
-    """E[W | slots 0..s-1 fixed to `assigned`] as an exact rational."""
-    m = len(CP)
-    s = len(assigned)
-    k = len(free)
-    total = Fraction(0)
-
-    free_pd_sum = sum(PD[e] for e in free)
-    sd_row_free = {e: sum(SD[e][f] for f in free) for e in assigned}
-    sd_free_free = sum(SD[e][f] for e in free for f in free)  # ordered pairs, e != f
-
-    # Pair terms (scaled by 4 to share one denominator with cross terms).
-    for i in range(m):
-        if i < s:
-            total += 4 * int(CP[i]) * PD[assigned[i]]
-        else:
-            total += Fraction(4 * int(CP[i]) * free_pd_sum, k)
-
-    # Cross terms.
-    cs_fixed_free = [int(CS[i, s:].sum()) for i in range(s)]
-    cs_free_free = int(CS[s:, s:].sum()) // 2 if k > 1 else 0
-    for i in range(s):
-        for j in range(i + 1, s):
-            total += int(CS[i, j]) * SD[assigned[i]][assigned[j]]
-    for i in range(s):
-        if k:
-            total += Fraction(cs_fixed_free[i] * sd_row_free[assigned[i]], k)
-    if k > 1:
-        total += Fraction(cs_free_free * sd_free_free, k * (k - 1))
-    return total / 4
-
-
 def _sigma_step(CS, CP, SD, PD, assigned, free):
     """Exact numerators of E[W | prefix + candidate] for every free edge.
 
-    All candidates of one step share the denominator 4*k'*(k'-1) (with the
-    degenerate factors clamped to one), so integer comparison picks the
-    argmin exactly.  Returns (numerators as int64 array, denominator).
+    CS/CP are the slot aggregates and SD/PD the edge aggregates built in
+    `derandomize`.  All candidates of one step share the denominator
+    4*k'*(k'-1) (with the degenerate factors clamped to one), so integer
+    comparison picks the argmin exactly.  Returns (numerators as an object
+    array of Python ints, denominator).
     """
     s = len(assigned)
-    k = len(free)
-    kp = k - 1
+    kp = len(free) - 1
     f1 = max(kp, 1)
     f2 = max(kp - 1, 1)
-    den = 4 * f1 * f2
 
     idx = np.array(assigned, dtype=np.intp)
     fre = np.array(free, dtype=np.intp)
-    sd_af = SD[np.ix_(idx, fre)] if s else np.zeros((0, k), dtype=np.int64)
+    sd_af = SD[np.ix_(idx, fre)]
     row_f = SD[:, fre].sum(axis=1)  # over the current free set
-
-    cp_fix = int(4 * (CP[:s] * np.array([PD[e] for e in assigned], dtype=np.int64)).sum()) if s else 0
-    a_const = cp_fix
-    if s > 1:
-        sd_aa = SD[np.ix_(idx, idx)]
-        a_const += int((np.triu(CS[:s, :s], 1) * np.triu(sd_aa, 1)).sum())
-
-    pd_f = np.array([PD[e] for e in free], dtype=np.int64)
-    pd_sum = int(pd_f.sum())
-    cp_s = int(CP[s])
-    cp_free_sum = int(CP[s + 1 :].sum())
+    pd_f = PD[fre]
 
     # Plain terms (exact integers after fixing slot s to each candidate).
-    b_vec = CS[:s, s] @ sd_af if s else np.zeros(k, dtype=np.int64)
-    exact = a_const + b_vec + 4 * cp_s * pd_f
+    # CS and SD are symmetric with zero diagonals: half the full sum is the
+    # sum over slot pairs i < j.
+    a_const = 4 * (CP[:s] * PD[idx]).sum() + (CS[:s, :s] * SD[np.ix_(idx, idx)]).sum() // 2
+    exact = a_const + CS[:s, s] @ sd_af + 4 * CP[s] * pd_f
 
     # Terms averaged over the remaining free edges (denominator k').
-    csff = CS[:s, s + 1 :].sum(axis=1) if s else np.zeros(0, dtype=np.int64)
-    c_vec = (csff @ row_f[idx]) - (csff @ sd_af) if s else np.zeros(k, dtype=np.int64)
-    cs_s_free = int(CS[s, s + 1 :].sum())
-    d_vec = cs_s_free * row_f[fre]
-    pair_free = 4 * cp_free_sum * (pd_sum - pd_f)
+    csff = CS[:s, s + 1 :].sum(axis=1)
+    c_vec = csff @ row_f[idx] - csff @ sd_af
+    d_vec = CS[s, s + 1 :].sum() * row_f[fre]
+    pair_free = 4 * CP[s + 1 :].sum() * (pd_f.sum() - pd_f)
     avg1 = c_vec + d_vec + pair_free
 
-    # Free-free average (denominator k'(k'-1)).
-    cs_ff_rest = int(np.triu(CS[s + 1 :, s + 1 :], 1).sum())
-    ff_total = int((SD[np.ix_(fre, fre)]).sum())
-    ff_vec = cs_ff_rest * (ff_total - 2 * row_f[fre])
+    # Free-free average over ordered pairs (denominator k'(k'-1)).
+    cs_ff_rest = CS[s + 1 :, s + 1 :].sum() // 2
+    ff_vec = cs_ff_rest * (SD[np.ix_(fre, fre)].sum() - 2 * row_f[fre])
 
-    if kp >= 2:
-        nums = exact * (f1 * f2) + avg1 * f2 + ff_vec
-    elif kp == 1:
-        nums = exact * f1 + avg1
-    else:
-        nums = exact
-    return nums, den
-
-
-def _pi_expectation_num(coeffs, inst, endpoints, bits: list[int]) -> int:
-    """4 * E[W | sigma fixed, orientation bits 0..s-1 fixed], an integer."""
-    m = len(endpoints)
-    c = coeffs.c
-    s = len(bits)
-
-    def teams(i):
-        a, b = endpoints[i]
-        return (a, b) if bits[i] == 0 else (b, a)
-
-    total = 0
-    for i in range(m):
-        total += 4 * int(c[2 * i, 2 * i + 1]) * inst.d(*endpoints[i])
-        for j in range(i + 1, m):
-            block = c[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            if not block.any():
-                continue
-            if i < s and j < s:
-                ti = teams(i)
-                tj = teams(j)
-                for ri in range(2):
-                    for rj in range(2):
-                        total += 4 * int(block[ri, rj]) * inst.d(ti[ri], tj[rj])
-            elif i < s:
-                ti = teams(i)
-                x, y = endpoints[j]
-                for ri in range(2):
-                    row = int(block[ri, 0] + block[ri, 1])
-                    total += 2 * row * (inst.d(ti[ri], x) + inst.d(ti[ri], y))
-            elif j < s:
-                tj = teams(j)
-                x, y = endpoints[i]
-                for rj in range(2):
-                    col = int(block[0, rj] + block[1, rj])
-                    total += 2 * col * (inst.d(x, tj[rj]) + inst.d(y, tj[rj]))
-            else:
-                a, b = endpoints[i]
-                x, y = endpoints[j]
-                sd = inst.d(a, x) + inst.d(a, y) + inst.d(b, x) + inst.d(b, y)
-                total += int(block.sum()) * sd
-    return total
+    return exact * (f1 * f2) + avg1 * f2 + ff_vec, 4 * f1 * f2
 
 
 def derandomize(
@@ -277,35 +162,65 @@ def derandomize(
     """Fix sigma then pi greedily so the conditional expectation never rises.
 
     Returns the ordering, or (ordering, chain of expectations) when
-    `with_chain` is set; chain values are exact Fractions of E[W] after
-    each of the 2m fixing steps (entry 0 is the unconditioned expectation).
+    `with_chain` is set; chain values are exact Fractions of E[W] in the
+    instance's units after each of the 2m fixing steps (entry 0 is the
+    unconditioned expectation).
     """
     m = inst.n // 2
-    CS, CP = _super_aggregates(coeffs)
-    SD_list, PD = _edge_tables(inst, matching)
-    SD = np.array(SD_list, dtype=np.int64)
+    W, scale = _exact_weights(inst)
+    c = coeffs.c.astype(object)
+    X = np.array([a for a, _ in matching.pairs])
+    Y = np.array([b for _, b in matching.pairs])
+
+    # Slot aggregates: CS[i, j] sums c over the 2x2 label block of slots i
+    # and j, CP[i] is the coefficient between slot i's own two labels.
+    CS = c.reshape(m, 2, m, 2).sum(axis=(1, 3))
+    np.fill_diagonal(CS, 0)
+    CP = c[0::2, 1::2].diagonal()
+    # Edge aggregates: SD[e, f] sums the four cross distances of edges e
+    # and f, PD[e] is the distance inside edge e.
+    SD = W[np.ix_(X, X)] + W[np.ix_(X, Y)] + W[np.ix_(Y, X)] + W[np.ix_(Y, Y)]
+    np.fill_diagonal(SD, 0)
+    PD = W[X, Y]
 
     assigned: list[int] = []
     free = list(range(m))
-    chain: Chain = [_sigma_expectation(CS, CP, SD_list, PD, assigned, free)]
-    for _ in range(m):
+    chain: Chain = []
+    for s in range(m):
         nums, den = _sigma_step(CS, CP, SD, PD, assigned, free)
+        if s == 0:
+            chain.append(Fraction(nums.sum(), m * den))  # slot 0's edge is uniform
         pick = int(np.argmin(nums))
-        chain.append(Fraction(int(nums[pick]), den))
-        assigned.append(free[pick])
-        free.pop(pick)
+        chain.append(Fraction(nums[pick], den))
+        assigned.append(free.pop(pick))
 
-    sigma = tuple(assigned)
-    endpoints = [matching.pairs[sigma[i]] for i in range(m)]
+    # Each label has two candidate teams: both endpoints of its slot's edge
+    # while the slot's bit is open, its own team twice once the bit is set,
+    # so the expected distance from team t to label l is
+    # (W[t, L1[l]] + W[t, L2[l]]) / 2.
+    L1 = np.repeat(X[assigned], 2)
+    L2 = np.repeat(Y[assigned], 2)
     bits: list[int] = []
-    for _ in range(m):
-        cand = [(_pi_expectation_num(coeffs, inst, endpoints, bits + [b]), b) for b in (0, 1)]
-        num, b = min(cand, key=lambda t: t[0])
+    expect = chain[-1]
+    for s in range(m):
+        ends = [L1[2 * s], L2[2 * s]]  # slot s's edge (x, y)
+        # M[r, k] = sum over labels l of c[2s+r, l] * (W[ends[k], L1[l]] +
+        # W[ends[k], L2[l]]).  Slot s's own labels add c * W[x, y] to both
+        # candidates alike, so they cancel in the comparison.
+        M = c[2 * s : 2 * s + 2] @ (W[ends][:, L1] + W[ends][:, L2]).T
+        s0 = M[0, 0] + M[1, 1]  # bit 0: label 2s gets x, label 2s+1 gets y
+        s1 = M[0, 1] + M[1, 0]
+        # E[W | bit b] is a shared part plus S_b / 2 and the open bit's
+        # expectation is their mean, so the smaller lies |S_0 - S_1| / 4 below.
+        b = int(s1 < s0)
         bits.append(b)
-        chain.append(Fraction(num, 4))
+        expect -= Fraction(abs(s0 - s1), 4)
+        chain.append(expect)
+        L1[2 * s] = L2[2 * s] = ends[b]
+        L1[2 * s + 1] = L2[2 * s + 1] = ends[1 - b]
 
-    ordering = TeamOrdering(sigma=sigma, pi=tuple(bits))
-    return (ordering, chain) if with_chain else ordering
+    ordering = TeamOrdering(sigma=tuple(assigned), pi=tuple(bits))
+    return (ordering, [v / scale for v in chain]) if with_chain else ordering
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from ttp2.cli import main
-from ttp2.instance import write_instance
+from ttp2.instance import Instance, write_instance
 from ttp2.oracle import random_metric_instance, tight_instance
-from ttp2.schedule import parse_schedule_csv, validate_schedule
+from ttp2.schedule import parse_schedule_csv, total_distance, validate_schedule
 
 
 def write_inst(tmp_path, name, inst):
@@ -130,8 +130,7 @@ def test_bench_empty_dir(tmp_path, capsys):
     assert payload[-1]["instances"] == 0
 
 
-def test_bench_with_baseline(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TTP2_THREADS", "2")
+def test_bench_with_baseline(tmp_path, capsys):
     write_inst(tmp_path, "tight8.txt", tight_instance(8))
     write_inst(tmp_path, "tight10.txt", tight_instance(10))
     baseline = tmp_path / "baseline.csv"
@@ -156,6 +155,17 @@ def test_solve_with_derandomize_flag(tmp_path, capsys):
     # The derandomized candidate joins the pool; still reproducible and valid.
     code2, payload2 = run(capsys, ["solve", str(path), "--derandomize"])
     assert payload[0]["total"] == payload2[0]["total"]
+
+
+def test_solve_real_valued_with_derandomize(tmp_path, capsys):
+    base = random_metric_instance(12, 4)
+    inst = Instance(n=12, dist=base.dist / 3.0, integral=False)
+    path = write_inst(tmp_path, "real12.txt", inst)
+    code, payload = run(capsys, ["solve", str(path), "--derandomize"])
+    assert code == 0
+    sched = parse_schedule_csv((tmp_path / "real12.schedule.csv").read_text())
+    assert validate_schedule(sched).feasible
+    assert payload[0]["total"] == pytest.approx(total_distance(sched, inst).total)
 
 
 def test_solve_explicit_packing(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttp2.even import build_even_template
 from ttp2.instance import Instance
@@ -10,6 +14,7 @@ from ttp2.matching import independent_lower_bound, min_weight_perfect_matching
 from ttp2.odd import build_odd_template
 from ttp2.oracle import random_metric_instance, tight_instance
 from ttp2.ordering import (
+    TeamOrdering,
     bind_template,
     binding_vector,
     coefficient_total,
@@ -21,7 +26,7 @@ from ttp2.ordering import (
     swap_super_teams_pass,
     swap_within_pass,
 )
-from ttp2.schedule import total_distance, validate_schedule
+from ttp2.schedule import total_distance, validate_schedule, venue_sequence
 
 
 def test_random_ordering_deterministic():
@@ -204,3 +209,101 @@ def test_run_rounds_more_rounds_never_worse():
     t1 = run_rounds(inst, template, matching, x=1, base_seed=0)[2].total
     t5 = run_rounds(inst, template, matching, x=5, base_seed=0)[2].total
     assert t5 <= t1
+
+
+@functools.lru_cache(maxsize=None)
+def _template_and_coeffs(n):
+    template = build_odd_template(n) if n % 4 else build_even_template(n)
+    return template, extract_coefficients(template)
+
+
+def _variant(inst, kind):
+    """The integer instance itself, a real-valued copy or one scaled by 1e12."""
+    if kind == "real":
+        return Instance(n=inst.n, dist=inst.dist / 3.0, integral=False)
+    if kind == "big":
+        return Instance(n=inst.n, dist=inst.dist * 10**12)
+    return inst
+
+
+def _exact_schedule_total(schedule, inst):
+    """Sum of Fraction(d) over every travel of the bound schedule."""
+    total = Fraction(0)
+    for team in range(schedule.n):
+        seq = venue_sequence(schedule, team)
+        total += sum(Fraction(inst.dist[a, b].item()) for a, b in zip(seq, seq[1:]) if a != b)
+    return total
+
+
+def test_coefficient_total_exact_above_two_to_the_53():
+    # Distances scaled by 1e12 + 1 put the total near 1e18, far above 2**53,
+    # where halving in floating point loses the last digits.
+    n = 40
+    inst = Instance(n=n, dist=random_metric_instance(n, 1).dist * (10**12 + 1))
+    matching = min_weight_perfect_matching(inst)
+    template, coeffs = _template_and_coeffs(n)
+    for seed in range(20):
+        o = random_ordering(n // 2, seed)
+        direct = total_distance(bind_template(template, matching, o), inst).total
+        assert direct > 2**53
+        assert coefficient_total(coeffs, inst, binding_vector(matching, o)) == direct
+
+
+def test_derandomize_large_distances_chain_monotone():
+    n = 40
+    inst = _variant(random_metric_instance(n, 1), "big")
+    matching = min_weight_perfect_matching(inst)
+    template, coeffs = _template_and_coeffs(n)
+    ordering, chain = derandomize(template, coeffs, inst, matching, with_chain=True)
+    assert all(chain[i + 1] <= chain[i] for i in range(len(chain) - 1))
+    assert chain[-1] == total_distance(bind_template(template, matching, ordering), inst).total
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("n", [8, 10])
+def test_derandomize_chain_equals_brute_force_means(n, kind):
+    """Entry k of the chain is the exact mean total over every ordering that
+    agrees with the derandomized one on its first k fixing steps."""
+    m = n // 2
+    inst = _variant(random_metric_instance(n, 20 + n), kind)
+    matching = min_weight_perfect_matching(inst)
+    template, coeffs = _template_and_coeffs(n)
+    ordering, chain = derandomize(template, coeffs, inst, matching, with_chain=True)
+
+    travels = [(a, b, int(coeffs.c[a, b])) for a in range(n) for b in range(a + 1, n) if coeffs.c[a, b]]
+    dist = [[Fraction(x) for x in row] for row in inst.dist.tolist()]
+    totals = {}
+    for sigma in itertools.permutations(range(m)):
+        for pi in itertools.product((0, 1), repeat=m):
+            bind = binding_vector(matching, TeamOrdering(sigma=sigma, pi=pi))
+            totals[sigma, pi] = sum(k * dist[bind[a]][bind[b]] for a, b, k in travels)
+            if kind == "int":
+                assert coefficient_total(coeffs, inst, bind) == totals[sigma, pi]
+    assert len(totals) == math.factorial(m) * 2**m
+
+    def agrees(key, step):
+        sigma, pi = key
+        if step <= m:
+            return sigma[:step] == ordering.sigma[:step]
+        return sigma == ordering.sigma and pi[: step - m] == ordering.pi[: step - m]
+
+    for step, value in enumerate(chain):
+        picked = [t for key, t in totals.items() if agrees(key, step)]
+        assert value == Fraction(sum(picked), len(picked)), step
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    n=st.sampled_from([8, 10, 12, 14, 40, 42]),
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["int", "real", "big"]),
+)
+def test_derandomize_chain_properties(n, seed, kind):
+    inst = _variant(random_metric_instance(n, seed), kind)
+    matching = min_weight_perfect_matching(inst)
+    template, coeffs = _template_and_coeffs(n)
+    ordering, chain = derandomize(template, coeffs, inst, matching, with_chain=True)
+    assert len(chain) == n + 1
+    assert all(chain[i + 1] <= chain[i] for i in range(n))
+    schedule = bind_template(template, matching, ordering)
+    assert chain[-1] == _exact_schedule_total(schedule, inst)
