@@ -3,8 +3,12 @@
 A round draws a random super-team order and team orientations, then
 alternates two first-improvement sweeps until neither helps: swapping the
 positions of two super-teams, and swapping the two teams inside one
-super-team.  Both keep the matching pairing intact; deltas come from the
-travel-count linear form, so each test costs a few vector operations.
+super-team.  Both keep the matching pairing intact.  Deltas come from the
+travel-count linear form: after every accepted move, the whole
+neighbourhood of the current rule is evaluated in one array pass.
+Integer instances whose bound 4 * sum(c) * max(d) fits in int64 use int64;
+all others use float64 only to propose moves, each confirmed by its exact
+delta in Python integers before it is taken.
 """
 
 from ttp2 import (

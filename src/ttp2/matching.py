@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -36,18 +35,20 @@ class LowerBound:
     total: object
 
 
-def _exact_weights(inst: Instance) -> tuple[np.ndarray, int]:
+def _exact_weights(inst: Instance, rows=slice(None)) -> tuple[np.ndarray, int]:
     """Distances as exact Python ints, with the scale that produced them.
 
-    Returns (w, scale) with w == scale * dist exactly, as an object array.
-    Integer instances have scale 1; floats are binary fractions, so scaling
-    by the least common multiple of their denominators makes them integers.
+    Returns (w, scale) with w == scale * dist[rows] exactly, as an object
+    array (all rows by default).  Integer instances have scale 1; floats are
+    binary fractions, so scaling by the least common multiple of their
+    denominators makes them integers.
     """
-    if inst.dist.dtype.kind in "iu":
-        return inst.dist.astype(object), 1
-    fracs = [Fraction(x) for x in inst.dist.ravel().tolist()]
-    scale = math.lcm(*(f.denominator for f in fracs))
-    w = np.array([int(f * scale) for f in fracs], dtype=object).reshape(inst.n, inst.n)
+    dist = inst.dist[rows]
+    if dist.dtype.kind in "iu":
+        return dist.astype(object), 1
+    ratios = [x.as_integer_ratio() for x in dist.ravel().tolist()]
+    scale = math.lcm(*(q for _, q in ratios))
+    w = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(dist.shape)
     return w, scale
 
 

@@ -16,10 +16,22 @@ touching that slot differ, so a bit costs O(n).  Both phases run on exact
 integer weights (floats scaled by a common denominator) in Python ints, so
 the chain of expectations is exact and never rises, whatever the magnitude
 or type of the distances.
+
+The swap local search works on the binding vector (label -> team).  After
+every accepted move it evaluates the whole neighbourhood of a pass in one
+array pass: all m(m-1)/2 slot swaps, or all m in-slot flips, from
+P = dist[bind][:, bind] and G = c @ P (as in quadratic-assignment local
+search).  Both passes share one first-improvement loop that visits moves
+in the order of a pair-by-pair sweep, so the trajectory is that of the
+sweep.  Integer instances whose bound 4 * sum(c) * max(d) fits in int64
+run the kernel in int64 and are exact.  All others run it in float64 only
+to propose moves, and each proposal is accepted only if its exact delta,
+taken in Python ints on the touched rows, is negative.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,12 +112,33 @@ def bind_template(template: Schedule, matching: Matching, ordering: TeamOrdering
     return Schedule(n=n, table=table)
 
 
+def _search_weights(coeffs: TravelCoefficients, inst: Instance) -> tuple[np.ndarray, bool]:
+    """The distances the linear form is summed over, and whether int64 is exact.
+
+    Integer instances with 4 * sum(c) * max(d) below 2**63 use int64.  Its
+    arithmetic is exact modulo 2**64, and every total or swap delta lies
+    inside that bound, so wrapped intermediates cannot change a result.
+    Every other instance gets float64, which is only an estimate.
+    """
+    dist = inst.dist
+    if dist.dtype.kind in "iu" and 4 * int(coeffs.c.sum()) * int(dist.max()) < 2**63:
+        return dist.astype(np.int64), True
+    return dist.astype(np.float64), False
+
+
 def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int]) -> object:
-    """Total distance of a binding straight from the linear form."""
+    """Total distance of a binding straight from the linear form.
+
+    Exact on integer instances: in int64 when `_search_weights` allows it and
+    in Python ints otherwise.  Real-valued instances sum in float64.
+    """
     perm = np.array(bind)
-    d_perm = inst.dist[np.ix_(perm, perm)]
-    tot = (coeffs.c * d_perm).sum().item()  # every travel is counted from both ends
-    return tot // 2 if isinstance(tot, int) else tot / 2
+    integral = inst.dist.dtype.kind in "iu"
+    dist, exact = _search_weights(coeffs, inst)
+    if integral and not exact:
+        dist = _exact_weights(inst)[0]
+    tot = (coeffs.c * dist[np.ix_(perm, perm)]).sum()  # every travel is counted from both ends
+    return int(tot) // 2 if integral else float(tot) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -227,44 +260,118 @@ def derandomize(
 # Swap local search.
 # ---------------------------------------------------------------------------
 
-def _swap_slots_delta(c, dist, bind, new_bind_arr, i: int, j: int):
-    """Distance change from swapping the super-teams in slots i and j.
+@functools.lru_cache(maxsize=16)
+def _slot_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot pairs (i, j), i < j, in sweep order; read-only, as calls share them."""
+    pairs = np.triu_indices(m, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
 
-    Sums coefficient-weighted distance changes over the four touched labels;
-    label pairs with both ends touched are double counted by the row sums
-    and corrected once (they do move: mixed pairs bind different team pairs,
-    and each slot's own-pair coefficient binds the other edge afterwards).
+
+def _swap_deltas(c, dist, bind):
+    """Distance change of every slot swap (i, j), i < j, in sweep order.
+
+    With P = dist[bind][:, bind] and G = c @ P, moving label a to the team
+    of label b changes its row of the linear form by G[a, b] - G[a, a].  A
+    swap moves the four labels 2i+r <-> 2j+r (r = 0, 1); their full rows
+    also count the pairs inside those four labels, which are replaced by
+    half the change of the 4x4 block.  All m x m terms come from the
+    parity blocks of c and P, both symmetric with zero diagonals.
     """
-    labels = (2 * i, 2 * i + 1, 2 * j, 2 * j + 1)
-    np.copyto(new_bind_arr, bind)
-    new_bind_arr[[labels[0], labels[1]]] = bind[[labels[2], labels[3]]]
-    new_bind_arr[[labels[2], labels[3]]] = bind[[labels[0], labels[1]]]
-
-    rows = c[labels, :]
-    old_d = dist[np.ix_(bind[labels, None].ravel(), bind)]
-    new_d = dist[np.ix_(new_bind_arr[labels, None].ravel(), new_bind_arr)]
-    delta = int((rows * (new_d - old_d)).sum())
-    for ai in range(4):
-        for bi in range(ai + 1, 4):
-            a, b = labels[ai], labels[bi]
-            if c[a, b]:
-                delta -= int(c[a, b]) * (
-                    int(dist[new_bind_arr[a], new_bind_arr[b]]) - int(dist[bind[a], bind[b]])
-                )
-    return delta
+    m = len(bind) // 2
+    P = dist[np.ix_(bind, bind)]
+    A = c[0::2] @ P[:, 0::2] + c[1::2] @ P[:, 1::2]  # G[2i, 2j] + G[2i+1, 2j+1]
+    d = A.diagonal()
+    delta = A + A.T - d[:, None] - d
+    # c and P are symmetric: their (1, 0) parity blocks are the (0, 1) ones transposed.
+    c01, p01 = c[0::2, 1::2], P[0::2, 1::2]
+    cw, pw = c01.diagonal(), p01.diagonal()  # each slot's own pair
+    delta += (cw[:, None] + cw - c01 - c01.T) * (pw[:, None] + pw - p01 - p01.T)
+    delta += 2 * (c[0::2, 0::2] * P[0::2, 0::2] + c[1::2, 1::2] * P[1::2, 1::2])
+    return delta[_slot_pairs(m)]
 
 
-def _flip_pair_delta(c, dist, bind, new_bind_arr, i: int):
-    """Distance change from swapping the two teams inside slot i."""
-    a, b = 2 * i, 2 * i + 1
-    np.copyto(new_bind_arr, bind)
-    new_bind_arr[a], new_bind_arr[b] = bind[b], bind[a]
-    rows = c[(a, b), :]
-    old_d = dist[np.ix_(bind[(a, b), None].ravel(), bind)]
-    new_d = dist[np.ix_(new_bind_arr[(a, b), None].ravel(), new_bind_arr)]
-    # The (a, b) pair itself is unchanged (same two teams) but double counted
-    # by the row sums either way, with zero net contribution.
-    return int((rows * (new_d - old_d)).sum())
+def _flip_deltas(c, dist, bind):
+    """Distance change of flipping the two teams inside each slot.
+
+    For x = 2i, y = 2i+1 this is G[x,y] + G[y,x] - G[x,x] - G[y,y] +
+    2 c[x,y] P[x,y], with the G terms summed row by row in O(n^2).
+    """
+    P = dist[np.ix_(bind, bind)]
+    rows = ((c[0::2] - c[1::2]) * (P[1::2] - P[0::2])).sum(axis=1)
+    return rows + 2 * c[0::2, 1::2].diagonal() * P[0::2, 1::2].diagonal()
+
+
+def _exact_move_delta(c, inst: Instance, bind, src, dst) -> tuple[int, int]:
+    """Exact distance change when labels `src` take the teams of labels `dst`.
+
+    `dst` permutes `src`.  Only the touched label rows are read, as exact
+    integers from `_exact_weights`; returns (delta, scale) with delta / scale
+    the change in the instance's units.
+    """
+    rows, scale = _exact_weights(inst, bind[src])  # rows[r] = W[bind[src[r]], :]
+    new = bind.copy()
+    new[src] = bind[dst]
+    order = [list(src).index(label) for label in dst]
+    diff = c[src].astype(object) * (rows[order][:, new] - rows[:, bind])
+    # Pairs with both labels touched are counted from both ends.
+    return diff.sum() - diff[:, src].sum() // 2, scale
+
+
+def _check_deltas(deltas, exact: bool, c, inst: Instance, bind, src, dst) -> None:
+    """debug_check: each move's exact delta against an exact recomputation."""
+    W, scale = _exact_weights(inst)
+    c = c.astype(object)
+    before = (c * W[np.ix_(bind, bind)]).sum()
+    for q, (s, t) in enumerate(zip(src, dst)):
+        new = bind.copy()
+        new[s] = bind[t]
+        after = (c * W[np.ix_(new, new)]).sum()
+        delta, row_scale = _exact_move_delta(c, inst, bind, s, t)
+        assert Fraction(delta, row_scale) == Fraction(after - before, 2 * scale), (
+            "move delta disagrees with recomputation"
+        )
+        assert not exact or deltas[q] == delta, "int64 kernel delta disagrees with exact delta"
+
+
+def _first_improvement(ordering, coeffs, inst, matching, kernel, src, dst, debug_check):
+    """The first-improvement loop of both passes; returns (ordering, improved).
+
+    Move q gives labels src[q] the teams of labels dst[q], moves in sweep
+    order.  `kernel` evaluates every move on the current binding at once.
+    The loop takes the first negative delta at or after the last accepted
+    move, applies it and evaluates again.  A sweep that reaches the end
+    starts over from move 0 if it accepted a move, and ends the pass if not.
+    On float64 weights the kernel only proposes: a move is accepted once its
+    exact delta is negative, so the exact total falls with every move and
+    the search cannot cycle.
+    """
+    bind = np.array(binding_vector(matching, ordering))
+    dist, exact = _search_weights(coeffs, inst)
+
+    def evaluate():
+        deltas = kernel(coeffs.c, dist, bind)
+        if debug_check:
+            _check_deltas(deltas, exact, coeffs.c, inst, bind, src, dst)
+        return deltas
+
+    deltas = evaluate()
+    start, improved, swept = 0, False, False
+    while True:
+        proposed = start + np.flatnonzero(deltas[start:] < 0)
+        q = next(
+            (q for q in proposed if exact or _exact_move_delta(coeffs.c, inst, bind, src[q], dst[q])[0] < 0),
+            None,
+        )
+        if q is None:
+            if not swept:
+                return _ordering_from_bind(matching, list(bind)), improved
+            start, swept = 0, False
+            continue
+        bind[src[q]] = bind[dst[q]]
+        deltas = evaluate()
+        start, improved, swept = q + 1, True, True
 
 
 def _ordering_from_bind(matching: Matching, bind: list[int]) -> TeamOrdering:
@@ -291,27 +398,11 @@ def swap_super_teams_pass(
 ):
     """One full first-improvement sweep over all slot pairs, repeated while
     a sweep improves; returns (ordering, improved)."""
-    m = len(ordering.sigma)
-    bind = np.array(binding_vector(matching, ordering))
-    scratch = np.empty_like(bind)
-    dist = inst.dist
-    c = coeffs.c
-    improved_any = False
-    improved = True
-    while improved:
-        improved = False
-        for i in range(m):
-            for j in range(i + 1, m):
-                delta = _swap_slots_delta(c, dist, bind, scratch, i, j)
-                if debug_check:
-                    old = coefficient_total(coeffs, inst, list(bind))
-                    new = coefficient_total(coeffs, inst, list(scratch))
-                    assert new - old == delta, "swap delta disagrees with recomputation"
-                if delta < 0:
-                    bind, scratch = scratch.copy(), scratch
-                    improved = True
-                    improved_any = True
-    return _ordering_from_bind(matching, list(bind)), improved_any
+    i, j = _slot_pairs(len(ordering.sigma))
+    src = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
+    return _first_improvement(
+        ordering, coeffs, inst, matching, _swap_deltas, src, src[:, [2, 3, 0, 1]], debug_check
+    )
 
 
 def swap_within_pass(
@@ -323,26 +414,11 @@ def swap_within_pass(
     debug_check: bool = False,
 ):
     """First-improvement sweep flipping team order inside each super-team."""
-    m = len(ordering.sigma)
-    bind = np.array(binding_vector(matching, ordering))
-    scratch = np.empty_like(bind)
-    dist = inst.dist
-    c = coeffs.c
-    improved_any = False
-    improved = True
-    while improved:
-        improved = False
-        for i in range(m):
-            delta = _flip_pair_delta(c, dist, bind, scratch, i)
-            if debug_check:
-                old = coefficient_total(coeffs, inst, list(bind))
-                new = coefficient_total(coeffs, inst, list(scratch))
-                assert new - old == delta, "flip delta disagrees with recomputation"
-            if delta < 0:
-                bind, scratch = scratch.copy(), scratch
-                improved = True
-                improved_any = True
-    return _ordering_from_bind(matching, list(bind)), improved_any
+    x = 2 * np.arange(len(ordering.sigma))
+    src = np.stack([x, x + 1], axis=1)
+    return _first_improvement(
+        ordering, coeffs, inst, matching, _flip_deltas, src, src[:, ::-1], debug_check
+    )
 
 
 def polish(ordering, template, coeffs, inst, matching):

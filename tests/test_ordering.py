@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 from ttp2.even import build_even_template
 from ttp2.instance import Instance
-from ttp2.matching import independent_lower_bound, min_weight_perfect_matching
+from ttp2.matching import _exact_weights, independent_lower_bound, min_weight_perfect_matching
 from ttp2.odd import build_odd_template
 from ttp2.oracle import random_metric_instance, tight_instance
 from ttp2.ordering import (
     TeamOrdering,
+    _exact_move_delta,
+    _flip_deltas,
+    _search_weights,
+    _swap_deltas,
     bind_template,
     binding_vector,
     coefficient_total,
@@ -307,3 +311,85 @@ def test_derandomize_chain_properties(n, seed, kind):
     assert all(chain[i + 1] <= chain[i] for i in range(n))
     schedule = bind_template(template, matching, ordering)
     assert chain[-1] == _exact_schedule_total(schedule, inst)
+
+
+def test_coefficient_total_exact_past_int64():
+    # At 1e14 the doubled total passes 2**63: int64 sums wrapped around here.
+    n = 40
+    inst = Instance(n=n, dist=random_metric_instance(n, 1).dist * 10**14)
+    matching = min_weight_perfect_matching(inst)
+    template = build_even_template(n)
+    coeffs = extract_coefficients(template)
+    o = random_ordering(n // 2, 0)
+    direct = total_distance(bind_template(template, matching, o), inst).total
+    assert direct == 94356400000000000000
+    assert coefficient_total(coeffs, inst, binding_vector(matching, o)) == direct
+
+
+def test_polish_verified_on_distances_past_int64():
+    # The passes polish alternates, each checking every delta it evaluates.
+    n = 40
+    inst = Instance(n=n, dist=random_metric_instance(n, 1).dist * 10**15)
+    matching = min_weight_perfect_matching(inst)
+    template = build_even_template(n)
+    coeffs = extract_coefficients(template)
+    start = o = random_ordering(n // 2, 0)
+    totals = [coefficient_total(coeffs, inst, binding_vector(matching, o))]
+    improved = True
+    while improved:
+        o, a = swap_super_teams_pass(o, template, coeffs, inst, matching, debug_check=True)
+        o, b = swap_within_pass(o, template, coeffs, inst, matching, debug_check=True)
+        totals.append(coefficient_total(coeffs, inst, binding_vector(matching, o)))
+        improved = a or b
+    assert o == polish(start, template, coeffs, inst, matching)
+    assert all(later < earlier for earlier, later in zip(totals[:-2], totals[1:-1]))
+    assert totals[-1] == totals[-2] < totals[0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_swap_passes_verified_on_real_valued(seed):
+    n = 12
+    inst = _variant(random_metric_instance(n, seed), "real")
+    matching = min_weight_perfect_matching(inst)
+    template, coeffs = _template_and_coeffs(n)
+    o0 = random_ordering(n // 2, seed)
+    o1, _ = swap_super_teams_pass(o0, template, coeffs, inst, matching, debug_check=True)
+    o2, _ = swap_within_pass(o1, template, coeffs, inst, matching, debug_check=True)
+    exact = [_exact_schedule_total(bind_template(template, matching, o), inst) for o in (o0, o1, o2)]
+    assert exact[0] >= exact[1] >= exact[2]
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    n=st.sampled_from([8, 10, 12, 14, 40, 42]),
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["int", "real", "big"]),
+)
+def test_neighbourhood_deltas_equal_recomputation(n, seed, kind):
+    inst = _variant(random_metric_instance(n, seed), kind)
+    _, coeffs = _template_and_coeffs(n)
+    bind = np.random.default_rng(seed).permutation(n)
+    dist, exact = _search_weights(coeffs, inst)
+    W, scale = _exact_weights(inst)
+    c = coeffs.c.astype(object)
+
+    def doubled_total(b):
+        return (c * W[np.ix_(b, b)]).sum()
+
+    before = doubled_total(bind)
+    pairs = [(i, j) for i in range(n // 2) for j in range(i + 1, n // 2)]
+    moves = [((2 * i, 2 * i + 1, 2 * j, 2 * j + 1), (2 * j, 2 * j + 1, 2 * i, 2 * i + 1)) for i, j in pairs]
+    moves += [((2 * i, 2 * i + 1), (2 * i + 1, 2 * i)) for i in range(n // 2)]
+    deltas = np.concatenate([_swap_deltas(coeffs.c, dist, bind), _flip_deltas(coeffs.c, dist, bind)])
+    assert len(deltas) == len(moves)
+    for value, (src, dst) in zip(deltas, moves):
+        after = bind.copy()
+        after[list(src)] = bind[list(dst)]
+        truth = Fraction(doubled_total(after) - before, 2 * scale)
+        delta, row_scale = _exact_move_delta(coeffs.c, inst, bind, np.array(src), np.array(dst))
+        assert Fraction(delta, row_scale) == truth
+        if exact:
+            assert int(value) == truth
+        else:
+            assert abs(Fraction(value.item()) - truth) <= Fraction(before, scale) * Fraction(1, 10**9)
+
