@@ -114,6 +114,9 @@ def cmd_validate(args) -> int:
     except (OSError, FormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if schedule.n != inst.n:
+        print(f"error: schedule has {schedule.n} teams, instance has {inst.n}", file=sys.stderr)
+        return 2
     feas = validate_schedule(schedule, k=args.k)
     matching = min_weight_perfect_matching(inst)
     lb = independent_lower_bound(inst, matching).total

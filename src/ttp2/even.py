@@ -55,9 +55,9 @@ def compute_L(n: int):
     return table[best_p], best_p, table
 
 
-def packing_chain(n: int) -> list[int]:
-    """Packing choices down the recursion that realize L(n)."""
-    _, p, _ = compute_L(n)
+def _descend(p: int) -> list[int]:
+    """Chain from packing p down to the base: each level takes the best
+    packing of its 4p-team sub-problem, ties to the smallest."""
     chain = [p]
     while p > 1:
         sub_n = 4 * p
@@ -67,18 +67,17 @@ def packing_chain(n: int) -> list[int]:
     return chain
 
 
+def packing_chain(n: int) -> list[int]:
+    """Packing choices down the recursion that realize L(n)."""
+    return _descend(compute_L(n)[1])
+
+
 def normalize_packing(n: int, packing) -> list[int]:
     """Turn a user packing spec (None / int / chain) into a validated chain."""
     if packing is None:
         chain = [1]
     elif isinstance(packing, int):
-        chain = [packing]
-        p = packing
-        while p > 1:
-            sub_n = 4 * p
-            candidates = {i: _L(sub_n, i) for i in range(1, p) if _valid_packing(sub_n, i)}
-            p = min(candidates, key=lambda i: (candidates[i], i))
-            chain.append(p)
+        chain = _descend(packing)
     else:
         chain = list(packing)
     size = n

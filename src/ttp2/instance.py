@@ -8,6 +8,8 @@ followed by the n*n entries row-major, or a bare k*k block.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,24 @@ class Instance:
         """Distance between the homes of teams i and j (0-based)."""
         return self.dist[i, j].item()
 
+    @functools.cached_property
+    def exact_weights(self) -> tuple[np.ndarray, int]:
+        """Distances as exact Python ints, with the scale that produced them.
+
+        Returns (w, scale) with w == scale * dist exactly, as a read-only
+        object array built on first use.  Integer instances have scale 1;
+        floats are binary fractions, so scaling by the least common multiple
+        of their denominators makes them integers.
+        """
+        if self.dist.dtype.kind in "iu":
+            w, scale = self.dist.astype(object), 1
+        else:
+            ratios = [x.as_integer_ratio() for x in self.dist.ravel().tolist()]
+            scale = math.lcm(*(q for _, q in ratios))
+            w = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(self.dist.shape)
+        w.setflags(write=False)
+        return w, scale
+
 
 def _frozen(dist: np.ndarray) -> np.ndarray:
     a = np.array(dist, copy=True)
@@ -48,16 +68,16 @@ def _validate(n: int, dist: np.ndarray) -> None:
         raise ValidationError(f"distance matrix shape {dist.shape} does not match n={n}")
     if not np.all(np.isfinite(dist)):
         raise ValidationError("distance matrix contains non-finite entries")
-    for i in range(n):
-        if dist[i, i] != 0:
+    # Report the cell a row-major scan of the upper triangle meets first.
+    bad = np.triu((dist < 0) | (dist != dist.T), 1)
+    np.fill_diagonal(bad, np.diagonal(dist) != 0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        if i == j:
             raise ValidationError(f"diagonal entry ({i},{i}) is {dist[i, i]}, expected 0")
-        for j in range(i + 1, n):
-            if dist[i, j] < 0:
-                raise ValidationError(f"negative distance at ({i},{j}): {dist[i, j]}")
-            if dist[i, j] != dist[j, i]:
-                raise ValidationError(
-                    f"asymmetry at ({i},{j}): {dist[i, j]} != {dist[j, i]}"
-                )
+        if dist[i, j] < 0:
+            raise ValidationError(f"negative distance at ({i},{j}): {dist[i, j]}")
+        raise ValidationError(f"asymmetry at ({i},{j}): {dist[i, j]} != {dist[j, i]}")
 
 
 @dataclass(frozen=True)

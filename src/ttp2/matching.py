@@ -8,7 +8,6 @@ reproducible run to run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -35,23 +34,6 @@ class LowerBound:
     total: object
 
 
-def _exact_weights(inst: Instance, rows=slice(None)) -> tuple[np.ndarray, int]:
-    """Distances as exact Python ints, with the scale that produced them.
-
-    Returns (w, scale) with w == scale * dist[rows] exactly, as an object
-    array (all rows by default).  Integer instances have scale 1; floats are
-    binary fractions, so scaling by the least common multiple of their
-    denominators makes them integers.
-    """
-    dist = inst.dist[rows]
-    if dist.dtype.kind in "iu":
-        return dist.astype(object), 1
-    ratios = [x.as_integer_ratio() for x in dist.ravel().tolist()]
-    scale = math.lcm(*(q for _, q in ratios))
-    w = np.array([p * (scale // q) for p, q in ratios], dtype=object).reshape(dist.shape)
-    return w, scale
-
-
 def min_weight_perfect_matching(inst: Instance) -> Matching:
     """Exact minimum-weight perfect matching on the complete team graph.
 
@@ -60,7 +42,7 @@ def min_weight_perfect_matching(inst: Instance) -> Matching:
     is the lexicographically smallest pair list among all optima.
     """
     n = inst.n
-    w, _ = _exact_weights(inst)
+    w, _ = inst.exact_weights
 
     # Penalty pen(i,j) = (j+1) * B^(n-1-i) for i < j prefers, among equal-weight
     # matchings, small partners for small teams.  B = n^2 dominates the sum of

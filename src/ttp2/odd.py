@@ -25,7 +25,7 @@ from .errors import DomainError
 from .even import left_super_game, normal_super_game, penultimate_super_game
 from .instance import Instance
 from .matching import Matching
-from .schedule import Schedule, games_to_schedule, venue_sequence
+from .schedule import Schedule, games_to_schedule, total_distance
 
 Game = tuple[int, int]
 
@@ -348,11 +348,10 @@ def extra_cost_breakdown(s: Schedule, inst: Instance, matching: Matching) -> tup
     d_m = matching.weight
     n = inst.n
 
+    walked = total_distance(s, inst).per_team
+
     def team_extra(t: int) -> object:
-        seq = venue_sequence(s, t)
-        cost = sum(inst.d(a, b) for a, b in zip(seq, seq[1:]) if a != b)
-        row = sum(inst.d(t, j) for j in range(n))
-        return cost - (row + d_m)
+        return walked[t] - (sum(inst.d(t, j) for j in range(n)) + d_m)
 
     deltas = [sum(team_extra(t) for t in ordered[i]) for i in range(m)]
 

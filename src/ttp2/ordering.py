@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .instance import Instance
-from .matching import Matching, _exact_weights
+from .matching import Matching
 from .schedule import Schedule, total_distance
 
 Chain = list[Fraction]
@@ -71,19 +71,12 @@ def random_ordering(m: int, seed: int) -> TeamOrdering:
 
 
 def extract_coefficients(template: Schedule) -> TravelCoefficients:
+    """Count every team's travels between consecutive venues of its walk."""
     n = template.n
-    c = np.zeros((n, n), dtype=np.int64)
-    for team in range(n):
-        venue = team
-        for d in range(template.days):
-            nxt = template.opponent(team, d) if template.is_away(team, d) else team
-            if nxt != venue:
-                c[venue, nxt] += 1
-                c[nxt, venue] += 1
-            venue = nxt
-        if venue != team:
-            c[venue, team] += 1
-            c[team, venue] += 1
+    v = template.venues
+    c = np.bincount((v[:, :-1] * n + v[:, 1:]).ravel(), minlength=n * n).reshape(n, n)
+    c = c + c.T
+    np.fill_diagonal(c, 0)  # staying at a venue is no travel
     return TravelCoefficients(n=n, c=c)
 
 
@@ -100,16 +93,12 @@ def binding_vector(matching: Matching, ordering: TeamOrdering) -> list[int]:
 
 def bind_template(template: Schedule, matching: Matching, ordering: TeamOrdering) -> Schedule:
     """Rename template labels to real teams according to the ordering."""
-    n = template.n
-    bind = binding_vector(matching, ordering)
-    table = np.zeros_like(template.table)
-    for label in range(n):
-        team = bind[label]
-        for d in range(template.days):
-            e = int(template.table[label, d])
-            opp = bind[abs(e) - 1]
-            table[team, d] = (opp + 1) if e > 0 else -(opp + 1)
-    return Schedule(n=n, table=table)
+    bind = np.array(binding_vector(matching, ordering))
+    t = template.table
+    opp = bind[np.abs(t) - 1] + 1
+    table = np.zeros_like(t)
+    table[bind] = np.where(t > 0, opp, -opp)
+    return Schedule(n=template.n, table=table)
 
 
 def _search_weights(coeffs: TravelCoefficients, inst: Instance) -> tuple[np.ndarray, bool]:
@@ -136,7 +125,7 @@ def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int
     integral = inst.dist.dtype.kind in "iu"
     dist, exact = _search_weights(coeffs, inst)
     if integral and not exact:
-        dist = _exact_weights(inst)[0]
+        dist = inst.exact_weights[0]
     tot = (coeffs.c * dist[np.ix_(perm, perm)]).sum()  # every travel is counted from both ends
     return int(tot) // 2 if integral else float(tot) / 2
 
@@ -200,7 +189,7 @@ def derandomize(
     unconditioned expectation).
     """
     m = inst.n // 2
-    W, scale = _exact_weights(inst)
+    W, scale = inst.exact_weights
     c = coeffs.c.astype(object)
     X = np.array([a for a, _ in matching.pairs])
     Y = np.array([b for _, b in matching.pairs])
@@ -303,35 +292,33 @@ def _flip_deltas(c, dist, bind):
     return rows + 2 * c[0::2, 1::2].diagonal() * P[0::2, 1::2].diagonal()
 
 
-def _exact_move_delta(c, inst: Instance, bind, src, dst) -> tuple[int, int]:
+def _exact_move_delta(c, inst: Instance, bind, src, dst) -> int:
     """Exact distance change when labels `src` take the teams of labels `dst`.
 
-    `dst` permutes `src`.  Only the touched label rows are read, as exact
-    integers from `_exact_weights`; returns (delta, scale) with delta / scale
-    the change in the instance's units.
+    `dst` permutes `src`.  Only the touched label rows of the instance's
+    exact weights are read; the change is in units of 1 / scale (see
+    `Instance.exact_weights`).
     """
-    rows, scale = _exact_weights(inst, bind[src])  # rows[r] = W[bind[src[r]], :]
+    rows = inst.exact_weights[0][bind[src]]  # rows[r] = W[bind[src[r]], :]
     new = bind.copy()
     new[src] = bind[dst]
     order = [list(src).index(label) for label in dst]
     diff = c[src].astype(object) * (rows[order][:, new] - rows[:, bind])
     # Pairs with both labels touched are counted from both ends.
-    return diff.sum() - diff[:, src].sum() // 2, scale
+    return diff.sum() - diff[:, src].sum() // 2
 
 
 def _check_deltas(deltas, exact: bool, c, inst: Instance, bind, src, dst) -> None:
     """debug_check: each move's exact delta against an exact recomputation."""
-    W, scale = _exact_weights(inst)
+    W = inst.exact_weights[0]
     c = c.astype(object)
     before = (c * W[np.ix_(bind, bind)]).sum()
     for q, (s, t) in enumerate(zip(src, dst)):
         new = bind.copy()
         new[s] = bind[t]
-        after = (c * W[np.ix_(new, new)]).sum()
-        delta, row_scale = _exact_move_delta(c, inst, bind, s, t)
-        assert Fraction(delta, row_scale) == Fraction(after - before, 2 * scale), (
-            "move delta disagrees with recomputation"
-        )
+        after = (c * W[np.ix_(new, new)]).sum()  # both totals count every travel twice
+        delta = _exact_move_delta(c, inst, bind, s, t)
+        assert 2 * delta == after - before, "move delta disagrees with recomputation"
         assert not exact or deltas[q] == delta, "int64 kernel delta disagrees with exact delta"
 
 
@@ -361,7 +348,7 @@ def _first_improvement(ordering, coeffs, inst, matching, kernel, src, dst, debug
     while True:
         proposed = start + np.flatnonzero(deltas[start:] < 0)
         q = next(
-            (q for q in proposed if exact or _exact_move_delta(coeffs.c, inst, bind, src[q], dst[q])[0] < 0),
+            (q for q in proposed if exact or _exact_move_delta(coeffs.c, inst, bind, src[q], dst[q]) < 0),
             None,
         )
         if q is None:

@@ -4,10 +4,16 @@ A schedule is an n x (2n-2) table of signed opponents: entry +j in row i
 means team i plays at the home of team j, entry -j means team i hosts
 team j.  Opponent numbers in the table are 1-based; all function arguments
 and itineraries use 0-based team indices.
+
+Its one array form is the venue matrix: row i is team i's walk, its home,
+the host of each day and its home again (n x 2n, 0-based).  Validation,
+distances and the travel coefficients are whole-array operations on the
+table and this matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +37,19 @@ class Schedule:
     @property
     def days(self) -> int:
         return 2 * self.n - 2
+
+    @functools.cached_property
+    def venues(self) -> np.ndarray:
+        """Venue matrix: home, the host of each day, home; read-only.
+
+        A day's venue is the opponent on away days (cell > 0) and the team
+        itself otherwise, a cell of 0 included.
+        """
+        t = self.table
+        home = np.arange(self.n)[:, None]
+        v = np.hstack([home, np.where(t > 0, t - 1, home), home])
+        v.setflags(write=False)
+        return v
 
     def opponent(self, team: int, day: int) -> int:
         """0-based opponent of `team` on `day`."""
@@ -76,93 +95,80 @@ def games_to_schedule(n: int, days: list[list[tuple[int, int]]]) -> Schedule:
 def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
     """Check the feasibility properties; collect every violation.
 
+    Violations come property by property, each in row-major order.
     Direct-traveling is a convention of the distance model and is not a
     table property, so it is not checked here.
     """
-    n = s.n
-    t = s.table
-    violations: list[tuple[str, int, int]] = []
+    n, t = s.n, s.table
+    teams = np.arange(n)[:, None]
+    a = np.abs(t)
 
-    # Shape / mirror consistency ("fixed-game-time").
-    for i in range(n):
-        for d in range(s.days):
-            e = int(t[i, d])
-            if e == 0 or abs(e) > n or abs(e) == i + 1:
-                violations.append(("fixed-game-time", i, d))
-                continue
-            j = abs(e) - 1
-            mirror = int(t[j, d])
-            if e > 0 and mirror != -(i + 1):
-                violations.append(("fixed-game-time", i, d))
-            if e < 0 and mirror != (i + 1):
-                violations.append(("fixed-game-time", i, d))
+    # Shape / mirror consistency ("fixed-game-time"): a real opponent whose
+    # cell on the same day names this team with the opposite sign.  A self
+    # game fails the mirror test, as its mirror is the cell itself.
+    mirror = t[np.clip(a - 1, 0, n - 1), np.arange(s.days)]
+    bad_time = (a == 0) | (a > n) | (mirror != -np.sign(t) * (teams + 1))
 
     # Each ordered pair appears exactly once as an away game ("fixed-game-value").
-    for i in range(n):
-        row = t[i]
-        for j in range(n):
-            if j == i:
-                continue
-            aways = int(np.count_nonzero(row == j + 1))
-            if aways != 1:
-                violations.append(("fixed-game-value", i, j))
+    away = (t > 0) & (t <= n)
+    aways = np.bincount((teams * n + t - 1)[away], minlength=n * n).reshape(n, n)
+    bad_value = aways != 1
+    np.fill_diagonal(bad_value, False)
 
     # No two consecutive days against the same opponent ("no-repeat").
-    for i in range(n):
-        for d in range(s.days - 1):
-            if abs(int(t[i, d])) == abs(int(t[i, d + 1])):
-                violations.append(("no-repeat", i, d + 1))
+    repeat = np.zeros_like(bad_time)
+    repeat[:, 1:] = a[:, 1:] == a[:, :-1]
 
-    # At most k consecutive home or away games ("bounded-by-k").
-    for i in range(n):
-        run_sign = 0
-        run_len = 0
-        for d in range(s.days):
-            sign = 1 if int(t[i, d]) > 0 else -1
-            if sign == run_sign:
-                run_len += 1
-            else:
-                run_sign = sign
-                run_len = 1
-            if run_len == k + 1:
-                violations.append(("bounded-by-k", i, d))
+    # At most k consecutive home or away games ("bounded-by-k"): flag the day
+    # a run reaches k + 1.  A cell of 0 counts as home.
+    days = np.arange(s.days)
+    starts = np.ones_like(bad_time)
+    starts[:, 1:] = (t[:, 1:] > 0) != (t[:, :-1] > 0)
+    run_start = np.maximum.accumulate(np.where(starts, days, 0), axis=1)
+    long_run = days - run_start == k
 
-    return FeasibilityReport(feasible=not violations, violations=tuple(violations))
+    checks = (
+        ("fixed-game-time", bad_time),
+        ("fixed-game-value", bad_value),
+        ("no-repeat", repeat),
+        ("bounded-by-k", long_run),
+    )
+    violations = tuple(
+        (name, i, j) for name, mask in checks for i, j in np.argwhere(mask).tolist()
+    )
+    return FeasibilityReport(feasible=not violations, violations=violations)
 
 
 def venue_sequence(s: Schedule, team: int) -> list[int]:
     """Home-start, per-day venue, home-end (venues as 0-based team indices)."""
-    seq = [team]
-    for d in range(s.days):
-        seq.append(s.opponent(team, d) if s.is_away(team, d) else team)
-    seq.append(team)
-    return seq
+    return s.venues[team].tolist()
 
 
 def total_distance(s: Schedule, inst: Instance, lb=None) -> DistanceReport:
-    """Sum of direct travels along every team's venue sequence."""
-    per_team = []
-    for i in range(s.n):
-        seq = venue_sequence(s, i)
-        dist = 0
-        for a, b in zip(seq, seq[1:]):
-            if a != b:
-                dist += inst.d(a, b)
-        per_team.append(dist)
+    """Sum of direct travels along every team's venue sequence.
+
+    Legs are added in walking order (real-valued totals are those of a walk)
+    and in Python ints when an integer sum could pass int64.
+    """
+    v = s.venues
+    legs = inst.dist[v[:, :-1], v[:, 1:]]
+    if legs.dtype.kind in "iu" and (s.days + 1) * int(inst.dist.max()) >= 2**63:
+        legs = legs.astype(object)
+    per_team = tuple(np.cumsum(legs, axis=1)[:, -1].tolist())
     total = sum(per_team)
     gap = None
     if lb is not None and lb > 0:
         gap = 100.0 * (total - lb) / lb
-    return DistanceReport(total=total, per_team=tuple(per_team), lb_gap_percent=gap)
+    return DistanceReport(total=total, per_team=per_team, lb_gap_percent=gap)
 
 
 def itinerary_of(s: Schedule, team: int) -> list[list[int]]:
     """Road trips of a team: maximal away blocks as visited-opponent lists."""
     trips: list[list[int]] = []
     current: list[int] = []
-    for d in range(s.days):
-        if s.is_away(team, d):
-            current.append(s.opponent(team, d))
+    for e in s.table[team].tolist():
+        if e > 0:
+            current.append(e - 1)
         elif current:
             trips.append(current)
             current = []
@@ -173,14 +179,9 @@ def itinerary_of(s: Schedule, team: int) -> list[list[int]]:
 
 def render_schedule(s: Schedule) -> str:
     """CSV with one row per team and cells +j / -j (1-based opponents)."""
-    lines = []
-    for i in range(s.n):
-        cells = []
-        for d in range(s.days):
-            e = int(s.table[i, d])
-            cells.append(f"+{e}" if e > 0 else str(e))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "".join(
+        ",".join(f"+{e}" if e > 0 else str(e) for e in row) + "\n" for row in s.table.tolist()
+    )
 
 
 def parse_schedule_csv(text: str) -> Schedule:
@@ -196,4 +197,11 @@ def parse_schedule_csv(text: str) -> Schedule:
     n = len(table)
     if any(len(r) != 2 * n - 2 for r in table):
         raise FormatError("rows do not all have 2n-2 entries")
-    return Schedule(n=n, table=np.array(table, dtype=np.int64))
+    try:
+        t = np.array(table, dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError(f"a cell names no team of {n}") from exc
+    bad = np.flatnonzero((t > n) | (t < -n))
+    if bad.size:
+        raise FormatError(f"cell {t.flat[bad[0]]:+d} names no team of {n}")
+    return Schedule(n=n, table=t)

@@ -5,7 +5,7 @@ import pytest
 from ttp2.cli import main
 from ttp2.instance import Instance, write_instance
 from ttp2.oracle import random_metric_instance, tight_instance
-from ttp2.schedule import parse_schedule_csv, total_distance, validate_schedule
+from ttp2.schedule import parse_schedule_csv, render_schedule, total_distance, validate_schedule
 
 
 def write_inst(tmp_path, name, inst):
@@ -101,6 +101,22 @@ def test_validate_format_error(tmp_path, capsys):
     bad.write_text("+1,nope\n")
     path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
     assert main(["validate", str(bad), str(path)]) == 2
+
+
+def test_validate_rejects_team_count_mismatch(tmp_path, capsys, golden_n8):
+    csv_path = tmp_path / "golden8.schedule.csv"
+    csv_path.write_text(render_schedule(golden_n8))
+    path = write_inst(tmp_path, "tight4.txt", tight_instance(4))
+    assert main(["validate", str(csv_path), str(path)]) == 2
+    assert "error: schedule has 8 teams, instance has 4" in capsys.readouterr().err
+
+
+def test_validate_rejects_cell_naming_no_team(tmp_path, capsys):
+    csv_path = tmp_path / "bad4.schedule.csv"
+    csv_path.write_text("+2,-3,-4,+3,+4,-2\n-1,+4,+3,-4,-3,+1\n+9,+1,-2,-1,+2,-4\n-3,-2,+1,+2,-1,+3\n")
+    path = write_inst(tmp_path, "tight4.txt", tight_instance(4))
+    assert main(["validate", str(csv_path), str(path)]) == 2
+    assert "error: cell +9 names no team of 4" in capsys.readouterr().err
 
 
 def test_lb_command(tmp_path, capsys):

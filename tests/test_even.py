@@ -4,6 +4,8 @@ import pytest
 from conftest import GOLDEN_N8
 from ttp2.errors import DomainError
 from ttp2.even import (
+    _L,
+    _valid_packing,
     build_even_template,
     compute_L,
     count_left_super_games,
@@ -65,6 +67,24 @@ def test_normalize_packing_rejects_invalid():
         normalize_packing(20, 2)  # 20 % 8 != 0
     with pytest.raises(DomainError):
         normalize_packing(16, [2, 2])  # chain must end at the base case
+
+
+def _reference_descent(p):
+    """The chain below packing p as both callers built it with their own loop."""
+    chain = [p]
+    while p > 1:
+        sub_n = 4 * p
+        candidates = {i: _L(sub_n, i) for i in range(1, p) if _valid_packing(sub_n, i)}
+        p = min(candidates, key=lambda i: (candidates[i], i))
+        chain.append(p)
+    return chain
+
+
+def test_packing_chains_unchanged_up_to_200():
+    for n in range(8, 201, 4):
+        assert packing_chain(n) == _reference_descent(compute_L(n)[1])
+        for p in valid_packings(n):
+            assert normalize_packing(n, p) == _reference_descent(p)
 
 
 def test_feasibility_sweep_all_packings():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import enumerate_perfect_matchings
 from ttp2.instance import Instance
-from ttp2.matching import _exact_weights, independent_lower_bound, min_weight_perfect_matching
+from ttp2.matching import independent_lower_bound, min_weight_perfect_matching
 from ttp2.oracle import random_metric_instance, tight_instance
 
 
@@ -99,9 +99,10 @@ def test_float_instance_matching_exact():
 def test_exact_weights_scale_real_valued_distances():
     d = np.array([[0, 0.1, 2.5, 3], [0.1, 0, 1.75, 0.3], [2.5, 1.75, 0, 1], [3, 0.3, 1, 0]])
     inst = Instance(n=4, dist=d, integral=False)
-    w, scale = _exact_weights(inst)
+    w, scale = inst.exact_weights
+    assert inst.exact_weights[0] is w  # built once per instance
     for i in range(4):
         for j in range(4):
             assert type(w[i, j]) is int
             assert Fraction(w[i, j], scale) == Fraction(d[i, j])
-    assert _exact_weights(tight_instance(4))[1] == 1
+    assert tight_instance(4).exact_weights[1] == 1
