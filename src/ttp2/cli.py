@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -63,7 +64,7 @@ def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing_arg):
         if packing_arg == "auto":
             chain = packing_chain(n)
         else:
-            chain = normalize_packing(n, int(packing_arg))
+            chain = normalize_packing(n, packing_arg)
         template = build_even_template(n, chain)
         construction = "even" if chain == [1] else "even-dc"
     else:
@@ -176,28 +177,62 @@ def cmd_oracle(args) -> int:
 
 
 def _load_baseline(path):
+    """Instance name -> previous total, from a baseline CSV.
+
+    The totals are the column headed ``previous`` when the header names one,
+    else the second column.  Raises FormatError on a malformed line.
+    """
     baseline = {}
     if path is None:
         return baseline
+    column = 1
     for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.lower().startswith("instance"):
+        cells = [c.strip() for c in line.split(",")]
+        if not cells[0] or cells[0].startswith("#"):
             continue
-        name, value = [p.strip() for p in line.split(",")[:2]]
-        baseline[name] = int(value)
+        if cells[0].lower() == "instance":
+            if "previous" in cells:
+                column = cells.index("previous")
+            continue
+        try:
+            baseline[cells[0]] = _total(cells[column])
+        except (IndexError, ValueError):
+            raise FormatError(f"baseline line {line.strip()!r} has no total in column {column + 1}") from None
     return baseline
+
+
+def _total(text: str):
+    """An integer or finite real total; raises ValueError otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def cmd_bench(args) -> int:
     directory = Path(args.directory)
     files = sorted(p for p in directory.glob("*") if p.is_file() and p.suffix != ".csv")
-    baseline = _load_baseline(args.baseline)
+    # Read every input before solving any, so that a bad one stops the run early.
+    try:
+        baseline = _load_baseline(args.baseline)
+    except (OSError, FormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    instances = []
+    for path in files:
+        try:
+            instances.append((path.stem, parse_instance(path.read_text())))
+        except (OSError, FormatError, ValidationError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
 
     results = []
     any_infeasible = False
-    for path in files:
-        inst = parse_instance(path.read_text())
-        report, schedule = _solve_instance(inst, path.stem, args.rounds, args.seed, False, "auto")
+    for name, inst in instances:
+        report, schedule = _solve_instance(inst, name, args.rounds, args.seed, False, "auto")
         results.append(report)
         any_infeasible |= not validate_schedule(schedule).feasible
 
@@ -217,16 +252,35 @@ def cmd_bench(args) -> int:
     return 1 if any_infeasible else 0
 
 
+def _round_count(text: str) -> int:
+    try:
+        rounds = int(text)
+    except ValueError:
+        rounds = 0
+    if rounds < 1:
+        raise argparse.ArgumentTypeError(f"round count must be an integer >= 1, got {text!r}")
+    return rounds
+
+
+def _packing(text: str):
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"packing must be 'auto' or an integer, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ttp2", description="TTP-2 schedule construction")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="construct a schedule for an instance file")
     p.add_argument("instance")
-    p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--rounds", type=_round_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--derandomize", action="store_true")
-    p.add_argument("--packing", default="auto", help="'auto' or an integer p")
+    p.add_argument("--packing", type=_packing, default="auto", help="'auto' or an integer p")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -249,9 +303,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench", help="solve every instance file in a directory")
     p.add_argument("directory")
-    p.add_argument("--rounds", type=int, default=50)
+    p.add_argument("--rounds", type=_round_count, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--baseline", default=None, help="CSV of instance,previous_total")
+    p.add_argument("--baseline", default=None, help="CSV of instance totals in a column headed 'previous'")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_bench)
 

@@ -164,6 +164,57 @@ def test_bench_with_baseline(tmp_path, capsys):
     assert by_name["tight8"]["total"] <= 60
 
 
+def test_bench_baseline_reads_the_previous_column(tmp_path, capsys):
+    write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    baseline = tmp_path / "baselines.csv"
+    baseline.write_text("instance,lb,previous,rounds50\ntight8,48,60,58\n")
+    code, payload = run(capsys, ["bench", str(tmp_path), "--rounds", "1", "--baseline", str(baseline)])
+    assert code == 0
+    assert payload[0]["total"] == 56
+    assert payload[0]["previous"] == 60
+    assert payload[0]["improvement_ratio"] == pytest.approx(6.67)
+
+
+def test_bench_baseline_accepts_real_totals(tmp_path, capsys):
+    write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    baseline = tmp_path / "baselines.csv"
+    baseline.write_text("instance,previous\ntight8,60.5\n")
+    code, payload = run(capsys, ["bench", str(tmp_path), "--rounds", "1", "--baseline", str(baseline)])
+    assert code == 0
+    assert payload[0]["previous"] == 60.5
+    assert payload[0]["improvement_ratio"] == pytest.approx(7.44)
+
+
+@pytest.mark.parametrize("line", ["tight8", "tight8,nan"], ids=["no-comma", "nan"])
+def test_bench_baseline_rejects_malformed_line(tmp_path, capsys, line):
+    write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    baseline = tmp_path / "baselines.csv"
+    baseline.write_text(f"instance,previous\n{line}\n")
+    assert main(["bench", str(tmp_path), "--baseline", str(baseline)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: baseline line {line!r}" in captured.err
+
+
+def test_bench_rejects_unparsable_file_before_solving(tmp_path, capsys):
+    write_inst(tmp_path, "a_tight8.txt", tight_instance(8))
+    (tmp_path / "b_bad.txt").write_text("1 2 3")
+    assert main(["bench", str(tmp_path), "--rounds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "b_bad.txt" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--packing", "abc"], ["--rounds", "0"]], ids=["packing-abc", "rounds-0"])
+def test_solve_rejects_bad_flags(tmp_path, capsys, flags):
+    path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path), *flags])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "tight8.schedule.csv").exists()
+
+
 def test_solve_with_derandomize_flag(tmp_path, capsys):
     path = write_inst(tmp_path, "rm12.txt", random_metric_instance(12, 4))
     code, payload = run(capsys, ["solve", str(path), "--derandomize"])
