@@ -15,7 +15,6 @@ from ttp2 import (
     total_distance,
     validate_schedule,
 )
-from ttp2.even import count_left_super_games
 
 # The 8-team template, printed the way the tables in the docs read:
 # +j means "away at team j", -j means "home against team j".
@@ -32,13 +31,13 @@ for n in (8, 16, 24, 32, 40):
     ti = tight_instance(n)
     lb = n * (n - 2)
     base_extra = total_distance(build_even_template(n, 1), ti).total - lb
-    best_l, best_p, table = compute_L(n)
+    best_l, _, _ = compute_L(n)
     chain = packing_chain(n)
     packed_extra = total_distance(build_even_template(n, chain), ti).total - lb
     print(
         f"n={n:2d}: base extra {base_extra:3d} (=3n-16) | "
-        f"packing {chain} -> {count_left_super_games(n, chain)} left super-games, "
-        f"extra {packed_extra:3d} (=4L+n, L={best_l})"
+        f"packing {chain} -> L={best_l} left super-games, "
+        f"extra {packed_extra:3d} (=4L+n)"
     )
 
 # Odd n/2: one construction, extra cost exactly 5n-20 on the tight family.

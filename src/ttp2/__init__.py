@@ -27,7 +27,7 @@ from .schedule import (
     parse_schedule_csv,
 )
 from .even import compute_L, packing_chain, build_even_template
-from .odd import build_odd_template, extra_cost_breakdown
+from .odd import build_odd_template
 from .ordering import (
     TeamOrdering,
     TravelCoefficients,
@@ -64,7 +64,6 @@ __all__ = [
     "packing_chain",
     "build_even_template",
     "build_odd_template",
-    "extra_cost_breakdown",
     "TeamOrdering",
     "TravelCoefficients",
     "random_ordering",

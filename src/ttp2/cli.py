@@ -252,14 +252,14 @@ def cmd_bench(args) -> int:
     return 1 if any_infeasible else 0
 
 
-def _round_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        rounds = int(text)
+        value = int(text)
     except ValueError:
-        rounds = 0
-    if rounds < 1:
-        raise argparse.ArgumentTypeError(f"round count must be an integer >= 1, got {text!r}")
-    return rounds
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _packing(text: str):
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="construct a schedule for an instance file")
     p.add_argument("instance")
-    p.add_argument("--rounds", type=_round_count, default=1)
+    p.add_argument("--rounds", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--derandomize", action="store_true")
     p.add_argument("--packing", type=_packing, default="auto", help="'auto' or an integer p")
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("validate", help="check a schedule CSV against an instance")
     p.add_argument("schedule")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_validate)
 
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench", help="solve every instance file in a directory")
     p.add_argument("directory")
-    p.add_argument("--rounds", type=_round_count, default=50)
+    p.add_argument("--rounds", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", default=None, help="CSV of instance totals in a column headed 'previous'")
     p.add_argument("--pretty", action="store_true")

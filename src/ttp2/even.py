@@ -25,6 +25,8 @@ Super = tuple[int, int]
 # ---------------------------------------------------------------------------
 
 def _valid_packing(n: int, p: int) -> bool:
+    if p < 1:
+        return False
     if p == 1:
         return n >= 8 and n % 4 == 0
     return n >= 8 * p and n % (4 * p) == 0
@@ -163,14 +165,15 @@ def _circle_pairs(m: int, q: int) -> tuple[list[tuple[int, int]], int]:
     return pairs, partner
 
 
-def _white_home_base(j: int, q: int, m: int) -> bool:
-    """Home/away status of white j in slot q of the base construction."""
+def _group_home(j: int, q: int, g: int) -> bool:
+    """Home/away status of white j in slot q of a circle of g super-teams
+    (or groups), for the slots before the last one."""
     if j == 1:
         return True
-    if j == 2 or j == m - 1:
+    if j == g - 1:
         return False
     init = j % 2 == 1
-    return init if q <= m - j else not init
+    return init if q <= g - j else not init
 
 
 def _dark_home_base(q: int) -> bool:
@@ -179,8 +182,6 @@ def _dark_home_base(q: int) -> bool:
 
 def slot1_away_positions(m: int, chain: list[int]) -> list[int]:
     """Positions (1-based) whose super-teams start with away games."""
-    if chain[0] == 1:
-        return [2] + [j for j in range(4, m - 1, 2)] + [m - 1]
     p = chain[0]
     g = m // p
     away_groups = [2] + [j for j in range(4, g - 1, 2)] + [g - 1]
@@ -213,7 +214,7 @@ def _base_even_days(supers: list[Super]) -> list[list[Game]]:
                 slot_days[d].extend(block[d])
             # White super-games are always normal here.
             for i, j in pairs:
-                if _white_home_base(i, q, m):
+                if _group_home(i, q, m):
                     away, home = j, i
                 else:
                     away, home = i, j
@@ -225,7 +226,7 @@ def _base_even_days(supers: list[Super]) -> list[list[Game]]:
             slot_days = [[] for _ in range(4)]
             all_pairs = pairs + [(partner, m)]
             for i, j in all_pairs:
-                i_home = _white_home_base(i, q, m) if i < m else _dark_home_base(q)
+                i_home = _group_home(i, q, m) if i < m else _dark_home_base(q)
                 if i_home:
                     away, home = j, i
                 else:
@@ -257,16 +258,6 @@ def _base_even_days(supers: list[Super]) -> list[list[Game]]:
 # ---------------------------------------------------------------------------
 # Packed construction (divide and conquer).
 # ---------------------------------------------------------------------------
-
-def _group_home(j: int, q: int, g: int) -> bool:
-    """Home/away status of white group j in group-slot q (left games to g-2)."""
-    if j == 1:
-        return True
-    if j == g - 1:
-        return False
-    init = j % 2 == 1
-    return init if q <= g - j else not init
-
 
 def _packed_even_days(supers: list[Super], p: int, subchain: list[int]) -> list[list[Game]]:
     m = len(supers)
@@ -347,17 +338,3 @@ def build_even_template(n: int, packing=None) -> Schedule:
     supers = [(2 * k, 2 * k + 1) for k in range(n // 2)]
     days = _build_even_days(supers, chain)
     return games_to_schedule(n, days)
-
-
-def count_left_super_games(n: int, packing=None) -> int:
-    """Left super-games actually present in the built template (for audits)."""
-    chain = normalize_packing(n, packing)
-
-    def count(m: int, ch: list[int]) -> int:
-        if ch[0] == 1:
-            return m - 4
-        p = ch[0]
-        g = m // p
-        return (g - 3) * p + (g // 2) * count(2 * p, ch[1:])
-
-    return count(n // 2, chain)

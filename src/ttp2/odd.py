@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .even import left_super_game, normal_super_game, penultimate_super_game
-from .instance import Instance
-from .matching import Matching
-from .schedule import Schedule, games_to_schedule, total_distance
+from .schedule import Schedule, games_to_schedule
 
 Game = tuple[int, int]
 
@@ -102,9 +100,6 @@ class _OddLayout:
             return self.team2(x) if side == "L" else self.team1(x)
         return self.team1(x) if side == "L" else self.team2(x)
 
-    def r1_pair_team(self, x: int, side: str) -> int:
-        return self.a1_side_team(x, side)
-
     def ww_role_team(self, c: int, side: str) -> int:
         """Team of clean white c that plays its adjacency games inside the
         right super-game on `side` (the other team defers them to the end)."""
@@ -124,7 +119,7 @@ def _right_single_dirty(lay: _OddLayout, lo: int, hi: int, q: int) -> list[list[
     d_side = "R" if d == lo else "L"
     ww = lay.ww_role_team(c, c_side)
     rq = lay.defer_team(c, c_side)
-    r1p = lay.r1_pair_team(d, d_side)
+    r1p = lay.a1_side_team(d, d_side)
     r2p = lay.team1(d) if r1p == lay.team2(d) else lay.team2(d)
     r1, r2 = lay.ur
 
@@ -158,9 +153,9 @@ def _right_special(lay: _OddLayout, q: int) -> list[list[Game]]:
         hm, aw = one, big
     aw_side = "R" if aw == lay.M else "L"
     hm_side = "L" if hm == 1 else "R"
-    a1 = lay.r1_pair_team(aw, aw_side)
+    a1 = lay.a1_side_team(aw, aw_side)
     a2 = lay.team1(aw) if a1 == lay.team2(aw) else lay.team2(aw)
-    h_q = lay.r1_pair_team(hm, hm_side)
+    h_q = lay.a1_side_team(hm, hm_side)
     h_p = lay.team1(hm) if h_q == lay.team2(hm) else lay.team2(hm)
     r1, r2 = lay.ur
     return [
@@ -276,95 +271,3 @@ def build_odd_template(n: int) -> Schedule:
 
     days.extend(_final_block(lay))
     return games_to_schedule(n, days)
-
-
-# ---------------------------------------------------------------------------
-# Per-super-team extra-cost accounting.
-# ---------------------------------------------------------------------------
-
-def _identify_structure(s: Schedule):
-    """Recover (super pairs in construction label order, L index, R index).
-
-    Works on any relabeling of a schedule built by build_odd_template; raises
-    DomainError when the schedule does not carry the construction's shape.
-    """
-    n = s.n
-    if n % 4 != 2 or n < 10:
-        raise DomainError("not an odd-n/2 construction schedule")
-    m = n // 2
-    # The final day is every team's reversed intra-pair game.
-    partner = {t: s.opponent(t, 2 * n - 3) for t in range(n)}
-    if any(partner[partner[t]] != t for t in range(n)):
-        raise DomainError("final day does not pair teams into super-teams")
-    supers = sorted({tuple(sorted((t, partner[t]))) for t in range(n)})
-    if len(supers) != m:
-        raise DomainError("could not recover super-teams")
-    super_of = {}
-    for idx, (a, b) in enumerate(supers):
-        super_of[a] = idx
-        super_of[b] = idx
-
-    # Slot opponents: how many distinct other supers a super meets per slot.
-    def mixed_slots(idx: int) -> int:
-        a, b = supers[idx]
-        mixed = 0
-        for q in range(m - 2):
-            opps = {super_of[s.opponent(a, 4 * q + d)] for d in range(4)}
-            opps |= {super_of[s.opponent(b, 4 * q + d)] for d in range(4)}
-            if len(opps) > 1:
-                mixed += 1
-        return mixed
-
-    counts = [mixed_slots(i) for i in range(m)]
-    r_idx = max(range(m), key=lambda i: counts[i])
-    l_candidates = [i for i in range(m) if counts[i] == 0]
-    if counts[r_idx] != m - 2 or len(l_candidates) != 1:
-        raise DomainError("could not identify the special super-teams")
-    l_idx = l_candidates[0]
-
-    # Whites in construction labels, from the slot in which each meets L.
-    la, lb = supers[l_idx]
-    label_of_super = {l_idx: m - 1, r_idx: m}
-    for q in range(1, m - 1):
-        opp = super_of[s.opponent(la, 4 * (q - 1))]
-        label = 1 if q == m - 2 else m - 1 - q
-        label_of_super[opp] = label
-    if len(label_of_super) != m:
-        raise DomainError("left-opponent scan did not cover all whites")
-    ordered = [None] * m
-    for sup, label in label_of_super.items():
-        ordered[label - 1] = supers[sup]
-    return ordered, m
-
-
-def extra_cost_breakdown(s: Schedule, inst: Instance, matching: Matching) -> tuple:
-    """Per-super-team extra cost over the optimal itineraries.
-
-    Left-super-game extras of the visiting whites are attributed to the
-    second-to-last super-team, matching the accounting used by the ratio
-    analysis; everything else stays with the super-team that traveled.
-    """
-    ordered, m = _identify_structure(s)
-    d_m = matching.weight
-    n = inst.n
-
-    walked = total_distance(s, inst).per_team
-
-    def team_extra(t: int) -> object:
-        return walked[t] - (sum(inst.d(t, j) for j in range(n)) + d_m)
-
-    deltas = [sum(team_extra(t) for t in ordered[i]) for i in range(m)]
-
-    # Shift the white-side singles of even-slot left super-games onto L.
-    la, lb = ordered[m - 2]
-    for label in range(1, m - 1):
-        q = m - 2 if label == 1 else m - 1 - label
-        if q < 2 or q > m - 3 or not (q == 1 or q % 2 == 0):
-            continue
-        w1, w2 = ordered[label - 1]
-        shift = 0
-        for t in (w1, w2):
-            shift += inst.d(t, la) + inst.d(t, lb) - inst.d(la, lb)
-        deltas[label - 1] -= shift
-        deltas[m - 2] += shift
-    return tuple(deltas)

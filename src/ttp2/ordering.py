@@ -17,16 +17,19 @@ integer weights (floats scaled by a common denominator) in Python ints, so
 the chain of expectations is exact and never rises, whatever the magnitude
 or type of the distances.
 
-The swap local search works on the binding vector (label -> team).  After
-every accepted move it evaluates the whole neighbourhood of a pass in one
-array pass: all m(m-1)/2 slot swaps, or all m in-slot flips, from
-P = dist[bind][:, bind] and G = c @ P (as in quadratic-assignment local
-search).  Both passes share one first-improvement loop that visits moves
-in the order of a pair-by-pair sweep, so the trajectory is that of the
-sweep.  Integer instances whose bound 4 * sum(c) * max(d) fits in int64
-run the kernel in int64 and are exact.  All others run it in float64 only
-to propose moves, and each proposal is accepted only if its exact delta,
-taken in Python ints on the touched rows, is negative.
+The swap local search runs on the binding vector (label -> team) alone:
+each start's ordering becomes its vector once, the passes and `polish`
+take and return vectors, and `run_rounds` rebuilds a TeamOrdering once,
+for the winning vector.  After every accepted move the search evaluates
+the whole neighbourhood of a pass in one array pass: all m(m-1)/2 slot
+swaps, or all m in-slot flips, from P = dist[bind][:, bind] and
+G = c @ P (as in quadratic-assignment local search).  Both passes share
+one first-improvement loop that visits moves in the order of a
+pair-by-pair sweep, so the trajectory is that of the sweep.  Integer
+instances whose bound 4 * sum(c) * max(d) fits in int64 run the kernel in
+int64 and are exact.  All others run it in float64 only to propose moves,
+and each proposal is accepted only if its exact delta, taken in Python
+ints on the touched rows, is negative.
 """
 
 from __future__ import annotations
@@ -41,9 +44,6 @@ import numpy as np
 from .instance import Instance
 from .matching import Matching
 from .schedule import Schedule, total_distance
-
-Chain = list[Fraction]
-
 
 @dataclass(frozen=True)
 class TeamOrdering:
@@ -175,7 +175,6 @@ def _sigma_step(CS, CP, SD, PD, assigned, free):
 
 
 def derandomize(
-    template: Schedule,
     coeffs: TravelCoefficients,
     inst: Instance,
     matching: Matching,
@@ -207,7 +206,7 @@ def derandomize(
 
     assigned: list[int] = []
     free = list(range(m))
-    chain: Chain = []
+    chain: list[Fraction] = []
     for s in range(m):
         nums, den = _sigma_step(CS, CP, SD, PD, assigned, free)
         if s == 0:
@@ -322,8 +321,8 @@ def _check_deltas(deltas, exact: bool, c, inst: Instance, bind, src, dst) -> Non
         assert not exact or deltas[q] == delta, "int64 kernel delta disagrees with exact delta"
 
 
-def _first_improvement(ordering, coeffs, inst, matching, kernel, src, dst, debug_check):
-    """The first-improvement loop of both passes; returns (ordering, improved).
+def _first_improvement(bind, coeffs, inst, kernel, src, dst, debug_check):
+    """The first-improvement loop of both passes; returns (bind, improved).
 
     Move q gives labels src[q] the teams of labels dst[q], moves in sweep
     order.  `kernel` evaluates every move on the current binding at once.
@@ -332,9 +331,9 @@ def _first_improvement(ordering, coeffs, inst, matching, kernel, src, dst, debug
     starts over from move 0 if it accepted a move, and ends the pass if not.
     On float64 weights the kernel only proposes: a move is accepted once its
     exact delta is negative, so the exact total falls with every move and
-    the search cannot cycle.
+    the search cannot cycle.  The caller's vector is left as it was.
     """
-    bind = np.array(binding_vector(matching, ordering))
+    bind = np.array(bind)
     dist, exact = _search_weights(coeffs, inst)
 
     def evaluate():
@@ -353,7 +352,7 @@ def _first_improvement(ordering, coeffs, inst, matching, kernel, src, dst, debug
         )
         if q is None:
             if not swept:
-                return _ordering_from_bind(matching, list(bind)), improved
+                return bind, improved
             start, swept = 0, False
             continue
         bind[src[q]] = bind[dst[q]]
@@ -361,60 +360,29 @@ def _first_improvement(ordering, coeffs, inst, matching, kernel, src, dst, debug
         start, improved, swept = q + 1, True, True
 
 
-def _ordering_from_bind(matching: Matching, bind: list[int]) -> TeamOrdering:
-    where = {}
-    for idx, (a, b) in enumerate(matching.pairs):
-        where[frozenset((a, b))] = idx
-    sigma = []
-    pi = []
-    for i in range(len(bind) // 2):
-        first, second = bind[2 * i], bind[2 * i + 1]
-        idx = where[frozenset((first, second))]
-        sigma.append(idx)
-        pi.append(0 if matching.pairs[idx][0] == first else 1)
-    return TeamOrdering(sigma=tuple(sigma), pi=tuple(pi))
-
-
-def swap_super_teams_pass(
-    ordering: TeamOrdering,
-    template: Schedule,
-    coeffs: TravelCoefficients,
-    inst: Instance,
-    matching: Matching,
-    debug_check: bool = False,
-):
+def swap_super_teams_pass(bind, coeffs: TravelCoefficients, inst: Instance, debug_check: bool = False):
     """One full first-improvement sweep over all slot pairs, repeated while
-    a sweep improves; returns (ordering, improved)."""
-    i, j = _slot_pairs(len(ordering.sigma))
+    a sweep improves; returns (bind, improved)."""
+    i, j = _slot_pairs(len(bind) // 2)
     src = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
-    return _first_improvement(
-        ordering, coeffs, inst, matching, _swap_deltas, src, src[:, [2, 3, 0, 1]], debug_check
-    )
+    return _first_improvement(bind, coeffs, inst, _swap_deltas, src, src[:, [2, 3, 0, 1]], debug_check)
 
 
-def swap_within_pass(
-    ordering: TeamOrdering,
-    template: Schedule,
-    coeffs: TravelCoefficients,
-    inst: Instance,
-    matching: Matching,
-    debug_check: bool = False,
-):
-    """First-improvement sweep flipping team order inside each super-team."""
-    x = 2 * np.arange(len(ordering.sigma))
+def swap_within_pass(bind, coeffs: TravelCoefficients, inst: Instance, debug_check: bool = False):
+    """First-improvement sweep flipping team order inside each super-team;
+    returns (bind, improved)."""
+    x = 2 * np.arange(len(bind) // 2)
     src = np.stack([x, x + 1], axis=1)
-    return _first_improvement(
-        ordering, coeffs, inst, matching, _flip_deltas, src, src[:, ::-1], debug_check
-    )
+    return _first_improvement(bind, coeffs, inst, _flip_deltas, src, src[:, ::-1], debug_check)
 
 
-def polish(ordering, template, coeffs, inst, matching):
+def polish(bind, coeffs: TravelCoefficients, inst: Instance) -> np.ndarray:
     """Alternate the two swapping rules until neither improves."""
     while True:
-        ordering, a = swap_super_teams_pass(ordering, template, coeffs, inst, matching)
-        ordering, b = swap_within_pass(ordering, template, coeffs, inst, matching)
+        bind, a = swap_super_teams_pass(bind, coeffs, inst)
+        bind, b = swap_within_pass(bind, coeffs, inst)
         if not (a or b):
-            return ordering
+            return bind
 
 
 def run_rounds(
@@ -428,26 +396,33 @@ def run_rounds(
 ):
     """x random restarts, each polished by the two swap rules; best wins.
 
-    Returns (ordering, schedule, DistanceReport).
+    Each start's ordering becomes its binding vector once and the search
+    runs on vectors; the TeamOrdering is rebuilt once, for the winning
+    vector.  Returns (ordering, schedule, DistanceReport).
     """
     if x < 1:
         raise ValueError("round count must be >= 1")
     m = inst.n // 2
     coeffs = extract_coefficients(template)
-    candidates = []
-    for r in range(x):
-        candidates.append(random_ordering(m, base_seed + r))
+    starts = [random_ordering(m, base_seed + r) for r in range(x)]
     if include_derandomized:
-        candidates.append(derandomize(template, coeffs, inst, matching))
+        starts.append(derandomize(coeffs, inst, matching))
 
     best = None
     best_total = None
-    for ordering in candidates:
-        polished = polish(ordering, template, coeffs, inst, matching)
-        total = coefficient_total(coeffs, inst, binding_vector(matching, polished))
+    for ordering in starts:
+        bind = polish(binding_vector(matching, ordering), coeffs, inst)
+        total = coefficient_total(coeffs, inst, bind)
         if best_total is None or total < best_total:
             best_total = total
-            best = polished
-    schedule = bind_template(template, matching, best)
+            best = bind
+    # Slot i holds the edge of its first team, flipped when that team is
+    # the edge's second end.
+    first = best[0::2].tolist()
+    edge = {team: e for e, pair in enumerate(matching.pairs) for team in pair}
+    sigma = tuple(edge[t] for t in first)
+    pi = tuple(int(matching.pairs[e][0] != t) for e, t in zip(sigma, first))
+    ordering = TeamOrdering(sigma=sigma, pi=pi)
+    schedule = bind_template(template, matching, ordering)
     report = total_distance(schedule, inst, lb=lb)
-    return best, schedule, report
+    return ordering, schedule, report

@@ -97,8 +97,11 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
 
     Violations come property by property, each in row-major order.
     Direct-traveling is a convention of the distance model and is not a
-    table property, so it is not checked here.
+    table property, so it is not checked here.  Raises ValueError for
+    k < 1.
     """
+    if k < 1:
+        raise ValueError(f"run bound k must be >= 1, got {k}")
     n, t = s.n, s.table
     teams = np.arange(n)[:, None]
     a = np.abs(t)
@@ -137,11 +140,6 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
         (name, i, j) for name, mask in checks for i, j in np.argwhere(mask).tolist()
     )
     return FeasibilityReport(feasible=not violations, violations=violations)
-
-
-def venue_sequence(s: Schedule, team: int) -> list[int]:
-    """Home-start, per-day venue, home-end (venues as 0-based team indices)."""
-    return s.venues[team].tolist()
 
 
 def total_distance(s: Schedule, inst: Instance, lb=None) -> DistanceReport:

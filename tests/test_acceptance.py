@@ -133,7 +133,7 @@ def test_criterion_05_and_06_derandomized_ratio_and_monotonicity():
             inst = random_metric_instance(n, 10_000 * n + seed)
             matching = min_weight_perfect_matching(inst)
             lb = independent_lower_bound(inst, matching).total
-            ordering, chain = derandomize(template, coeffs, inst, matching, with_chain=True)
+            ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
             if any(chain[i + 1] > chain[i] for i in range(len(chain) - 1)):
                 chain_breaks += 1
             total = total_distance(bind_template(template, matching, ordering), inst).total

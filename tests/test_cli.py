@@ -119,6 +119,19 @@ def test_validate_rejects_cell_naming_no_team(tmp_path, capsys):
     assert "error: cell +9 names no team of 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_validate_rejects_k_below_one(tmp_path, capsys, golden_n8, k):
+    csv_path = tmp_path / "golden8.schedule.csv"
+    csv_path.write_text(render_schedule(golden_n8))
+    path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(csv_path), str(path), "--k", k])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_lb_command(tmp_path, capsys):
     path = write_inst(tmp_path, "tight10.txt", tight_instance(10))
     code, payload = run(capsys, ["lb", str(path)])
@@ -213,6 +226,15 @@ def test_solve_rejects_bad_flags(tmp_path, capsys, flags):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "tight8.schedule.csv").exists()
+
+
+def test_solve_rejects_packing_below_one(tmp_path, capsys):
+    path = write_inst(tmp_path, "tight16.txt", tight_instance(16))
+    assert main(["solve", str(path), "--packing", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: packing" in captured.err
+    assert not (tmp_path / "tight16.schedule.csv").exists()
 
 
 def test_solve_with_derandomize_flag(tmp_path, capsys):

@@ -8,7 +8,6 @@ from ttp2.even import (
     _valid_packing,
     build_even_template,
     compute_L,
-    count_left_super_games,
     normalize_packing,
     packing_chain,
 )
@@ -67,6 +66,8 @@ def test_normalize_packing_rejects_invalid():
         normalize_packing(20, 2)  # 20 % 8 != 0
     with pytest.raises(DomainError):
         normalize_packing(16, [2, 2])  # chain must end at the base case
+    with pytest.raises(DomainError):
+        normalize_packing(40, 0)
 
 
 def _reference_descent(p):
@@ -110,21 +111,12 @@ def test_tight_extra_cost_best_packing_is_4L_plus_n():
         assert total == n * (n - 2) + 4 * best + n
 
 
-def test_left_super_game_count_matches_L():
+def test_tight_extra_cost_every_packing_is_4L_plus_n():
+    # On the tight instance the extra cost decomposes as 4 * L_p(n) + n.
     for n in range(8, 44, 4):
-        for p in valid_packings(n):
-            chain = normalize_packing(n, p)
-            _, _, table = compute_L(n)
-            assert count_left_super_games(n, chain) == table[p]
-
-
-def test_left_count_audit_agrees_with_tight_cost():
-    # On the tight instance the extra cost decomposes as 4*lefts + n.
-    for n in (16, 24, 32):
-        for p in valid_packings(n):
-            ti = tight_instance(n)
+        ti = tight_instance(n)
+        for p, lefts in compute_L(n)[2].items():
             total = total_distance(build_even_template(n, p), ti).total
-            lefts = count_left_super_games(n, p)
             assert total - n * (n - 2) == 4 * lefts + n
 
 

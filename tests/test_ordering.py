@@ -30,7 +30,7 @@ from ttp2.ordering import (
     swap_super_teams_pass,
     swap_within_pass,
 )
-from ttp2.schedule import total_distance, validate_schedule, venue_sequence
+from ttp2.schedule import total_distance, validate_schedule
 
 
 def test_random_ordering_deterministic():
@@ -90,7 +90,7 @@ def test_derandomize_monotone_chain_and_bound():
             inst = random_metric_instance(n, seed)
             matching = min_weight_perfect_matching(inst)
             lb = independent_lower_bound(inst, matching).total
-            ordering, chain = derandomize(template, coeffs, inst, matching, with_chain=True)
+            ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
             assert len(chain) == 2 * (n // 2) + 1
             assert all(chain[i + 1] <= chain[i] for i in range(len(chain) - 1))
             s = bind_template(template, matching, ordering)
@@ -110,7 +110,7 @@ def test_derandomize_constant_on_tight():
     coeffs = extract_coefficients(template)
     ti = tight_instance(n)
     matching = min_weight_perfect_matching(ti)
-    _, chain = derandomize(template, coeffs, ti, matching, with_chain=True)
+    _, chain = derandomize(coeffs, ti, matching, with_chain=True)
     assert all(v == chain[0] for v in chain)
     assert chain[0] == 56
 
@@ -121,12 +121,12 @@ def test_swap_passes_monotone_and_verified():
     matching = min_weight_perfect_matching(inst)
     template = build_even_template(n)
     coeffs = extract_coefficients(template)
-    o = random_ordering(n // 2, 0)
-    w0 = coefficient_total(coeffs, inst, binding_vector(matching, o))
-    o1, _ = swap_super_teams_pass(o, template, coeffs, inst, matching, debug_check=True)
-    w1 = coefficient_total(coeffs, inst, binding_vector(matching, o1))
-    o2, _ = swap_within_pass(o1, template, coeffs, inst, matching, debug_check=True)
-    w2 = coefficient_total(coeffs, inst, binding_vector(matching, o2))
+    b = binding_vector(matching, random_ordering(n // 2, 0))
+    w0 = coefficient_total(coeffs, inst, b)
+    b1, _ = swap_super_teams_pass(b, coeffs, inst, debug_check=True)
+    w1 = coefficient_total(coeffs, inst, b1)
+    b2, _ = swap_within_pass(b1, coeffs, inst, debug_check=True)
+    w2 = coefficient_total(coeffs, inst, b2)
     assert w0 >= w1 >= w2
 
 
@@ -136,11 +136,11 @@ def test_swap_passes_noop_on_tight():
     matching = min_weight_perfect_matching(ti)
     template = build_even_template(n)
     coeffs = extract_coefficients(template)
-    o = random_ordering(n // 2, 1)
-    o1, improved1 = swap_super_teams_pass(o, template, coeffs, inst=ti, matching=matching)
-    o2, improved2 = swap_within_pass(o, template, coeffs, inst=ti, matching=matching)
+    b = binding_vector(matching, random_ordering(n // 2, 1))
+    b1, improved1 = swap_super_teams_pass(b, coeffs, inst=ti)
+    b2, improved2 = swap_within_pass(b, coeffs, inst=ti)
     assert not improved1 and not improved2
-    assert o1 == o and o2 == o
+    assert b1.tolist() == b and b2.tolist() == b
 
 
 def test_super_swap_improves_two_cluster_instance():
@@ -161,10 +161,10 @@ def test_super_swap_improves_two_cluster_instance():
     base = None
     improved_somewhere = False
     for seed in range(6):
-        o = random_ordering(n // 2, seed)
-        w0 = coefficient_total(coeffs, inst, binding_vector(matching, o))
-        o1, improved = swap_super_teams_pass(o, template, coeffs, inst, matching)
-        w1 = coefficient_total(coeffs, inst, binding_vector(matching, o1))
+        b = binding_vector(matching, random_ordering(n // 2, seed))
+        w0 = coefficient_total(coeffs, inst, b)
+        b1, improved = swap_super_teams_pass(b, coeffs, inst)
+        w1 = coefficient_total(coeffs, inst, b1)
         assert w1 <= w0
         improved_somewhere |= improved
     assert improved_somewhere
@@ -180,8 +180,8 @@ def test_within_swap_improves_hand_instance():
     coeffs = extract_coefficients(template)
     improved_somewhere = False
     for seed in range(8):
-        o = random_ordering(n // 2, seed)
-        _, improved = swap_within_pass(o, template, coeffs, inst, matching)
+        b = binding_vector(matching, random_ordering(n // 2, seed))
+        _, improved = swap_within_pass(b, coeffs, inst)
         improved_somewhere |= improved
     assert improved_somewhere
 
@@ -234,9 +234,15 @@ def _exact_schedule_total(schedule, inst):
     """Sum of Fraction(d) over every travel of the bound schedule."""
     total = Fraction(0)
     for team in range(schedule.n):
-        seq = venue_sequence(schedule, team)
+        seq = schedule.venues[team].tolist()
         total += sum(Fraction(inst.dist[a, b].item()) for a, b in zip(seq, seq[1:]) if a != b)
     return total
+
+
+def _exact_form_total(coeffs, inst, bind):
+    """The linear form of a binding summed over Fraction(d)."""
+    d = inst.dist[np.ix_(bind, bind)].ravel().tolist()
+    return sum(k * Fraction(x) for k, x in zip(coeffs.c.ravel().tolist(), d)) / 2
 
 
 def test_coefficient_total_exact_above_two_to_the_53():
@@ -258,7 +264,7 @@ def test_derandomize_large_distances_chain_monotone():
     inst = _variant(random_metric_instance(n, 1), "big")
     matching = min_weight_perfect_matching(inst)
     template, coeffs = _template_and_coeffs(n)
-    ordering, chain = derandomize(template, coeffs, inst, matching, with_chain=True)
+    ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
     assert all(chain[i + 1] <= chain[i] for i in range(len(chain) - 1))
     assert chain[-1] == total_distance(bind_template(template, matching, ordering), inst).total
 
@@ -272,7 +278,7 @@ def test_derandomize_chain_equals_brute_force_means(n, kind):
     inst = _variant(random_metric_instance(n, 20 + n), kind)
     matching = min_weight_perfect_matching(inst)
     template, coeffs = _template_and_coeffs(n)
-    ordering, chain = derandomize(template, coeffs, inst, matching, with_chain=True)
+    ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
 
     travels = [(a, b, int(coeffs.c[a, b])) for a in range(n) for b in range(a + 1, n) if coeffs.c[a, b]]
     dist = [[Fraction(x) for x in row] for row in inst.dist.tolist()]
@@ -306,7 +312,7 @@ def test_derandomize_chain_properties(n, seed, kind):
     inst = _variant(random_metric_instance(n, seed), kind)
     matching = min_weight_perfect_matching(inst)
     template, coeffs = _template_and_coeffs(n)
-    ordering, chain = derandomize(template, coeffs, inst, matching, with_chain=True)
+    ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
     assert len(chain) == n + 1
     assert all(chain[i + 1] <= chain[i] for i in range(n))
     schedule = bind_template(template, matching, ordering)
@@ -333,15 +339,15 @@ def test_polish_verified_on_distances_past_int64():
     matching = min_weight_perfect_matching(inst)
     template = build_even_template(n)
     coeffs = extract_coefficients(template)
-    start = o = random_ordering(n // 2, 0)
-    totals = [coefficient_total(coeffs, inst, binding_vector(matching, o))]
+    start = b = binding_vector(matching, random_ordering(n // 2, 0))
+    totals = [coefficient_total(coeffs, inst, b)]
     improved = True
     while improved:
-        o, a = swap_super_teams_pass(o, template, coeffs, inst, matching, debug_check=True)
-        o, b = swap_within_pass(o, template, coeffs, inst, matching, debug_check=True)
-        totals.append(coefficient_total(coeffs, inst, binding_vector(matching, o)))
-        improved = a or b
-    assert o == polish(start, template, coeffs, inst, matching)
+        b, x = swap_super_teams_pass(b, coeffs, inst, debug_check=True)
+        b, y = swap_within_pass(b, coeffs, inst, debug_check=True)
+        totals.append(coefficient_total(coeffs, inst, b))
+        improved = x or y
+    assert b.tolist() == polish(start, coeffs, inst).tolist()
     assert all(later < earlier for earlier, later in zip(totals[:-2], totals[1:-1]))
     assert totals[-1] == totals[-2] < totals[0]
 
@@ -351,11 +357,11 @@ def test_swap_passes_verified_on_real_valued(seed):
     n = 12
     inst = _variant(random_metric_instance(n, seed), "real")
     matching = min_weight_perfect_matching(inst)
-    template, coeffs = _template_and_coeffs(n)
-    o0 = random_ordering(n // 2, seed)
-    o1, _ = swap_super_teams_pass(o0, template, coeffs, inst, matching, debug_check=True)
-    o2, _ = swap_within_pass(o1, template, coeffs, inst, matching, debug_check=True)
-    exact = [_exact_schedule_total(bind_template(template, matching, o), inst) for o in (o0, o1, o2)]
+    _, coeffs = _template_and_coeffs(n)
+    b0 = binding_vector(matching, random_ordering(n // 2, seed))
+    b1, _ = swap_super_teams_pass(b0, coeffs, inst, debug_check=True)
+    b2, _ = swap_within_pass(b1, coeffs, inst, debug_check=True)
+    exact = [_exact_form_total(coeffs, inst, b) for b in (b0, b1, b2)]
     assert exact[0] >= exact[1] >= exact[2]
 
 

@@ -30,6 +30,12 @@ def test_bounded_by_k_violation_detected(golden_n8):
     assert any(v[0] == "bounded-by-k" and v[1] == 2 for v in rep.violations)
 
 
+def test_validate_rejects_k_below_one(golden_n8):
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            validate_schedule(golden_n8, k=k)
+
+
 def test_no_repeat_violation_detected(golden_n8):
     # Swapping the first two days for all teams leaves day 2 hosting the
     # same opponents day 3 visits: a repeat between the new days 2 and 3.
