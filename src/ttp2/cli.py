@@ -14,29 +14,13 @@ import time
 from pathlib import Path
 
 from .errors import DomainError, FormatError, ValidationError
-from .even import build_even_template, normalize_packing, packing_chain
-from .instance import parse_instance
+from .even import build_even_template, packing_chain
+from .instance import Instance, parse_instance
 from .matching import independent_lower_bound, min_weight_perfect_matching
 from .odd import build_odd_template
 from .oracle import BRUTE_FORCE_LIMIT, brute_force_optimal
 from .ordering import run_rounds
 from .schedule import parse_schedule_csv, render_schedule, total_distance, validate_schedule
-
-
-def _report(name, n, lb, total, rounds, seed, elapsed_ms, construction, packing):
-    gap = 100.0 * (total - lb) / lb if lb else 0.0
-    return {
-        "instance": name,
-        "n": n,
-        "lb": lb,
-        "total": total,
-        "gap_percent": round(gap, 2),
-        "rounds": rounds,
-        "seed": seed,
-        "elapsed_ms": round(elapsed_ms, 1),
-        "construction": construction,
-        "packing": packing,
-    }
 
 
 def _emit(obj, pretty: bool):
@@ -48,59 +32,70 @@ def _emit(obj, pretty: bool):
         print(json.dumps(obj))
 
 
-def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing_arg):
-    """Shared solve path; returns (report dict, schedule)."""
+def _read_instance(path) -> Instance:
+    """Parse an instance file; parse errors name the file."""
+    try:
+        return parse_instance(Path(path).read_text())
+    except (FormatError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing):
+    """Shared solve path of solve, oracle and bench; returns (report dict, schedule)."""
+    n = inst.n
+    if n % 4 == 0 and n > BRUTE_FORCE_LIMIT:
+        chain = packing_chain(n, packing)
+    elif packing != "auto":
+        raise DomainError(f"packing {packing} applies only for n = 0 (mod 4), n >= 8; got n={n}")
+    else:
+        chain = []
+
     start = time.perf_counter()
     matching = min_weight_perfect_matching(inst)
     lb = independent_lower_bound(inst, matching).total
-    n = inst.n
-
     if n <= BRUTE_FORCE_LIMIT:
         schedule, total = brute_force_optimal(inst, lower_bound=lb)
-        elapsed = 1000 * (time.perf_counter() - start)
-        return _report(name, n, lb, total, rounds, seed, elapsed, "brute", []), schedule
-
-    if n % 4 == 0:
-        if packing_arg == "auto":
-            chain = packing_chain(n)
-        else:
-            chain = normalize_packing(n, packing_arg)
-        template = build_even_template(n, chain)
-        construction = "even" if chain == [1] else "even-dc"
+        construction = "brute"
     else:
-        chain = []
-        template = build_odd_template(n)
-        construction = "odd"
-
-    _, schedule, dist = run_rounds(
-        inst,
-        template,
-        matching,
-        rounds,
-        base_seed=seed,
-        lb=lb,
-        include_derandomized=derandomize_flag,
-    )
+        if chain:
+            template = build_even_template(n, chain)
+            construction = "even" if chain == [1] else "even-dc"
+        else:
+            template = build_odd_template(n)
+            construction = "odd"
+        _, schedule, dist = run_rounds(
+            inst,
+            template,
+            matching,
+            rounds,
+            base_seed=seed,
+            lb=lb,
+            include_derandomized=derandomize_flag,
+        )
+        total = dist.total
     elapsed = 1000 * (time.perf_counter() - start)
-    return _report(name, n, lb, dist.total, rounds, seed, elapsed, construction, chain), schedule
+    gap = 100.0 * (total - lb) / lb if lb else 0.0
+    report = {
+        "instance": name,
+        "n": n,
+        "lb": lb,
+        "total": total,
+        "gap_percent": round(gap, 2),
+        "rounds": rounds,
+        "seed": seed,
+        "elapsed_ms": round(elapsed, 1),
+        "construction": construction,
+        "packing": chain,
+    }
+    return report, schedule
 
 
 def cmd_solve(args) -> int:
     path = Path(args.instance)
-    try:
-        inst = parse_instance(path.read_text())
-    except (OSError, FormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if inst.n <= BRUTE_FORCE_LIMIT:
+    inst = _read_instance(path)
+    report, schedule = _solve_instance(inst, path.stem, args.rounds, args.seed, args.derandomize, args.packing)
+    if report["construction"] == "brute":
         print(f"note: n={inst.n} is solved exactly by brute force", file=sys.stderr)
-    try:
-        report, schedule = _solve_instance(
-            inst, path.stem, args.rounds, args.seed, args.derandomize, args.packing
-        )
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     out = path.with_suffix(".schedule.csv")
     out.write_text(render_schedule(schedule))
     report["schedule_csv"] = str(out)
@@ -109,15 +104,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        schedule = parse_schedule_csv(Path(args.schedule).read_text())
-        inst = parse_instance(Path(args.instance).read_text())
-    except (OSError, FormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    schedule = parse_schedule_csv(Path(args.schedule).read_text())
+    inst = _read_instance(args.instance)
     if schedule.n != inst.n:
-        print(f"error: schedule has {schedule.n} teams, instance has {inst.n}", file=sys.stderr)
-        return 2
+        raise ValidationError(f"schedule has {schedule.n} teams, instance has {inst.n}")
     feas = validate_schedule(schedule, k=args.k)
     matching = min_weight_perfect_matching(inst)
     lb = independent_lower_bound(inst, matching).total
@@ -137,11 +127,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lb(args) -> int:
-    try:
-        inst = parse_instance(Path(args.instance).read_text())
-    except (OSError, FormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = _read_instance(args.instance)
     matching = min_weight_perfect_matching(inst)
     bound = independent_lower_bound(inst, matching)
     _emit(
@@ -158,21 +144,12 @@ def cmd_lb(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        inst = parse_instance(Path(args.instance).read_text())
-    except (OSError, FormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        start = time.perf_counter()
-        matching = min_weight_perfect_matching(inst)
-        lb = independent_lower_bound(inst, matching).total
-        schedule, total = brute_force_optimal(inst, lower_bound=lb)
-        elapsed = 1000 * (time.perf_counter() - start)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(_report(Path(args.instance).stem, inst.n, lb, total, 1, 0, elapsed, "brute", []), args.pretty)
+    path = Path(args.instance)
+    inst = _read_instance(path)
+    if inst.n > BRUTE_FORCE_LIMIT:
+        raise DomainError(f"oracle needs n <= {BRUTE_FORCE_LIMIT}, got n={inst.n}")
+    report, schedule = _solve_instance(inst, path.stem, 1, 0, False, "auto")
+    _emit(report, args.pretty)
     return 0 if validate_schedule(schedule).feasible else 1
 
 
@@ -213,21 +190,11 @@ def _total(text: str):
 
 
 def cmd_bench(args) -> int:
-    directory = Path(args.directory)
-    files = sorted(p for p in directory.glob("*") if p.is_file() and p.suffix != ".csv")
+    # iterdir, unlike glob, raises when the path is missing or not a directory.
+    files = sorted(p for p in Path(args.directory).iterdir() if p.is_file() and p.suffix != ".csv")
     # Read every input before solving any, so that a bad one stops the run early.
-    try:
-        baseline = _load_baseline(args.baseline)
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    instances = []
-    for path in files:
-        try:
-            instances.append((path.stem, parse_instance(path.read_text())))
-        except (OSError, FormatError, ValidationError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
+    baseline = _load_baseline(args.baseline)
+    instances = [(path.stem, _read_instance(path)) for path in files]
 
     results = []
     any_infeasible = False
@@ -310,7 +277,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, FormatError, ValidationError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -57,31 +57,23 @@ def compute_L(n: int):
     return table[best_p], best_p, table
 
 
-def _descend(p: int) -> list[int]:
-    """Chain from packing p down to the base: each level takes the best
-    packing of its 4p-team sub-problem, ties to the smallest."""
-    chain = [p]
-    while p > 1:
-        sub_n = 4 * p
-        candidates = {i: _L(sub_n, i) for i in range(1, p) if _valid_packing(sub_n, i)}
-        p = min(candidates, key=lambda i: (candidates[i], i))
-        chain.append(p)
-    return chain
+def packing_chain(n: int, packing="auto") -> list[int]:
+    """Validated packing chain for n = 0 (mod 4), n >= 8.
 
-
-def packing_chain(n: int) -> list[int]:
-    """Packing choices down the recursion that realize L(n)."""
-    return _descend(compute_L(n)[1])
-
-
-def normalize_packing(n: int, packing) -> list[int]:
-    """Turn a user packing spec (None / int / chain) into a validated chain."""
-    if packing is None:
-        chain = [1]
-    elif isinstance(packing, int):
-        chain = _descend(packing)
-    else:
-        chain = list(packing)
+    `packing` is "auto" for the packing that realizes L(n), an integer p,
+    or a full chain.  Below an integer p each level takes the best packing
+    of its 4p-team sub-problem, ties to the smallest.
+    """
+    if packing == "auto":
+        packing = compute_L(n)[1]
+    if isinstance(packing, int):
+        if not _valid_packing(n, packing):
+            raise DomainError(f"packing {packing} invalid for n={n}")
+        chain = [packing]
+        while chain[-1] > 1:
+            chain.append(compute_L(4 * chain[-1])[1])
+        return chain
+    chain = list(packing)
     size = n
     for depth, p in enumerate(chain):
         if not _valid_packing(size, p):
@@ -326,15 +318,15 @@ def _build_even_days(supers: list[Super], chain: list[int]) -> list[list[Game]]:
     return _packed_even_days(supers, chain[0], chain[1:])
 
 
-def build_even_template(n: int, packing=None) -> Schedule:
+def build_even_template(n: int, packing=1) -> Schedule:
     """Template schedule over labels 0..n-1 for n = 0 (mod 4), n >= 8.
 
-    `packing` is None for the base construction, an integer p, or a full
-    packing chain; label pairs (0,1), (2,3), ... are the super-teams.
+    `packing` is any spelling `packing_chain` accepts; the default 1 is the
+    base construction.  Label pairs (0,1), (2,3), ... are the super-teams.
     """
     if n % 4 != 0 or n < 8:
         raise DomainError(f"even-n/2 construction needs n = 0 (mod 4), n >= 8, got {n}")
-    chain = normalize_packing(n, packing)
+    chain = packing_chain(n, packing)
     supers = [(2 * k, 2 * k + 1) for k in range(n // 2)]
     days = _build_even_days(supers, chain)
     return games_to_schedule(n, days)

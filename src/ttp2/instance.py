@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,16 +19,13 @@ from .errors import FormatError, ValidationError
 
 @dataclass(frozen=True)
 class Instance:
-    """A TTP instance: team count, team names and the distance matrix."""
+    """A TTP instance: team count and the distance matrix."""
 
     n: int
     dist: np.ndarray
-    names: tuple[str, ...] = field(default=())
     integral: bool = True
 
     def __post_init__(self):
-        if not self.names:
-            object.__setattr__(self, "names", tuple(f"t{i + 1}" for i in range(self.n)))
         object.__setattr__(self, "dist", _frozen(self.dist))
         _validate(self.n, self.dist)
 
@@ -90,7 +87,7 @@ class MetricReport:
     max_violation: float
 
 
-def parse_instance(text: str, names: tuple[str, ...] = ()) -> Instance:
+def parse_instance(text: str) -> Instance:
     """Parse a whitespace-separated distance matrix.
 
     Accepts either ``n`` followed by n*n entries, or exactly k*k entries for
@@ -130,7 +127,7 @@ def parse_instance(text: str, names: tuple[str, ...] = ()) -> Instance:
 
     dtype = np.int64 if integral else np.float64
     dist = np.array(body, dtype=dtype).reshape(n, n)
-    return Instance(n=n, dist=dist, names=names, integral=integral)
+    return Instance(n=n, dist=dist, integral=integral)
 
 
 def write_instance(inst: Instance) -> str:

@@ -22,7 +22,7 @@ cycle - both sides pay.
 from __future__ import annotations
 
 from .errors import DomainError
-from .even import left_super_game, normal_super_game, penultimate_super_game
+from .even import _dark_home_base, left_super_game, normal_super_game, penultimate_super_game
 from .schedule import Schedule, games_to_schedule
 
 Game = tuple[int, int]
@@ -72,18 +72,12 @@ class _OddLayout:
     def next_white(self, x: int) -> int:
         return x % self.M + 1
 
-    def prev_white(self, x: int) -> int:
-        return (x - 2) % self.M + 1
-
     def white_home(self, x: int, q: int) -> bool:
         s = self.sigma(x)
         if s == 1:
             return False  # meets L in slot 1: away block throughout
         init = s % 2 == 1
         return init if q <= s else not init
-
-    def ul_home(self, q: int) -> bool:
-        return q == 1 or q % 2 == 0
 
     def clean(self, x: int) -> bool:
         return x % 2 == 0
@@ -238,7 +232,7 @@ def build_odd_template(n: int) -> Schedule:
             sg = normal_super_game(lay.super_teams(w), lay.ul)
         elif q == m - 2:
             sg = penultimate_super_game(lay.ul, lay.super_teams(1))
-        elif lay.ul_home(q):
+        elif _dark_home_base(q):
             sg = left_super_game(lay.super_teams(w), lay.ul)
         else:
             sg = left_super_game(lay.ul, lay.super_teams(w))

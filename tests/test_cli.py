@@ -159,6 +159,17 @@ def test_bench_empty_dir(tmp_path, capsys):
     assert payload[-1]["instances"] == 0
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_bench_rejects_non_directory(tmp_path, capsys, kind):
+    target = tmp_path / "no_such_dir"
+    if kind == "file":
+        target = write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    assert main(["bench", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_bench_with_baseline(tmp_path, capsys):
     write_inst(tmp_path, "tight8.txt", tight_instance(8))
     write_inst(tmp_path, "tight10.txt", tight_instance(10))
@@ -228,13 +239,20 @@ def test_solve_rejects_bad_flags(tmp_path, capsys, flags):
     assert not (tmp_path / "tight8.schedule.csv").exists()
 
 
-def test_solve_rejects_packing_below_one(tmp_path, capsys):
-    path = write_inst(tmp_path, "tight16.txt", tight_instance(16))
-    assert main(["solve", str(path), "--packing", "0"]) == 2
+@pytest.mark.parametrize(
+    "n, packing",
+    [(16, "0"), (16, "1000000000"), (6, "1"), (10, "1")],
+    ids=["n16-p0", "n16-p1e9", "n6-brute", "n10-odd"],
+)
+def test_solve_rejects_packing_below_one(tmp_path, capsys, n, packing):
+    # 1e9 must be rejected at once, not after a descent linear in p; n = 6
+    # and n = 10 build no even template, so any explicit packing is an error.
+    path = write_inst(tmp_path, f"tight{n}.txt", tight_instance(n))
+    assert main(["solve", str(path), "--packing", packing]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: packing" in captured.err
-    assert not (tmp_path / "tight16.schedule.csv").exists()
+    assert not (tmp_path / f"tight{n}.schedule.csv").exists()
 
 
 def test_solve_with_derandomize_flag(tmp_path, capsys):

@@ -8,7 +8,6 @@ from ttp2.even import (
     _valid_packing,
     build_even_template,
     compute_L,
-    normalize_packing,
     packing_chain,
 )
 from ttp2.instance import Instance
@@ -61,13 +60,13 @@ def test_compute_L_rejects_bad_n():
         compute_L(4)
 
 
-def test_normalize_packing_rejects_invalid():
+def test_packing_chain_rejects_invalid():
     with pytest.raises(DomainError):
-        normalize_packing(20, 2)  # 20 % 8 != 0
+        packing_chain(20, 2)  # 20 % 8 != 0
     with pytest.raises(DomainError):
-        normalize_packing(16, [2, 2])  # chain must end at the base case
+        packing_chain(16, [2, 2])  # chain must end at the base case
     with pytest.raises(DomainError):
-        normalize_packing(40, 0)
+        packing_chain(40, 0)
 
 
 def _reference_descent(p):
@@ -85,7 +84,7 @@ def test_packing_chains_unchanged_up_to_200():
     for n in range(8, 201, 4):
         assert packing_chain(n) == _reference_descent(compute_L(n)[1])
         for p in valid_packings(n):
-            assert normalize_packing(n, p) == _reference_descent(p)
+            assert packing_chain(n, p) == _reference_descent(p)
 
 
 def test_feasibility_sweep_all_packings():
