@@ -20,7 +20,7 @@ from .matching import independent_lower_bound, min_weight_perfect_matching
 from .odd import build_odd_template
 from .oracle import BRUTE_FORCE_LIMIT, brute_force_optimal
 from .ordering import run_rounds
-from .schedule import parse_schedule_csv, render_schedule, total_distance, validate_schedule
+from .schedule import Schedule, parse_schedule_csv, render_schedule, total_distance, validate_schedule
 
 
 def _emit(obj, pretty: bool):
@@ -38,6 +38,14 @@ def _read_instance(path) -> Instance:
         return parse_instance(Path(path).read_text())
     except (FormatError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def _read_schedule(path) -> Schedule:
+    """Parse a schedule CSV file; parse errors name the file."""
+    try:
+        return parse_schedule_csv(Path(path).read_text())
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing):
@@ -104,7 +112,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    schedule = parse_schedule_csv(Path(args.schedule).read_text())
+    schedule = _read_schedule(args.schedule)
     inst = _read_instance(args.instance)
     if schedule.n != inst.n:
         raise ValidationError(f"schedule has {schedule.n} teams, instance has {inst.n}")

@@ -23,13 +23,17 @@ take and return vectors, and `run_rounds` rebuilds a TeamOrdering once,
 for the winning vector.  After every accepted move the search evaluates
 the whole neighbourhood of a pass in one array pass: all m(m-1)/2 slot
 swaps, or all m in-slot flips, from P = dist[bind][:, bind] and
-G = c @ P (as in quadratic-assignment local search).  Both passes share
-one first-improvement loop that visits moves in the order of a
-pair-by-pair sweep, so the trajectory is that of the sweep.  Integer
-instances whose bound 4 * sum(c) * max(d) fits in int64 run the kernel in
-int64 and are exact.  All others run it in float64 only to propose moves,
-and each proposal is accepted only if its exact delta, taken in Python
-ints on the touched rows, is negative.
+G = c @ P (as in quadratic-assignment local search).  The c-derived
+blocks of both kernels are built once per TravelCoefficients and dtype.
+Each pass gathers P once and keeps it current in place: an accepted move
+permutes its touched rows and columns in O(n).  Both passes share one
+first-improvement loop that visits moves in the order of a pair-by-pair
+sweep, so the trajectory is that of the sweep.  The kernel runs in one of
+three tiers, set by the bound 4 * sum(c) * max(d) on its partial sums.
+Integer instances below 2**53 run it in float64, on BLAS, and below 2**63
+in int64; both are exact.  All others run it in float64 only to propose
+moves, and each proposal is accepted only if its exact delta, taken in
+Python ints on the touched rows, is negative.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ class TravelCoefficients:
 
     n: int
     c: np.ndarray
+
+    @functools.cached_property
+    def _kernel_cache(self) -> dict:
+        """`_KernelBlocks` per weight dtype, filled by `_kernel_blocks`."""
+        return {}
 
 
 def random_ordering(m: int, seed: int) -> TeamOrdering:
@@ -102,24 +111,32 @@ def bind_template(template: Schedule, matching: Matching, ordering: TeamOrdering
 
 
 def _search_weights(coeffs: TravelCoefficients, inst: Instance) -> tuple[np.ndarray, bool]:
-    """The distances the linear form is summed over, and whether int64 is exact.
+    """The distances the swap kernels run on, and whether their deltas are exact.
 
-    Integer instances with 4 * sum(c) * max(d) below 2**63 use int64.  Its
-    arithmetic is exact modulo 2**64, and every total or swap delta lies
-    inside that bound, so wrapped intermediates cannot change a result.
-    Every other instance gets float64, which is only an estimate.
+    Integer instances have two exact tiers, set by the bound
+    4 * sum(c) * max(d) on every partial sum of the kernels and on every
+    total or delta.  Below 2**53 they use float64: every partial sum is an
+    integer float64 holds exactly, in whatever order BLAS adds the terms.
+    Below 2**63 they use int64, exact modulo 2**64, so wrapped intermediates
+    cannot change a result.  Every other instance gets float64, which is
+    only an estimate.
     """
     dist = inst.dist
-    if dist.dtype.kind in "iu" and 4 * int(coeffs.c.sum()) * int(dist.max()) < 2**63:
-        return dist.astype(np.int64), True
+    if dist.dtype.kind in "iu":
+        bound = 4 * int(coeffs.c.sum()) * int(dist.max())
+        if bound < 2**53:
+            return dist.astype(np.float64), True
+        if bound < 2**63:
+            return dist.astype(np.int64), True
     return dist.astype(np.float64), False
 
 
 def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int]) -> object:
     """Total distance of a binding straight from the linear form.
 
-    Exact on integer instances: in int64 when `_search_weights` allows it and
-    in Python ints otherwise.  Real-valued instances sum in float64.
+    Exact on integer instances: in an exact tier of `_search_weights` when
+    the instance has one and in Python ints otherwise.  Real-valued
+    instances sum in float64.
     """
     perm = np.array(bind)
     integral = inst.dist.dtype.kind in "iu"
@@ -249,105 +266,156 @@ def derandomize(
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def _slot_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slot pairs (i, j), i < j, in sweep order; read-only, as calls share them."""
-    pairs = np.triu_indices(m, 1)
-    for a in pairs:
+def _pass_moves(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The labels each move of a pass moves, one row per move in sweep order.
+
+    Returns the slot swaps (2i, 2i+1, 2j, 2j+1), i < j, and the in-slot
+    flips (2i, 2i+1); read-only, as calls share them.
+    """
+    i, j = np.triu_indices(m, 1)
+    x = 2 * np.arange(m)
+    moves = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1), np.stack([x, x + 1], axis=1)
+    for a in moves:
         a.setflags(write=False)
-    return pairs
+    return moves
 
 
-def _swap_deltas(c, dist, bind):
+@dataclass(frozen=True)
+class _KernelBlocks:
+    """The c-derived constants of the swap and flip kernels, in one dtype.
+
+    `cols` stacks c[:, 0::2] on c[:, 1::2]; `same` holds c[0::2, 0::2]
+    and c[1::2, 1::2]; `cross` is K = cw_i + cw_j - c01 - c01^T, where
+    c01 = c[0::2, 1::2] and cw is its diagonal (each slot's own pair);
+    `rows` is c[0::2] - c[1::2] and `own` is 2 cw.  `upper` holds the flat
+    indices of the slot pairs (i, j), i < j, in sweep order.
+    """
+
+    cols: np.ndarray
+    same: tuple[np.ndarray, np.ndarray]
+    cross: np.ndarray
+    rows: np.ndarray
+    own: np.ndarray
+    upper: np.ndarray
+
+
+def _kernel_blocks(coeffs: TravelCoefficients, dtype) -> _KernelBlocks:
+    """The kernels' constants for weights of `dtype`, built once per coefficients."""
+    dtype = np.dtype(dtype)
+    cache = coeffs._kernel_cache
+    if dtype not in cache:
+        c = coeffs.c.astype(dtype)
+        m = coeffs.n // 2
+        c01 = c[0::2, 1::2]
+        cw = c01.diagonal()
+        i, j = np.triu_indices(m, 1)
+        cache[dtype] = _KernelBlocks(
+            cols=np.concatenate([c[:, 0::2], c[:, 1::2]]),
+            same=(c[0::2, 0::2], c[1::2, 1::2]),
+            cross=cw[:, None] + cw - c01 - c01.T,
+            rows=c[0::2] - c[1::2],
+            own=2 * cw,
+            upper=i * m + j,
+        )
+    return cache[dtype]
+
+
+def _swap_deltas(k: _KernelBlocks, P):
     """Distance change of every slot swap (i, j), i < j, in sweep order.
 
-    With P = dist[bind][:, bind] and G = c @ P, moving label a to the team
-    of label b changes its row of the linear form by G[a, b] - G[a, a].  A
+    P = dist[bind][:, bind] and G = c @ P: moving label a to the team of
+    label b changes its row of the linear form by G[a, b] - G[a, a].  A
     swap moves the four labels 2i+r <-> 2j+r (r = 0, 1); their full rows
     also count the pairs inside those four labels, which are replaced by
     half the change of the 4x4 block.  All m x m terms come from the
     parity blocks of c and P, both symmetric with zero diagonals.
     """
-    m = len(bind) // 2
-    P = dist[np.ix_(bind, bind)]
-    A = c[0::2] @ P[:, 0::2] + c[1::2] @ P[:, 1::2]  # G[2i, 2j] + G[2i+1, 2j+1]
-    d = A.diagonal()
-    delta = A + A.T - d[:, None] - d
-    # c and P are symmetric: their (1, 0) parity blocks are the (0, 1) ones transposed.
-    c01, p01 = c[0::2, 1::2], P[0::2, 1::2]
-    cw, pw = c01.diagonal(), p01.diagonal()  # each slot's own pair
-    delta += (cw[:, None] + cw - c01 - c01.T) * (pw[:, None] + pw - p01 - p01.T)
-    delta += 2 * (c[0::2, 0::2] * P[0::2, 0::2] + c[1::2, 1::2] * P[1::2, 1::2])
-    return delta[_slot_pairs(m)]
+    m = len(P) // 2
+    # Row j of P.reshape(m, 2n) is rows 2j and 2j+1 of P side by side, so
+    # by symmetry At[j, i] = G[2i, 2j] + G[2i+1, 2j+1].
+    At = P.reshape(m, -1) @ k.cols
+    p01 = P[0::2, 1::2]
+    # The m x m delta matrix is H + H^T: with K symmetric, each term of H
+    # and its transpose make up one symmetric term of the delta.
+    H = At - At.diagonal()[:, None]
+    H += k.cross * (p01.diagonal()[:, None] - p01)
+    H += k.same[0] * P[0::2, 0::2]
+    H += k.same[1] * P[1::2, 1::2]
+    return (H + H.T).take(k.upper)
 
 
-def _flip_deltas(c, dist, bind):
+def _flip_deltas(k: _KernelBlocks, P):
     """Distance change of flipping the two teams inside each slot.
 
     For x = 2i, y = 2i+1 this is G[x,y] + G[y,x] - G[x,x] - G[y,y] +
     2 c[x,y] P[x,y], with the G terms summed row by row in O(n^2).
     """
-    P = dist[np.ix_(bind, bind)]
-    rows = ((c[0::2] - c[1::2]) * (P[1::2] - P[0::2])).sum(axis=1)
-    return rows + 2 * c[0::2, 1::2].diagonal() * P[0::2, 1::2].diagonal()
+    rows = (k.rows * (P[1::2] - P[0::2])).sum(axis=1)
+    return rows + k.own * P[0::2, 1::2].diagonal()
 
 
-def _exact_move_delta(c, inst: Instance, bind, src, dst) -> int:
-    """Exact distance change when labels `src` take the teams of labels `dst`.
+def _exact_move_delta(c, inst: Instance, bind, src, order) -> int:
+    """Exact distance change when labels src[r] take the teams of labels src[order[r]].
 
-    `dst` permutes `src`.  Only the touched label rows of the instance's
-    exact weights are read; the change is in units of 1 / scale (see
-    `Instance.exact_weights`).
+    Only the touched label rows of the instance's exact weights are read;
+    the change is in units of 1 / scale (see `Instance.exact_weights`).
     """
     rows = inst.exact_weights[0][bind[src]]  # rows[r] = W[bind[src[r]], :]
     new = bind.copy()
-    new[src] = bind[dst]
-    order = [list(src).index(label) for label in dst]
+    new[src] = bind[src[order]]
     diff = c[src].astype(object) * (rows[order][:, new] - rows[:, bind])
     # Pairs with both labels touched are counted from both ends.
     return diff.sum() - diff[:, src].sum() // 2
 
 
-def _check_deltas(deltas, exact: bool, c, inst: Instance, bind, src, dst) -> None:
+def _check_deltas(deltas, exact: bool, c, inst: Instance, bind, src, order) -> None:
     """debug_check: each move's exact delta against an exact recomputation."""
     W = inst.exact_weights[0]
     c = c.astype(object)
     before = (c * W[np.ix_(bind, bind)]).sum()
-    for q, (s, t) in enumerate(zip(src, dst)):
+    for q, s in enumerate(src):
         new = bind.copy()
-        new[s] = bind[t]
+        new[s] = bind[s[order]]
         after = (c * W[np.ix_(new, new)]).sum()  # both totals count every travel twice
-        delta = _exact_move_delta(c, inst, bind, s, t)
+        delta = _exact_move_delta(c, inst, bind, s, order)
         assert 2 * delta == after - before, "move delta disagrees with recomputation"
-        assert not exact or deltas[q] == delta, "int64 kernel delta disagrees with exact delta"
+        assert not exact or deltas[q] == delta, "exact-tier kernel delta disagrees with exact delta"
 
 
-def _first_improvement(bind, coeffs, inst, kernel, src, dst, debug_check):
+def _first_improvement(bind, coeffs, inst, kernel, src, order, debug_check):
     """The first-improvement loop of both passes; returns (bind, improved).
 
-    Move q gives labels src[q] the teams of labels dst[q], moves in sweep
-    order.  `kernel` evaluates every move on the current binding at once.
-    The loop takes the first negative delta at or after the last accepted
-    move, applies it and evaluates again.  A sweep that reaches the end
-    starts over from move 0 if it accepted a move, and ends the pass if not.
-    On float64 weights the kernel only proposes: a move is accepted once its
-    exact delta is negative, so the exact total falls with every move and
-    the search cannot cycle.  The caller's vector is left as it was.
+    Move q gives labels src[q][r] the teams of labels src[q][order[r]],
+    moves in sweep order.  `kernel` evaluates every move on the current
+    P = dist[bind][:, bind] at once.  P is gathered once per pass and kept
+    current in place: an accepted move permutes its touched rows, then its
+    touched columns, in O(n).  The loop takes the first negative delta at
+    or after the last accepted move, applies it and evaluates again.  A
+    sweep that reaches the end starts over from move 0 if it accepted a
+    move, and ends the pass if not.  Outside the exact tiers the kernel
+    only proposes: a move is accepted once its exact delta is negative, so
+    the exact total falls with every move and the search cannot cycle.
+    The caller's vector is left as it was.
     """
     bind = np.array(bind)
     dist, exact = _search_weights(coeffs, inst)
+    blocks = _kernel_blocks(coeffs, dist.dtype)
+    dst = src[:, order]
+    P = dist[np.ix_(bind, bind)]
 
     def evaluate():
-        deltas = kernel(coeffs.c, dist, bind)
+        deltas = kernel(blocks, P)
         if debug_check:
-            _check_deltas(deltas, exact, coeffs.c, inst, bind, src, dst)
+            assert np.array_equal(P, dist[np.ix_(bind, bind)]), "P is not dist[bind][:, bind]"
+            _check_deltas(deltas, exact, coeffs.c, inst, bind, src, order)
         return deltas
 
     deltas = evaluate()
     start, improved, swept = 0, False, False
     while True:
-        proposed = start + np.flatnonzero(deltas[start:] < 0)
+        proposed = start + (deltas[start:] < 0).nonzero()[0]
         q = next(
-            (q for q in proposed if exact or _exact_move_delta(coeffs.c, inst, bind, src[q], dst[q]) < 0),
+            (q for q in proposed if exact or _exact_move_delta(coeffs.c, inst, bind, src[q], order) < 0),
             None,
         )
         if q is None:
@@ -355,7 +423,10 @@ def _first_improvement(bind, coeffs, inst, kernel, src, dst, debug_check):
                 return bind, improved
             start, swept = 0, False
             continue
-        bind[src[q]] = bind[dst[q]]
+        s, t = src[q], dst[q]
+        bind[s] = bind[t]
+        P[s] = P[t]
+        P[:, s] = P[:, t]
         deltas = evaluate()
         start, improved, swept = q + 1, True, True
 
@@ -363,17 +434,15 @@ def _first_improvement(bind, coeffs, inst, kernel, src, dst, debug_check):
 def swap_super_teams_pass(bind, coeffs: TravelCoefficients, inst: Instance, debug_check: bool = False):
     """One full first-improvement sweep over all slot pairs, repeated while
     a sweep improves; returns (bind, improved)."""
-    i, j = _slot_pairs(len(bind) // 2)
-    src = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
-    return _first_improvement(bind, coeffs, inst, _swap_deltas, src, src[:, [2, 3, 0, 1]], debug_check)
+    src = _pass_moves(len(bind) // 2)[0]
+    return _first_improvement(bind, coeffs, inst, _swap_deltas, src, [2, 3, 0, 1], debug_check)
 
 
 def swap_within_pass(bind, coeffs: TravelCoefficients, inst: Instance, debug_check: bool = False):
     """First-improvement sweep flipping team order inside each super-team;
     returns (bind, improved)."""
-    x = 2 * np.arange(len(bind) // 2)
-    src = np.stack([x, x + 1], axis=1)
-    return _first_improvement(bind, coeffs, inst, _flip_deltas, src, src[:, ::-1], debug_check)
+    src = _pass_moves(len(bind) // 2)[1]
+    return _first_improvement(bind, coeffs, inst, _flip_deltas, src, [1, 0], debug_check)
 
 
 def polish(bind, coeffs: TravelCoefficients, inst: Instance) -> np.ndarray:

@@ -116,7 +116,7 @@ def test_validate_rejects_cell_naming_no_team(tmp_path, capsys):
     csv_path.write_text("+2,-3,-4,+3,+4,-2\n-1,+4,+3,-4,-3,+1\n+9,+1,-2,-1,+2,-4\n-3,-2,+1,+2,-1,+3\n")
     path = write_inst(tmp_path, "tight4.txt", tight_instance(4))
     assert main(["validate", str(csv_path), str(path)]) == 2
-    assert "error: cell +9 names no team of 4" in capsys.readouterr().err
+    assert f"error: {csv_path}: cell +9 names no team of 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -17,6 +17,7 @@ from ttp2.ordering import (
     TeamOrdering,
     _exact_move_delta,
     _flip_deltas,
+    _kernel_blocks,
     _search_weights,
     _swap_deltas,
     bind_template,
@@ -386,16 +387,85 @@ def test_neighbourhood_deltas_equal_recomputation(n, seed, kind):
     pairs = [(i, j) for i in range(n // 2) for j in range(i + 1, n // 2)]
     moves = [((2 * i, 2 * i + 1, 2 * j, 2 * j + 1), (2 * j, 2 * j + 1, 2 * i, 2 * i + 1)) for i, j in pairs]
     moves += [((2 * i, 2 * i + 1), (2 * i + 1, 2 * i)) for i in range(n // 2)]
-    deltas = np.concatenate([_swap_deltas(coeffs.c, dist, bind), _flip_deltas(coeffs.c, dist, bind)])
+    k, P = _kernel_blocks(coeffs, dist.dtype), dist[np.ix_(bind, bind)]
+    deltas = np.concatenate([_swap_deltas(k, P), _flip_deltas(k, P)])
     assert len(deltas) == len(moves)
     for value, (src, dst) in zip(deltas, moves):
         after = bind.copy()
         after[list(src)] = bind[list(dst)]
         truth = Fraction(doubled_total(after) - before, 2 * scale)
-        delta = _exact_move_delta(coeffs.c, inst, bind, np.array(src), np.array(dst))
+        delta = _exact_move_delta(coeffs.c, inst, bind, np.array(src), [src.index(label) for label in dst])
         assert Fraction(delta, scale) == truth
         if exact:
             assert int(value) == truth
         else:
             assert abs(Fraction(value.item()) - truth) <= Fraction(before, scale) * Fraction(1, 10**9)
 
+
+# The kernel tier `_search_weights` picks: (dtype, exact).
+TIERS = {
+    "below-2**53": (np.float64, True),
+    "below-2**63": (np.int64, True),
+    "above-2**63": (np.float64, False),
+    "real": (np.float64, False),
+}
+
+
+def _tier_instance(n, seed, tier):
+    """random_metric_instance(n, seed), scaled so that the kernel bound
+    4 * sum(c) * max(d) lands in `tier`, or made real-valued."""
+    inst = random_metric_instance(n, seed)
+    if tier == "real":
+        return Instance(n=n, dist=np.sqrt(inst.dist), integral=False)
+    _, coeffs = _template_and_coeffs(n)
+    unit = 4 * int(coeffs.c.sum()) * int(inst.dist.max())
+    scale = {
+        "below-2**53": (2**53 - 1) // unit,
+        "below-2**63": 2**58 // unit,
+        "above-2**63": 2**63 // unit + 1,
+    }
+    return Instance(n=n, dist=inst.dist * scale[tier])
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("n", [12, 14])
+def test_swap_passes_verified_on_every_tier(n, tier):
+    inst = _tier_instance(n, 5, tier)
+    matching = min_weight_perfect_matching(inst)
+    _, coeffs = _template_and_coeffs(n)
+    dist, exact = _search_weights(coeffs, inst)
+    assert (dist.dtype, exact) == TIERS[tier]
+    if tier != "real":
+        bound = 4 * int(coeffs.c.sum()) * int(inst.dist.max())
+        lo, hi = {
+            "below-2**53": (0.999999 * 2**53, 2**53),
+            "below-2**63": (2**53, 2**63),
+            "above-2**63": (2**63, 2**64),
+        }[tier]
+        assert lo < bound < hi
+    moves = 0
+    for seed in range(3):
+        b = binding_vector(matching, random_ordering(n // 2, seed))
+        totals = [_exact_form_total(coeffs, inst, b)]
+        improved = True
+        while improved:  # polish, with P and every delta checked after each move
+            b, x = swap_super_teams_pass(b, coeffs, inst, debug_check=True)
+            b, y = swap_within_pass(b, coeffs, inst, debug_check=True)
+            totals.append(_exact_form_total(coeffs, inst, b))
+            improved = x or y
+            moves += improved
+        assert totals == sorted(totals, reverse=True)
+    assert moves > 0
+
+
+def test_float64_tier_matches_int64_just_below_two_to_the_53():
+    n = 14
+    inst = _tier_instance(n, 5, "below-2**53")
+    _, coeffs = _template_and_coeffs(n)
+    k64, k53 = _kernel_blocks(coeffs, np.int64), _kernel_blocks(coeffs, np.float64)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        bind = rng.permutation(n)
+        P = inst.dist[np.ix_(bind, bind)]
+        for kernel in (_swap_deltas, _flip_deltas):
+            assert np.array_equal(kernel(k53, P.astype(np.float64)), kernel(k64, P))
