@@ -7,18 +7,24 @@ final six-day slot is all last super-games.  Packing p super-teams into
 group-teams turns the last group round into recursive sub-problems on 4p
 teams, which lowers the number of costly left super-games; compute_L finds
 the best packing.
+
+The four super-game kinds are one table of day patterns over the roles
+(a1, a2, h1, h2) of an away and a home super-team.  The super-games of one
+kind in a slot, or in one round of a group meeting, are a single gather
+from that table into a (days, games, 2) array of (visitor, host) games; a
+slot puts its blocks side by side along the game axis, and the slots stack
+into the (2n-2, n/2, 2) array that games_to_schedule scatters into the
+table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError
 from .schedule import Schedule, games_to_schedule
-
-Game = tuple[int, int]  # (visitor, host), 0-based teams
-Super = tuple[int, int]
-
 
 # ---------------------------------------------------------------------------
 # Left-super-game counting  L_p(n)  and the packing choice.
@@ -87,56 +93,42 @@ def packing_chain(n: int, packing="auto") -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Super-game day patterns.  Roles within a super-team are (first, second);
-# visitors are listed first in each game.
+# Super-game day patterns.  An away super-team (a1, a2) meets a home
+# super-team (h1, h2); each day lists its two (visitor, host) games as role
+# indices 0..3 into (a1, a2, h1, h2).
 # ---------------------------------------------------------------------------
 
-def normal_super_game(away: Super, home: Super) -> list[list[Game]]:
-    a1, a2 = away
-    h1, h2 = home
-    return [
-        [(a1, h1), (a2, h2)],
-        [(a1, h2), (a2, h1)],
-        [(h1, a1), (h2, a2)],
-        [(h1, a2), (h2, a1)],
-    ]
+_PATTERNS = {
+    kind: np.array(days)
+    for kind, days in {
+        "normal": [[(0, 2), (1, 3)], [(0, 3), (1, 2)], [(2, 0), (3, 1)], [(2, 1), (3, 0)]],
+        # Away teams play AHHA as two single-game trips; home teams play HAAH.
+        "left": [[(0, 2), (1, 3)], [(2, 1), (3, 0)], [(2, 0), (3, 1)], [(0, 3), (1, 2)]],
+        "penultimate": [[(0, 2), (1, 3)], [(0, 3), (2, 1)], [(2, 0), (3, 1)], [(3, 0), (1, 2)]],
+        # Six days covering the cross games and both intra-pair games.
+        "last": [
+            [(2, 3), (0, 1)], [(0, 2), (1, 3)], [(1, 2), (3, 0)],
+            [(2, 0), (3, 1)], [(2, 1), (0, 3)], [(3, 2), (1, 0)],
+        ],
+    }.items()
+}
 
 
-def left_super_game(away: Super, home: Super) -> list[list[Game]]:
-    # Away teams play AHHA as two single-game trips; home teams play HAAH.
-    a1, a2 = away
-    h1, h2 = home
-    return [
-        [(a1, h1), (a2, h2)],
-        [(h1, a2), (h2, a1)],
-        [(h1, a1), (h2, a2)],
-        [(a1, h2), (a2, h1)],
-    ]
+def _super_games(kind: str, supers: np.ndarray, matches) -> np.ndarray:
+    """Days of `kind` super-games as a (days, 2k, 2) array of (visitor, host) games.
+
+    `matches` holds k (away, home) 1-based labels into the (m, 2) array of
+    super-teams `supers`.
+    """
+    away, home = np.array(matches, dtype=np.intp).reshape(-1, 2).T - 1
+    roles = np.hstack([supers[away], supers[home]])
+    pattern = _PATTERNS[kind]
+    return roles[:, pattern].transpose(1, 0, 2, 3).reshape(len(pattern), -1, 2)
 
 
-def penultimate_super_game(away: Super, home: Super) -> list[list[Game]]:
-    a1, a2 = away
-    h1, h2 = home
-    return [
-        [(a1, h1), (a2, h2)],
-        [(a1, h2), (h1, a2)],
-        [(h1, a1), (h2, a2)],
-        [(h2, a1), (a2, h1)],
-    ]
-
-
-def last_super_game(away: Super, home: Super) -> list[list[Game]]:
-    # Six days covering the cross games and both intra-pair games.
-    a1, a2 = away
-    h1, h2 = home
-    return [
-        [(h1, h2), (a1, a2)],
-        [(a1, h1), (a2, h2)],
-        [(a2, h1), (h2, a1)],
-        [(h1, a1), (h2, a2)],
-        [(h1, a2), (a1, h2)],
-        [(h2, h1), (a2, a1)],
-    ]
+def _merge(blocks) -> np.ndarray:
+    """One slot from blocks of equally many days: their games side by side."""
+    return np.concatenate(blocks, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,136 +175,76 @@ def slot1_away_positions(m: int, chain: list[int]) -> list[int]:
     return sorted(out)
 
 
-def _base_even_days(supers: list[Super]) -> list[list[Game]]:
+def _base_even_days(supers: np.ndarray) -> np.ndarray:
     m = len(supers)
-    days: list[list[Game]] = []
-
-    def team(label: int) -> Super:
-        return supers[label - 1]
-
+    slots = []
     for q in range(1, m):
         pairs, partner = _circle_pairs(m, q)
         if q <= m - 3:
-            slot_days = [[] for _ in range(4)]
             # The super-game of the fixed super-team: normal in slot 1,
-            # a left super-game afterwards, home on even slots.
-            if _dark_home_base(q):
-                away, home = partner, m
-            else:
-                away, home = m, partner
-            sg = normal_super_game if q == 1 else left_super_game
-            block = sg(team(away), team(home))
-            for d in range(4):
-                slot_days[d].extend(block[d])
-            # White super-games are always normal here.
-            for i, j in pairs:
-                if _group_home(i, q, m):
-                    away, home = j, i
-                else:
-                    away, home = i, j
-                block = normal_super_game(team(away), team(home))
-                for d in range(4):
-                    slot_days[d].extend(block[d])
-            days.extend(slot_days)
+            # a left super-game afterwards, home on even slots.  White
+            # super-games are always normal here.
+            dark = (partner, m) if _dark_home_base(q) else (m, partner)
+            whites = [(j, i) if _group_home(i, q, m) else (i, j) for i, j in pairs]
+            slots.append(_merge([
+                _super_games("normal" if q == 1 else "left", supers, [dark]),
+                _super_games("normal", supers, whites),
+            ]))
         elif q == m - 2:
-            slot_days = [[] for _ in range(4)]
-            all_pairs = pairs + [(partner, m)]
-            for i, j in all_pairs:
-                i_home = _group_home(i, q, m) if i < m else _dark_home_base(q)
-                if i_home:
-                    away, home = j, i
-                else:
-                    away, home = i, j
-                block = penultimate_super_game(team(away), team(home))
-                for d in range(4):
-                    slot_days[d].extend(block[d])
-            days.extend(slot_days)
+            matches = [(j, i) if _group_home(i, q, m) else (i, j) for i, j in pairs + [(partner, m)]]
+            slots.append(_super_games("penultimate", supers, matches))
         else:  # q == m - 1, the six-day slot
-            slot_days = [[] for _ in range(6)]
-            all_pairs = pairs + [(partner, m)]
-            for i, j in all_pairs:
-                # Home side: u_1 or the even-indexed white; u_m is always away.
-                if j == m:
-                    away, home = m, i
-                elif i == 1:
-                    away, home = j, 1
-                elif i % 2 == 0:
-                    away, home = j, i
-                else:
-                    away, home = i, j
-                block = last_super_game(team(away), team(home))
-                for d in range(6):
-                    slot_days[d].extend(block[d])
-            days.extend(slot_days)
-    return days
+            # Home side: u_1 or the even-indexed white; u_m is always away.
+            matches = [(j, i) if i == 1 or i % 2 == 0 else (i, j) for i, j in pairs]
+            slots.append(_super_games("last", supers, matches + [(m, partner)]))
+    return np.concatenate(slots)
 
 
 # ---------------------------------------------------------------------------
 # Packed construction (divide and conquer).
 # ---------------------------------------------------------------------------
 
-def _packed_even_days(supers: list[Super], p: int, subchain: list[int]) -> list[list[Game]]:
+def _packed_even_days(supers: np.ndarray, p: int, subchain: list[int]) -> np.ndarray:
     m = len(supers)
     g = m // p
-    groups = [supers[(grp - 1) * p : grp * p] for grp in range(1, g + 1)]
-    days: list[list[Game]] = []
+    groups = supers.reshape(g, p, 2)
+    slots = []
+
+    def group_game(away_grp: int, home_grp: int, left: bool = False) -> np.ndarray:
+        # p rounds of 4 days; in round l super-team i of the away group visits
+        # super-team i + l of the home group, and a left game ends the meeting.
+        i = np.arange(p)
+        return np.concatenate([
+            _super_games(
+                "left" if left and l == p - 1 else "normal",
+                supers,
+                np.column_stack([(away_grp - 1) * p + i, (home_grp - 1) * p + (i + l) % p]) + 1,
+            )
+            for l in range(p)
+        ])
 
     for q in range(1, g - 1):
         pairs, partner = _circle_pairs(g, q)
-        slot_days = [[] for _ in range(4 * p)]
+        dark = (partner, g) if _dark_home_base(q) else (g, partner)
+        whites = [(j, i) if _group_home(i, q, g) else (i, j) for i, j in pairs]
+        slots.append(_merge([group_game(*dark, left=q > 1)] + [group_game(*w) for w in whites]))
 
-        def expand(away_grp: int, home_grp: int, left: bool):
-            a_supers = groups[away_grp - 1]
-            h_supers = groups[home_grp - 1]
-            for l in range(1, p + 1):
-                sg = left_super_game if (left and l == p) else normal_super_game
-                for i2 in range(1, p + 1):
-                    j2 = (i2 + l - 2) % p + 1
-                    block = sg(a_supers[i2 - 1], h_supers[j2 - 1])
-                    for d in range(4):
-                        slot_days[(l - 1) * 4 + d].extend(block[d])
-
-        if _dark_home_base(q):
-            expand(partner, g, left=q > 1)
-        else:
-            expand(g, partner, left=q > 1)
-        for i, j in pairs:
-            if _group_home(i, q, g):
-                expand(j, i, left=False)
-            else:
-                expand(i, j, left=False)
-        days.extend(slot_days)
-
-    # Last group-slot: recursive sub-problems on 4p teams each.
+    # Last group-slot: recursive sub-problems on 4p teams each.  Groups
+    # ending the previous slot on a home game start away.
     pairs, partner = _circle_pairs(g, g - 1)
+    away_pos = np.zeros(2 * p, dtype=bool)
+    away_pos[np.array(slot1_away_positions(2 * p, subchain)) - 1] = True
     sub_blocks = []
-    for i, j in pairs + [(partner, g)]:
-        # Groups ending the previous slot on a home game start away.
-        if j == g:
-            away_grp, home_grp = g, i
-        elif i % 2 == 1:
-            away_grp, home_grp = i, j
-        else:
-            away_grp, home_grp = j, i
-        sub_supers: list[Super] = [None] * (2 * p)  # type: ignore[list-item]
-        away_pos = slot1_away_positions(2 * p, subchain)
-        home_pos = [k for k in range(1, 2 * p + 1) if k not in away_pos]
-        for pos, sup in zip(away_pos, groups[away_grp - 1]):
-            sub_supers[pos - 1] = sup
-        for pos, sup in zip(home_pos, groups[home_grp - 1]):
-            sub_supers[pos - 1] = sup
+    for away_grp, home_grp in [(i, j) if i % 2 == 1 else (j, i) for i, j in pairs] + [(g, partner)]:
+        sub_supers = np.empty_like(supers, shape=(2 * p, 2))
+        sub_supers[away_pos] = groups[away_grp - 1]
+        sub_supers[~away_pos] = groups[home_grp - 1]
         sub_blocks.append(_build_even_days(sub_supers, subchain))
-
-    sub_len = 8 * p - 2
-    for d in range(sub_len):
-        day: list[Game] = []
-        for block in sub_blocks:
-            day.extend(block[d])
-        days.append(day)
-    return days
+    slots.append(_merge(sub_blocks))
+    return np.concatenate(slots)
 
 
-def _build_even_days(supers: list[Super], chain: list[int]) -> list[list[Game]]:
+def _build_even_days(supers: np.ndarray, chain: list[int]) -> np.ndarray:
     if chain[0] == 1:
         return _base_even_days(supers)
     return _packed_even_days(supers, chain[0], chain[1:])
@@ -327,6 +259,4 @@ def build_even_template(n: int, packing=1) -> Schedule:
     if n % 4 != 0 or n < 8:
         raise DomainError(f"even-n/2 construction needs n = 0 (mod 4), n >= 8, got {n}")
     chain = packing_chain(n, packing)
-    supers = [(2 * k, 2 * k + 1) for k in range(n // 2)]
-    days = _build_even_days(supers, chain)
-    return games_to_schedule(n, days)
+    return games_to_schedule(n, _build_even_days(np.arange(n).reshape(-1, 2), chain))

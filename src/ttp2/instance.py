@@ -19,15 +19,25 @@ from .errors import FormatError, ValidationError
 
 @dataclass(frozen=True)
 class Instance:
-    """A TTP instance: team count and the distance matrix."""
+    """A TTP instance: team count and the distance matrix.
+
+    `integral` follows the dtype of `dist`: True for integer distances.
+    Passing a value that contradicts the dtype raises ValidationError.
+    """
 
     n: int
     dist: np.ndarray
-    integral: bool = True
+    integral: bool | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dist", _frozen(self.dist))
         _validate(self.n, self.dist)
+        integral = self.dist.dtype.kind in "iu"
+        if self.integral not in (None, integral):
+            raise ValidationError(
+                f"integral={self.integral} contradicts distances of dtype {self.dist.dtype}"
+            )
+        object.__setattr__(self, "integral", integral)
 
     def d(self, i: int, j: int):
         """Distance between the homes of teams i and j (0-based)."""
@@ -42,7 +52,7 @@ class Instance:
         floats are binary fractions, so scaling by the least common multiple
         of their denominators makes them integers.
         """
-        if self.dist.dtype.kind in "iu":
+        if self.integral:
             w, scale = self.dist.astype(object), 1
         else:
             ratios = [x.as_integer_ratio() for x in self.dist.ravel().tolist()]
@@ -153,19 +163,16 @@ def check_metric(inst: Instance) -> MetricReport:
     zero_diagonal = bool(np.all(np.diag(d) == 0))
     violations = 0
     worst = 0
+    stopover = ~np.eye(n, dtype=bool)
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # dist[i][j] <= dist[i][h] + dist[h][j] for every stopover h
-            through = d[i, :] + d[:, j]
-            excess = d[i, j] - through
-            excess[i] = 0
-            excess[j] = 0
-            bad = excess > 0
-            violations += int(np.count_nonzero(bad))
-            if bad.any():
-                worst = max(worst, excess[bad].max().item())
+        # excess[j, h] = dist[i][j] - (dist[i][h] + dist[h][j]) for the
+        # stopovers h other than i and j, from every origin i.
+        excess = d[i][:, None] - (d[i][None, :] + d.T)
+        bad = (excess > 0) & stopover
+        bad[i, :] = bad[:, i] = False
+        violations += int(np.count_nonzero(bad))
+        if bad.any():
+            worst = max(worst, excess[bad].max().item())
     return MetricReport(
         symmetric=symmetric,
         zero_diagonal=zero_diagonal,

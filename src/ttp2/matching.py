@@ -79,7 +79,7 @@ def _row_sums(inst: Instance, index) -> list:
     ``sum()`` makes in the order it makes them, so the values are
     bit-identical to the loop.
     """
-    if inst.dist.dtype.kind in "iu":
+    if inst.integral:
         return inst.exact_weights[0][index].sum(axis=1).tolist()
     rows = inst.dist[index]
     return np.cumsum(np.hstack([np.zeros((len(rows), 1)), rows]), axis=1)[:, -1].tolist()

@@ -21,8 +21,10 @@ cycle - both sides pay.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DomainError
-from .even import _dark_home_base, left_super_game, normal_super_game, penultimate_super_game
+from .even import _dark_home_base, _merge, _super_games
 from .schedule import Schedule, games_to_schedule
 
 Game = tuple[int, int]
@@ -216,28 +218,23 @@ def build_odd_template(n: int) -> Schedule:
     """Template schedule over labels 0..n-1 for n = 2 (mod 4), n >= 10."""
     lay = _OddLayout(n)
     m, M = lay.m, lay.M
-    days: list[list[Game]] = []
+    supers = np.arange(n).reshape(m, 2)
+    slots = []
 
     for q in range(1, m - 1):
         lo, hi = lay.right_pair(q)
-        if lo == M:
-            block = _right_special(lay, q)
-        else:
-            block = _right_single_dirty(lay, lo, hi, q)
-        slot_days = [list(day) for day in block]
+        right = _right_special(lay, q) if lo == M else _right_single_dirty(lay, lo, hi, q)
 
         # L's super-game of the slot.
         w = lay.white_at_sigma(q)
         if q == 1:
-            sg = normal_super_game(lay.super_teams(w), lay.ul)
+            left = _super_games("normal", supers, [(w, m - 1)])
         elif q == m - 2:
-            sg = penultimate_super_game(lay.ul, lay.super_teams(1))
+            left = _super_games("penultimate", supers, [(m - 1, 1)])
         elif _dark_home_base(q):
-            sg = left_super_game(lay.super_teams(w), lay.ul)
+            left = _super_games("left", supers, [(w, m - 1)])
         else:
-            sg = left_super_game(lay.ul, lay.super_teams(w))
-        for d in range(4):
-            slot_days[d].extend(sg[d])
+            left = _super_games("left", supers, [(m - 1, w)])
 
         # Normal super-games among the remaining whites, paired so their
         # 0-based labels sum to the slot's class (the right pair is one of
@@ -246,6 +243,7 @@ def build_odd_template(n: int) -> Schedule:
         rest = [x for x in range(1, M + 1) if x not in used]
         target = (2 * (lo - 1) + 1) % M
         paired = set()
+        matches = []
         for x in rest:
             if x in paired:
                 continue
@@ -254,14 +252,8 @@ def build_odd_template(n: int) -> Schedule:
             if y == x or y not in rest:
                 raise AssertionError("normal pairing failed")
             paired.update((x, y))
-            if lay.white_home(x, q):
-                away, home = y, x
-            else:
-                away, home = x, y
-            sg = normal_super_game(lay.super_teams(away), lay.super_teams(home))
-            for d in range(4):
-                slot_days[d].extend(sg[d])
-        days.extend(slot_days)
+            matches.append((y, x) if lay.white_home(x, q) else (x, y))
+        slots.append(_merge([right, left, _super_games("normal", supers, matches)]))
 
-    days.extend(_final_block(lay))
-    return games_to_schedule(n, days)
+    slots.append(_final_block(lay))
+    return games_to_schedule(n, np.concatenate(slots))

@@ -122,7 +122,7 @@ def _search_weights(coeffs: TravelCoefficients, inst: Instance) -> tuple[np.ndar
     only an estimate.
     """
     dist = inst.dist
-    if dist.dtype.kind in "iu":
+    if inst.integral:
         bound = 4 * int(coeffs.c.sum()) * int(dist.max())
         if bound < 2**53:
             return dist.astype(np.float64), True
@@ -139,12 +139,11 @@ def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int
     instances sum in float64.
     """
     perm = np.array(bind)
-    integral = inst.dist.dtype.kind in "iu"
     dist, exact = _search_weights(coeffs, inst)
-    if integral and not exact:
+    if inst.integral and not exact:
         dist = inst.exact_weights[0]
     tot = (coeffs.c * dist[np.ix_(perm, perm)]).sum()  # every travel is counted from both ends
-    return int(tot) // 2 if integral else float(tot) / 2
+    return int(tot) // 2 if inst.integral else float(tot) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -72,23 +72,29 @@ class DistanceReport:
     lb_gap_percent: float | None = None
 
 
-def games_to_schedule(n: int, days: list[list[tuple[int, int]]]) -> Schedule:
-    """Assemble a table from per-day lists of (visitor, host) 0-based games."""
-    if len(days) != 2 * n - 2:
-        raise FormatError(f"expected {2 * n - 2} days, got {len(days)}")
+def games_to_schedule(n: int, days) -> Schedule:
+    """Assemble a table from (visitor, host) 0-based games, n/2 on each day.
+
+    `days` is a (2n-2, n/2, 2) array or the same as nested lists.
+    """
+    try:
+        games = np.array(days, dtype=np.int64)
+    except ValueError as exc:
+        raise FormatError("days do not all hold the same number of games") from exc
+    if games.shape != (2 * n - 2, n // 2, 2):
+        raise FormatError(f"expected {2 * n - 2} days of {n // 2} games, got shape {games.shape}")
+    away, home = games[..., 0], games[..., 1]
+    self_game = np.flatnonzero((away == home).any(axis=1))
+    if self_game.size:
+        raise FormatError(f"self game on day {self_game[0]}")
+    teams = np.sort(games.reshape(len(games), -1), axis=1)
+    unbalanced = np.flatnonzero((teams != np.arange(n)).any(axis=1))
+    if unbalanced.size:
+        raise FormatError(f"day {unbalanced[0]} does not schedule each of the {n} teams once")
     table = np.zeros((n, 2 * n - 2), dtype=np.int64)
-    for d, games in enumerate(days):
-        seen = set()
-        for away, home in games:
-            if away == home:
-                raise FormatError(f"self game on day {d}")
-            if away in seen or home in seen:
-                raise FormatError(f"team plays twice on day {d}")
-            seen.update((away, home))
-            table[away, d] = home + 1
-            table[home, d] = -(away + 1)
-        if len(seen) != n:
-            raise FormatError(f"day {d} schedules {len(seen)} of {n} teams")
+    day = np.arange(2 * n - 2)[:, None]
+    table[away, day] = home + 1
+    table[home, day] = -(away + 1)
     return Schedule(n=n, table=table)
 
 
@@ -150,7 +156,7 @@ def total_distance(s: Schedule, inst: Instance, lb=None) -> DistanceReport:
     """
     v = s.venues
     legs = inst.dist[v[:, :-1], v[:, 1:]]
-    if legs.dtype.kind in "iu" and (s.days + 1) * int(inst.dist.max()) >= 2**63:
+    if inst.integral and (s.days + 1) * int(inst.dist.max()) >= 2**63:
         legs = legs.astype(object)
     per_team = tuple(np.cumsum(legs, axis=1)[:, -1].tolist())
     total = sum(per_team)

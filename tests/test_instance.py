@@ -14,6 +14,22 @@ def test_parse_leading_count_zero_matrix():
     assert inst.dist.sum() == 0
 
 
+def test_integral_follows_the_dtype():
+    d = np.array([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]])
+    assert Instance(n=4, dist=d).integral
+    assert Instance(n=4, dist=d, integral=True).integral
+    assert not Instance(n=4, dist=d.astype(np.float64)).integral
+    assert not Instance(n=4, dist=d / 2, integral=False).integral
+    assert not parse_instance("4 " + " ".join(str(float(v)) for v in d.ravel())).integral
+
+
+@pytest.mark.parametrize("dtype, integral", [(np.int64, False), (np.float64, True)])
+def test_integral_contradicting_the_dtype_is_rejected(dtype, integral):
+    d = np.array([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]], dtype=dtype)
+    with pytest.raises(ValidationError, match="integral"):
+        Instance(n=4, dist=d, integral=integral)
+
+
 def test_parse_bare_square_block():
     ti = tight_instance(4)
     body = " ".join(str(ti.d(i, j)) for i in range(4) for j in range(4))
@@ -78,7 +94,7 @@ def test_check_metric_reports_violation():
         [[0, 10, 1, 1], [10, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]], dtype=np.int64
     )
     rep = check_metric(Instance(n=4, dist=d))
-    assert rep.triangle_violations >= 1
+    assert rep.triangle_violations == 4
     assert rep.max_violation == 8
 
 

@@ -5,6 +5,7 @@ from ttp2.errors import FormatError
 from ttp2.instance import Instance
 from ttp2.oracle import tight_instance
 from ttp2.schedule import (
+    games_to_schedule,
     itinerary_of,
     parse_schedule_csv,
     render_schedule,
@@ -153,3 +154,22 @@ def test_validator_relabeling_invariant(golden_n8):
     inv = np.argsort(perm)  # relabeled.d(perm[a], perm[b]) == ti.d(a, b)
     relabeled = Instance(n=8, dist=ti.dist[np.ix_(inv, inv)])
     assert total_distance(s, relabeled).total == total_distance(golden_n8, ti).total
+
+
+# A valid n=4 double round robin: three days, then the same with venues swapped.
+_DAYS_N4 = [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]]
+_DAYS_N4 += [[(h, a) for a, h in day] for day in _DAYS_N4]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda days: days[:-1], id="wrong-day-count"),
+        pytest.param(lambda days: [[(0, 0), (2, 3)]] + days[1:], id="self-game"),
+        pytest.param(lambda days: [[(0, 1), (0, 3)]] + days[1:], id="team-twice"),
+        pytest.param(lambda days: [[(0, 1)]] + days[1:], id="missing-team"),
+    ],
+)
+def test_games_to_schedule_rejects_bad_days(edit):
+    with pytest.raises(FormatError):
+        games_to_schedule(4, edit(_DAYS_N4))
