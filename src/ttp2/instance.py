@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,25 @@ def _validate(n: int, dist: np.ndarray) -> None:
         if dist[i, j] < 0:
             raise ValidationError(f"negative distance at ({i},{j}): {dist[i, j]}")
         raise ValidationError(f"asymmetry at ({i},{j}): {dist[i, j]} != {dist[j, i]}")
+    # Any template's coefficients add up to at most 2n(2n-1): each of the n
+    # walks has at most 2n-1 legs, each counted from both ends.
+    d_max = dist.max().item()
+    if travel_bound(2 * n * (2 * n - 1), d_max) >= sys.float_info.max:
+        raise ValidationError(
+            f"distances up to {d_max} overflow float64 totals: 8n(2n-1)*max(d) must stay below {sys.float_info.max}"
+        )
+
+
+def travel_bound(c_sum, d_max):
+    """4 * sum(c) * max(d): a bound on the magnitude of every total and swap delta.
+
+    A binding's total is sum(c * P) / 2 for the travel coefficients c and
+    the bound distances P, and a swap delta is the difference of two such
+    sums, so neither exceeds it; nor does any partial sum of the swap
+    kernels.  ``Instance`` keeps it below the float64 maximum for every
+    template; the swap search picks its exact tiers by it.
+    """
+    return 4 * c_sum * d_max
 
 
 @dataclass(frozen=True)
@@ -111,13 +131,17 @@ def parse_instance(text: str) -> Instance:
     integral = True
     for tok in tokens:
         try:
-            values.append(int(tok))
+            value = int(tok)
         except ValueError:
             try:
-                values.append(float(tok))
-                integral = False
+                value = float(tok)
             except ValueError:
                 raise FormatError(f"non-numeric token {tok!r}") from None
+            integral = False
+        else:
+            if not -(2**63) <= value < 2**63:
+                raise FormatError(f"integer token {tok!r} does not fit in 64 bits")
+        values.append(value)
 
     first = values[0]
     rest = len(values) - 1
@@ -142,17 +166,8 @@ def parse_instance(text: str) -> Instance:
 
 def write_instance(inst: Instance) -> str:
     """Canonical text form: the team count, then one row per line."""
-    lines = [str(inst.n)]
-    for row in inst.dist:
-        lines.append(" ".join(_fmt(v) for v in row))
+    lines = [str(inst.n)] + [" ".join(map(str, row)) for row in inst.dist.tolist()]
     return "\n".join(lines) + "\n"
-
-
-def _fmt(v) -> str:
-    x = v.item()
-    if isinstance(x, float) and x.is_integer():
-        return str(int(x))
-    return str(x)
 
 
 def check_metric(inst: Instance) -> MetricReport:

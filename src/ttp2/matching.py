@@ -6,15 +6,29 @@ lexicographically smallest pair list so that downstream results are
 reproducible run to run.
 
 Both come from an exact primal-dual blossom algorithm that certifies its
-optimum with its duals, run twice.  The first solve uses the plain exact
-weights.  By complementary slackness every optimal matching uses only the
-tight pairs, those of zero slack under the first solve's optimal dual.  The
-second solve runs on the tight pairs alone, with the weights
-w * B^n + (j+1) * B^(n-1-i) for i < j and B = n + 1: the distance dominates,
-and among equal distances the positional term prefers small partners for
-small teams.  At the first team s where two matchings differ, the terms of
-all later teams add up to at most B^(n-1-s) - 1, so the order is exactly
-lexicographic; the long integers touch only the few tight pairs.
+optimum with its duals, run twice.  The first solve finds an optimum of the
+plain exact weights on a sparse candidate graph and prices the complete
+graph with its duals (Derigs & Metz 1991, "Solving (large scale) matching
+problems combinatorially"; Applegate & Cook 1993, "Solving large-scale
+matching problems").  The candidates start as every team's
+`NEAREST_TEAMS` nearest teams.  While the blossom leaves a team single (a
+k-nearest graph of odd-sized clusters has no perfect matching), that
+team's k doubles.  Once the matching is perfect, the full slack of every
+pair of the complete graph is computed from the duals; the pairs of
+negative slack join the candidates and the graph is solved again.  When
+none is left, the duals certify the matching optimal on the complete graph.
+Each blossom solve starts from the pairs that are each other's heaviest
+edge, matched greedily, rather than from the empty matching.
+
+By complementary slackness every optimal matching uses only the tight pairs,
+those of zero slack under that optimal dual.  The second solve runs on the
+tight pairs alone, with the weights w * B^n + (j+1) * B^(n-1-i) for i < j
+and B = n + 1: the distance dominates, and among equal distances the
+positional term prefers small partners for small teams.  At the first team s
+where two matchings differ, the terms of all later teams add up to at most
+B^(n-1-s) - 1, so the order is exactly lexicographic; the long integers
+touch only the few tight pairs.  Whichever optimal dual the first solve
+ends with, the result is the same lexicographically smallest optimum.
 """
 
 from __future__ import annotations
@@ -24,6 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
+
+# Each team's first candidate partners: its nearest teams, ties by index.
+NEAREST_TEAMS = 8
 
 
 @dataclass(frozen=True)
@@ -51,18 +68,56 @@ def min_weight_perfect_matching(inst: Instance) -> Matching:
     """
     n = inst.n
     w, _ = inst.exact_weights
-    iu, ju = np.triu_indices(n, 1)
-    *_, slack = _min_cost_perfect(n, zip(iu.tolist(), ju.tolist(), w[iu, ju].tolist()))
+    slack = _priced_slack(inst)
 
     # Every optimum lies on the tight pairs; break the ties among them there.
     b = n + 1
-    ti, tj = (t.tolist() for t in np.nonzero(np.triu(slack == 0, 1)))
-    mate, *_ = _min_cost_perfect(n, [(i, j, w[i, j] * b**n + (j + 1) * b ** (n - 1 - i)) for i, j in zip(ti, tj)])
+    tight = np.triu(slack == 0, 1)
+    ti, tj = (t.tolist() for t in np.nonzero(tight))
+    cost = [w[i, j] * b**n + (j + 1) * b ** (n - 1 - i) for i, j in zip(ti, tj)]
+    top = max(cost) + 1
+    gain = np.zeros((n, n), dtype=object)
+    gain[ti, tj] = gain[tj, ti] = [top - c for c in cost]
+    tight |= tight.T
+    mate, dual, blossoms = _blossom_on(gain, tight)
+    _certified_slack(gain, tight, mate, dual, blossoms)
     pairs = tuple((i, j) for i, j in enumerate(mate) if i < j)
 
     weight = sum(inst.d(i, j) for i, j in pairs)
+    iu, ju = np.triu_indices(n, 1)
     (d_g,) = _row_sums(inst, (iu[None], ju[None]))
     return Matching(pairs=pairs, weight=weight, d_g=d_g, d_h=d_g - weight)
+
+
+def _priced_slack(inst: Instance) -> np.ndarray:
+    """Full slack of every pair under a certified optimal dual of the plain weights.
+
+    The blossom runs on the candidate graph only, with the complete graph's
+    weights top - w for top = max(w) + 1 over every pair; each vertex starts
+    with its `NEAREST_TEAMS` nearest teams (see the module docstring).
+    """
+    n = inst.n
+    w, _ = inst.exact_weights
+    gain = w.max() + 1 - w
+    # nearest[i]: the other teams by distance from i, ties by index.
+    order = np.argsort(inst.dist, axis=1, kind="stable")
+    nearest = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+    k = np.full(n, min(NEAREST_TEAMS, n - 1))
+    solved = np.zeros((n, n), dtype=bool)
+    while True:
+        solved[np.arange(n)[:, None], nearest] |= np.arange(n - 1) < k[:, None]
+        solved |= solved.T
+        mate, dual, blossoms = _blossom_on(gain, solved)
+        single = np.array(mate) == -1
+        if single.any():
+            k[single] = np.minimum(2 * k[single], n - 1)
+            continue
+        slack = _certified_slack(gain, solved, mate, dual, blossoms)
+        priced = slack < 0
+        np.fill_diagonal(priced, False)
+        if not priced.any():
+            return slack
+        solved |= priced
 
 
 def independent_lower_bound(inst: Instance, m: Matching) -> LowerBound:
@@ -85,11 +140,10 @@ def _row_sums(inst: Instance, index) -> list:
     return np.cumsum(np.hstack([np.zeros((len(rows), 1)), rows]), axis=1)[:, -1].tolist()
 
 
-def _min_cost_perfect(n: int, costs):
-    """`_blossom` on the weights top - cost: a minimum-cost perfect matching."""
-    costs = list(costs)
-    top = max(c for _, _, c in costs) + 1
-    return _blossom(n, [(i, j, top - c) for i, j, c in costs])
+def _blossom_on(gain: np.ndarray, solved: np.ndarray):
+    """`_blossom` on the pairs of the symmetric mask ``solved``, weighted by ``gain``."""
+    i, j = (t.tolist() for t in np.nonzero(np.triu(solved, 1)))
+    return _blossom(len(gain), list(zip(i, j, gain[i, j].tolist())))
 
 
 def _blossom(n: int, edges: list[tuple[int, int, int]]):
@@ -99,13 +153,16 @@ def _blossom(n: int, edges: list[tuple[int, int, int]]):
     runs; Galil 1986, "Efficient algorithms for finding maximum matching in
     graphs") to integer vertex ids 0..n-1, an edge list of (i, j, weight)
     with exact integer weights, and per-vertex lists of edge endpoints.
+    Unlike the original it does not start from the empty matching: the
+    pairs whose edge is the heaviest at both ends are matched greedily
+    first, which saves a stage per pair.
 
-    Returns (mate, dual, blossoms, slack): the partner of each vertex (-1 if
-    single), the doubled vertex duals, each blossom of positive dual as
-    (dual, leaf vertices), and the full-slack matrix that certifies them
-    (see `_certified_slack`).  Vertices are ids 0..n-1 and non-trivial
-    blossoms ids n..2n-1.  Edge k has endpoints 2k (its i) and 2k+1 (its
-    j); ``endpoint[p ^ 1]`` is the other end of endpoint p.
+    Returns (mate, dual, blossoms): the partner of each vertex (-1 if
+    single), the doubled vertex duals, and each blossom of positive dual as
+    (dual, leaf vertices); `_certified_slack` checks them.  Vertices are
+    ids 0..n-1 and non-trivial blossoms ids n..2n-1.  Edge k has endpoints
+    2k (its i) and 2k+1 (its j); ``endpoint[p ^ 1]`` is the other end of
+    endpoint p.
     """
     m = len(edges)
     endpoint = [v for i, j, _ in edges for v in (i, j)]
@@ -135,9 +192,17 @@ def _blossom(n: int, edges: list[tuple[int, int, int]]):
     bestedge = [-1] * (2 * n)
     blossombestedges = [None] * (2 * n)
     unusedblossoms = list(range(n, 2 * n))
-    # dualvar[v] = 2 u(v) for vertices, z(b) for blossoms.
-    maxweight = max([0] + [x for _, _, x in edges])
-    dualvar = [maxweight] * n + [0] * n
+    # Jump start: each pair whose edge is the heaviest at both its ends is
+    # tight under the duals best[v], so these pairs are matched greedily.
+    best = [max((edges[p >> 1][2] for p in ps), default=0) for ps in neighbend]
+    for k, (i, j, x) in enumerate(edges):
+        if mate[i] == mate[j] == -1 and best[i] == best[j] == x:
+            mate[i], mate[j] = 2 * k + 1, 2 * k
+    # dualvar[v] = 2 u(v) for vertices, z(b) for blossoms.  A matched vertex
+    # starts at best[v] and a single one at the largest weight: every free
+    # vertex has the same dual, so the S-S slacks stay even (see delta 3).
+    maxweight = max([0] + best)
+    dualvar = [best[v] if mate[v] >= 0 else maxweight for v in range(n)] + [0] * n
     allowedge = [False] * m
     queue = []
 
@@ -461,33 +526,46 @@ def _blossom(n: int, edges: list[tuple[int, int, int]]):
     mate = [endpoint[p] if p >= 0 else -1 for p in mate]
     dual = dualvar[:n]
     blossoms = [(dualvar[b], leaves(b)) for b in range(n, 2 * n) if blossombase[b] >= 0 and dualvar[b] > 0]
-    return mate, dual, blossoms, _certified_slack(n, edges, mate, dual, blossoms)
+    return mate, dual, blossoms
 
 
-def _certified_slack(n, edges, mate, dual, blossoms) -> np.ndarray:
+def _certified_slack(w, solved, mate, dual, blossoms) -> np.ndarray:
     """Full slack of every vertex pair, after checking the optimality certificate.
 
     The full slack of (i, j) is dual_i + dual_j - 2 w_ij + 2 * (sum of the
-    duals of the blossoms holding both).  The matching is a maximum-weight
-    perfect matching if it is perfect, every edge has full slack >= 0, every
-    matched edge has full slack 0, and every blossom of positive dual is full
-    (all but one of its vertices matched inside it).  Raises AssertionError
-    when any of these fails.
+    duals of the blossoms holding both), for the n x n weights w.  The
+    matching is a maximum-weight perfect matching of the graph of the pairs
+    in the symmetric mask ``solved`` if it is perfect, every pair of that
+    graph has full slack >= 0, every matched pair has full slack 0, and every
+    blossom of positive dual is full (all but one of its vertices matched
+    inside it).  Raises AssertionError when any of these fails, or when the
+    blossoms do not nest (the blossom algorithm's always do).  The slack of
+    the pairs outside ``solved`` prices them: when w holds every pair and
+    none has negative slack, the certificate holds on the complete graph.
     """
+    n = len(w)
     if -1 in mate:
         raise AssertionError("matching is not perfect")
-    iu = np.array([i for i, _, _ in edges], dtype=np.intp)
-    ju = np.array([j for _, j, _ in edges], dtype=np.intp)
-    w = np.zeros((n, n), dtype=object)
-    w[iu, ju] = w[ju, iu] = [x for _, _, x in edges]
-    u = np.array(dual, dtype=object)
-    slack = u[:, None] + u[None, :] - 2 * w
     partner = np.array(mate)
-    for z, leaves in blossoms:
-        slack[np.ix_(leaves, leaves)] += 2 * z
-        if np.count_nonzero(np.isin(partner[leaves], leaves)) != len(leaves) - 1:
+    # The blossoms nest.  Taken largest first, each lies inside the innermost
+    # one so far around its leaves; held[t] sums the duals of blossom t and
+    # of those around it, and inner[i, j] is the innermost holding i and j.
+    held = [0]
+    inner = np.zeros((n, n), dtype=np.intp)
+    for z, leaves in sorted(blossoms, key=lambda b: -len(b[1])):
+        inside = np.zeros(n, dtype=bool)
+        inside[leaves] = True
+        if np.count_nonzero(inside[partner[leaves]]) != len(leaves) - 1:
             raise AssertionError("a blossom of positive dual is not full")
-    if not (slack[iu, ju] >= 0).all():
+        block = np.ix_(leaves, leaves)
+        outer = inner[leaves[0], leaves[0]]
+        if (inner[block] != outer).any():
+            raise AssertionError("the blossoms do not nest")
+        held.append(held[outer] + z)
+        inner[block] = len(held) - 1
+    u = np.array(dual, dtype=object)
+    slack = u[:, None] + u[None, :] - 2 * w + 2 * np.array(held, dtype=object)[inner]
+    if (slack[solved] < 0).any():
         raise AssertionError("an edge has negative slack")
     if not (slack[np.arange(n), partner] == 0).all():
         raise AssertionError("a matched edge has positive slack")

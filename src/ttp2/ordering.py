@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, travel_bound
 from .matching import Matching
 from .schedule import Schedule, total_distance
 
@@ -113,7 +113,7 @@ def bind_template(template: Schedule, matching: Matching, ordering: TeamOrdering
 def _search_weights(coeffs: TravelCoefficients, inst: Instance) -> tuple[np.ndarray, bool]:
     """The distances the swap kernels run on, and whether their deltas are exact.
 
-    Integer instances have two exact tiers, set by the bound
+    Integer instances have two exact tiers, set by `travel_bound`, the bound
     4 * sum(c) * max(d) on every partial sum of the kernels and on every
     total or delta.  Below 2**53 they use float64: every partial sum is an
     integer float64 holds exactly, in whatever order BLAS adds the terms.
@@ -123,7 +123,7 @@ def _search_weights(coeffs: TravelCoefficients, inst: Instance) -> tuple[np.ndar
     """
     dist = inst.dist
     if inst.integral:
-        bound = 4 * int(coeffs.c.sum()) * int(dist.max())
+        bound = travel_bound(int(coeffs.c.sum()), int(dist.max()))
         if bound < 2**53:
             return dist.astype(np.float64), True
         if bound < 2**63:

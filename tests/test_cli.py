@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -69,6 +70,34 @@ def test_solve_rejects_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3")
     assert main(["solve", str(bad)]) == 2
+
+
+def test_solve_rejects_integer_beyond_64_bits(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("4\n0 9223372036854775808 1 1\n9223372036854775808 0 1 1\n1 1 0 1\n1 1 1 0\n")
+    assert main(["solve", str(path)]) == 2
+    assert "'9223372036854775808'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_solve_reads_written_float_instances_as_floats(tmp_path, capsys, scale):
+    dist = random_metric_instance(12, 3).dist
+    path = write_inst(tmp_path, "float12.txt", Instance(n=12, dist=dist * scale))
+    code, payload = run(capsys, ["solve", str(path), "--rounds", "2"])
+    assert code == 0
+    lb = payload[0]["lb"]
+    assert type(lb) is float and math.isfinite(payload[0]["total"])
+    exact = write_inst(tmp_path, "int12.txt", Instance(n=12, dist=dist))
+    assert lb == pytest.approx(run(capsys, ["lb", str(exact)])[1][0]["lb"] * scale, rel=1e-12)
+
+
+def test_solve_rejects_distances_whose_totals_overflow(tmp_path, capsys):
+    dist = random_metric_instance(12, 3).dist * 1e305
+    path = tmp_path / "e305.txt"
+    path.write_text("12\n" + "\n".join(" ".join(f"{x:e}" for x in row) for row in dist.tolist()) + "\n")
+    assert main(["solve", str(path), "--rounds", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflow" in captured.err
 
 
 def test_validate_roundtrip(tmp_path, capsys):

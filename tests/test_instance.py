@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttp2.errors import FormatError, ValidationError
 from ttp2.instance import Instance, check_metric, parse_instance, write_instance
@@ -75,6 +79,54 @@ def test_roundtrip_is_byte_stable():
     inst = random_metric_instance(8, 0)
     text = write_instance(inst)
     assert write_instance(parse_instance(text)) == text
+
+
+def _kind_instance(kind, n, seed):
+    """An instance of one of the kinds the text format must carry exactly."""
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        pts = rng.uniform(0, 1000, size=(n, 2))
+        diff = pts[:, None] - pts[None]
+        return Instance(n=n, dist=np.hypot(diff[..., 0], diff[..., 1]))
+    if kind == "near_2_63":
+        d = np.triu(2**63 - 1 - rng.integers(0, 1000, size=(n, n)), 1)
+        return Instance(n=n, dist=d + d.T)
+    d = random_metric_instance(n, seed).dist
+    return Instance(n=n, dist={"int64": d, "integer_float": d.astype(float), "e300": d * 1e300}[kind])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["int64", "real", "integer_float", "e300", "near_2_63"]),
+    n=st.integers(2, 10).map(lambda h: 2 * h),
+    seed=st.integers(0, 2**16),
+)
+def test_write_then_parse_gives_the_same_values_and_dtype(kind, n, seed):
+    inst = _kind_instance(kind, n, seed)
+    again = parse_instance(write_instance(inst))
+    assert again.dist.dtype == inst.dist.dtype
+    assert again.integral == inst.integral
+    assert np.array_equal(again.dist, inst.dist)
+
+
+@pytest.mark.parametrize(
+    "token", ["9223372036854775808", "-9223372036854775809", "1" + "0" * 300], ids=["2^63", "-2^63-1", "10^300"]
+)
+def test_parse_rejects_integers_beyond_64_bits(token):
+    rows = [["0", token, "1", "1"], [token, "0", "1", "1"], ["1", "1", "0", "1"], ["1", "1", "1", "0"]]
+    with pytest.raises(FormatError, match=token):
+        parse_instance("4\n" + "\n".join(" ".join(r) for r in rows))
+    assert parse_instance("4 0 9223372036854775807 1 1 9223372036854775807 0 1 1 1 1 0 1 1 1 1 0").integral
+
+
+def test_distances_whose_totals_overflow_float64_are_rejected():
+    d = random_metric_instance(12, 3).dist.astype(float)
+    limit = sys.float_info.max / (8 * 12 * 23)  # 8n(2n-1) max(d) must stay below it
+    Instance(n=12, dist=d * (0.999 * limit / d.max()))
+    with pytest.raises(ValidationError, match="overflow"):
+        Instance(n=12, dist=d * (1.001 * limit / d.max()))
+    with pytest.raises(ValidationError, match="overflow"):
+        Instance(n=12, dist=d * 1e305)
 
 
 def test_check_metric_zero_matrix():

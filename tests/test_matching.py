@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import matching_reference as ref
 from conftest import enumerate_perfect_matchings
+from ttp2 import matching
 from ttp2.instance import Instance
 from ttp2.matching import independent_lower_bound, min_weight_perfect_matching
 from ttp2.oracle import random_metric_instance, tight_instance
@@ -106,3 +108,52 @@ def test_exact_weights_scale_real_valued_distances():
             assert type(w[i, j]) is int
             assert Fraction(w[i, j], scale) == Fraction(d[i, j])
     assert tight_instance(4).exact_weights[1] == 1
+
+
+def _candidate_solves(monkeypatch, inst):
+    """The matching, and whether each solve on the candidate graph left a vertex single.
+
+    The candidate solves are the `_blossom_on` calls before the tie-break,
+    all on the one weight matrix of the complete graph.
+    """
+    solves = []
+    blossom_on = matching._blossom_on
+
+    def spy(gain, solved):
+        mate, dual, blossoms = blossom_on(gain, solved)
+        solves.append((gain, -1 in mate))
+        return mate, dual, blossoms
+
+    monkeypatch.setattr(matching, "_blossom_on", spy)
+    m = min_weight_perfect_matching(inst)
+    return m, [single for gain, single in solves if gain is solves[0][0]]
+
+
+def test_odd_clusters_double_k_of_single_teams(monkeypatch):
+    # Two far-apart clusters of 11: each team's 8 nearest teams lie in its own
+    # cluster, so the candidate graph has two odd components.
+    rng = np.random.default_rng(0)
+    pts = np.vstack([rng.normal(0, 10, size=(11, 2)), rng.normal(0, 10, size=(11, 2)) + 1000])
+    diff = pts[:, None] - pts[None]
+    inst = Instance(n=22, dist=np.ceil(np.hypot(diff[..., 0], diff[..., 1])).astype(np.int64))
+    m, singles = _candidate_solves(monkeypatch, inst)
+    assert m == ref.min_weight_perfect_matching(inst)
+    assert singles[0] and not singles[-1]
+
+
+def test_pricing_adds_pairs_of_negative_slack(monkeypatch):
+    inst = random_metric_instance(16, 1)
+    m, singles = _candidate_solves(monkeypatch, inst)
+    assert m == ref.min_weight_perfect_matching(inst)
+    # Every perfect candidate solve but the last priced a pair below zero.
+    assert singles.count(False) >= 2
+
+
+def test_certificate_rejects_blossoms_that_do_not_nest():
+    # Two full blossoms that share the matched pair (0, 1) and cross.
+    mate, dual = [1, 0, 3, 2, 5, 4], [0, 0, 1, 1, 1, 1]
+    w, solved = np.ones((6, 6), dtype=object), np.zeros((6, 6), dtype=bool)
+    solved[range(6), mate] = True
+    matching._certified_slack(w, solved, mate, dual, [(1, [0, 1, 2])])
+    with pytest.raises(AssertionError, match="nest"):
+        matching._certified_slack(w, solved, mate, dual, [(1, [0, 1, 2]), (1, [0, 1, 4])])

@@ -112,20 +112,21 @@ def test_certificate_rejects_corrupted_duals():
     w, _ = inst.exact_weights
     top = int(w.max()) + 1
     edges = [(i, j, top - w[i, j]) for i in range(6) for j in range(i + 1, 6)]
-    mate, dual, blossoms, slack = _blossom(6, edges)
+    mate, dual, blossoms = _blossom(6, edges)
     assert blossoms  # this instance needs a blossom of positive dual
-    assert (_certified_slack(6, edges, mate, dual, blossoms) == slack).all()
+    gain, solved = top - w, ~np.eye(6, dtype=bool)
+    assert not (_certified_slack(gain, solved, mate, dual, blossoms)[solved] < 0).any()
 
     for v, step in ((0, 2), (0, -2), (5, 1)):
         bad = list(dual)
         bad[v] += step
         with pytest.raises(AssertionError, match="slack"):
-            _certified_slack(6, edges, mate, bad, blossoms)
+            _certified_slack(gain, solved, mate, bad, blossoms)
     (z, leaves), *rest = blossoms
     with pytest.raises(AssertionError, match="slack"):
-        _certified_slack(6, edges, mate, dual, [(z + 1, leaves), *rest])
+        _certified_slack(gain, solved, mate, dual, [(z + 1, leaves), *rest])
     one_per_pair = [v for v in range(6) if v < mate[v]]
     with pytest.raises(AssertionError, match="not full"):
-        _certified_slack(6, edges, mate, dual, [*blossoms, (1, one_per_pair)])
+        _certified_slack(gain, solved, mate, dual, [*blossoms, (1, one_per_pair)])
     with pytest.raises(AssertionError, match="not perfect"):
-        _certified_slack(6, edges, [-1] * 6, dual, blossoms)
+        _certified_slack(gain, solved, [-1] * 6, dual, blossoms)
