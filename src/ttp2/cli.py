@@ -187,12 +187,12 @@ def _load_baseline(path):
 
 
 def _total(text: str):
-    """An integer or finite real total; raises ValueError otherwise."""
+    """A positive integer or finite real total; raises ValueError otherwise."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         value = float(text)
-    if not math.isfinite(value):
+    if not 0 < value < math.inf:  # also false for NaN
         raise ValueError(text)
     return value
 
@@ -214,7 +214,7 @@ def cmd_bench(args) -> int:
     ratios = []
     for report in results:
         prev = baseline.get(report["instance"])
-        if prev:
+        if prev is not None:
             report["previous"] = prev
             report["improvement_ratio"] = round(100.0 * (prev - report["total"]) / prev, 2)
             ratios.append(report["improvement_ratio"])

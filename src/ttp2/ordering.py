@@ -23,22 +23,27 @@ take and return vectors, and `run_rounds` rebuilds a TeamOrdering once,
 for the winning vector.  After every accepted move the search evaluates
 the whole neighbourhood of a pass in one array pass: all m(m-1)/2 slot
 swaps, or all m in-slot flips, from P = dist[bind][:, bind] and
-G = c @ P (as in quadratic-assignment local search).  The c-derived
-blocks of both kernels are built once per TravelCoefficients and dtype.
+G = c @ P (as in quadratic-assignment local search).  What is fixed for a
+solve (the tier below, the distances in its dtype, the c-derived blocks of
+both kernels, c in Python ints and the rounding slack) is one search
+state, built once per TravelCoefficients and Instance.
 Each pass gathers P once and keeps it current in place: an accepted move
 permutes its touched rows and columns in O(n).  Both passes share one
 first-improvement loop that visits moves in the order of a pair-by-pair
 sweep, so the trajectory is that of the sweep.  The kernel runs in one of
 three tiers, set by the bound 4 * sum(c) * max(d) on its partial sums.
 Integer instances below 2**53 run it in float64, on BLAS, and below 2**63
-in int64; both are exact.  All others run it in float64 only to propose
-moves, and each proposal is accepted only if its exact delta, taken in
-Python ints on the touched rows, is negative.
+in int64; both are exact.  All others run it in float64 with a proven
+bound, `slack`, on its rounding error: a proposal whose delta lies below
+-slack is accepted at once, and only one within slack of zero has its
+exact delta taken in Python ints on the touched rows.  Either way a move
+is accepted only when its exact delta is proven negative.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,9 +70,9 @@ class TravelCoefficients:
     c: np.ndarray
 
     @functools.cached_property
-    def _kernel_cache(self) -> dict:
-        """`_KernelBlocks` per weight dtype, filled by `_kernel_blocks`."""
-        return {}
+    def _search_cache(self) -> list:
+        """The last `_SearchState` built on these coefficients, by `_search_state`."""
+        return []
 
 
 def random_ordering(m: int, seed: int) -> TeamOrdering:
@@ -110,39 +115,16 @@ def bind_template(template: Schedule, matching: Matching, ordering: TeamOrdering
     return Schedule(n=template.n, table=table)
 
 
-def _search_weights(coeffs: TravelCoefficients, inst: Instance) -> tuple[np.ndarray, bool]:
-    """The distances the swap kernels run on, and whether their deltas are exact.
-
-    Integer instances have two exact tiers, set by `travel_bound`, the bound
-    4 * sum(c) * max(d) on every partial sum of the kernels and on every
-    total or delta.  Below 2**53 they use float64: every partial sum is an
-    integer float64 holds exactly, in whatever order BLAS adds the terms.
-    Below 2**63 they use int64, exact modulo 2**64, so wrapped intermediates
-    cannot change a result.  Every other instance gets float64, which is
-    only an estimate.
-    """
-    dist = inst.dist
-    if inst.integral:
-        bound = travel_bound(int(coeffs.c.sum()), int(dist.max()))
-        if bound < 2**53:
-            return dist.astype(np.float64), True
-        if bound < 2**63:
-            return dist.astype(np.int64), True
-    return dist.astype(np.float64), False
-
-
 def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int]) -> object:
     """Total distance of a binding straight from the linear form.
 
-    Exact on integer instances: in an exact tier of `_search_weights` when
+    Exact on integer instances: in an exact tier of the search state when
     the instance has one and in Python ints otherwise.  Real-valued
     instances sum in float64.
     """
     perm = np.array(bind)
-    dist, exact = _search_weights(coeffs, inst)
-    if inst.integral and not exact:
-        dist = inst.exact_weights[0]
-    tot = (coeffs.c * dist[np.ix_(perm, perm)]).sum()  # every travel is counted from both ends
+    weights = _search_state(coeffs, inst).weights
+    tot = (coeffs.c * weights[np.ix_(perm, perm)]).sum()  # every travel is counted from both ends
     return int(tot) // 2 if inst.integral else float(tot) / 2
 
 
@@ -299,24 +281,103 @@ class _KernelBlocks:
 
 
 def _kernel_blocks(coeffs: TravelCoefficients, dtype) -> _KernelBlocks:
-    """The kernels' constants for weights of `dtype`, built once per coefficients."""
-    dtype = np.dtype(dtype)
-    cache = coeffs._kernel_cache
-    if dtype not in cache:
-        c = coeffs.c.astype(dtype)
-        m = coeffs.n // 2
-        c01 = c[0::2, 1::2]
-        cw = c01.diagonal()
-        i, j = np.triu_indices(m, 1)
-        cache[dtype] = _KernelBlocks(
-            cols=np.concatenate([c[:, 0::2], c[:, 1::2]]),
-            same=(c[0::2, 0::2], c[1::2, 1::2]),
-            cross=cw[:, None] + cw - c01 - c01.T,
-            rows=c[0::2] - c[1::2],
-            own=2 * cw,
-            upper=i * m + j,
-        )
-    return cache[dtype]
+    """The kernels' constants for weights of `dtype`."""
+    c = coeffs.c.astype(dtype)
+    m = coeffs.n // 2
+    c01 = c[0::2, 1::2]
+    cw = c01.diagonal()
+    i, j = np.triu_indices(m, 1)
+    return _KernelBlocks(
+        cols=np.concatenate([c[:, 0::2], c[:, 1::2]]),
+        same=(c[0::2, 0::2], c[1::2, 1::2]),
+        cross=cw[:, None] + cw - c01 - c01.T,
+        rows=c[0::2] - c[1::2],
+        own=2 * cw,
+        upper=i * m + j,
+    )
+
+
+@dataclass(frozen=True)
+class _SearchState:
+    """What the swap search of one solve reads, built once by `_search_state`.
+
+    `dist` holds the distances in the kernels' dtype and `blocks` the
+    kernels' constants in it; `c` is the coefficients as Python ints,
+    `weights` the distances `coefficient_total` sums, and `slack` a bound
+    on |kernel delta - exact delta| over every swap and flip, 0 in the
+    exact tiers.
+    """
+
+    inst: Instance
+    dist: np.ndarray
+    blocks: _KernelBlocks
+    c: np.ndarray
+    weights: np.ndarray
+    slack: float
+
+
+def _search_state(coeffs: TravelCoefficients, inst: Instance) -> _SearchState:
+    """The search state of `coeffs` on `inst`; the coefficients keep the last one.
+
+    Integer instances have two exact tiers, set by `travel_bound`, the bound
+    4 * sum(c) * max(d) on every partial sum of the kernels and on every
+    total or delta.  Below 2**53 they use float64: every partial sum is an
+    integer float64 holds exactly, in whatever order BLAS adds the terms.
+    Below 2**63 they use int64, exact modulo 2**64, so wrapped intermediates
+    cannot change a result.  Every other instance gets float64 within
+    `_rounding_slack` of the exact deltas; its totals are summed in Python
+    ints when it is integral.
+    """
+    cache = coeffs._search_cache
+    if cache and cache[0].inst is inst:
+        return cache[0]
+    dist = inst.dist
+    c_sum, d_max = int(coeffs.c.sum()), dist.max().item()
+    bound = travel_bound(c_sum, d_max)
+    if inst.integral and bound < 2**63:
+        dist, slack = dist.astype(np.float64 if bound < 2**53 else np.int64), 0.0
+        weights = dist
+    else:
+        dist, slack = dist.astype(np.float64), _rounding_slack(coeffs.n, c_sum, d_max)
+        weights = inst.exact_weights[0] if inst.integral else dist
+    state = _SearchState(inst, dist, _kernel_blocks(coeffs, dist.dtype), coeffs.c.astype(object), weights, slack)
+    cache[:] = [state]
+    return state
+
+
+def _rounding_slack(n: int, c_sum: int, d_max) -> float:
+    """A float no smaller than |float64 kernel delta - exact delta| for every
+    swap and flip of an n-team binding.
+
+    Write a delta as a signed sum of leaf terms a * d: a coefficient a
+    (an entry of c or of a kernel block, an integer float64 holds exactly)
+    times one distance d.  In the swap of slots i and j the leaves read the
+    c rows of the four labels 2i, 2i+1, 2j, 2j+1, whose sums R4 add up to at
+    most sum(c): the four `At` entries give 2 R4 max(d) in magnitude, and
+    the `cross` and `same` terms, whose coefficients are the pairs inside
+    those labels, at most 2 R4 max(d).  A flip's leaves add up to at most
+    3 R2 max(d), R2 the row sums of its own two labels.  Both stay within
+    travel_bound(sum(c), max(d)).
+
+    Each swap leaf reaches the result through at most 2n + 6 roundings,
+    each a factor 1 + e with |e| <= u = 2**-53 (Higham, "Accuracy and
+    Stability of Numerical Algorithms", ch. 2-3): `astype(float64)`, which
+    rounds integer distances above 2**53; its product; at most 2n - 1
+    additions in the length-2n dot product of `At`, in whatever order BLAS
+    adds; the diagonal subtraction; the three `+=`; and H + H^T.  A flip
+    leaf takes at most n + 3.  A product of k such factors is 1 + t with
+    |t| <= gamma_k = k u / (1 - k u) (Higham, Lemma 3.1), so the error is
+    at most gamma_k * travel_bound.  k = 2n + 16 leaves ten to spare.
+
+    That model breaks only where a product underflows: its error is then
+    absolute, at most 2**-1075, and at most doubled by the later factors;
+    sums never underflow inexactly.  A delta has at most 8n + 6 products,
+    so (8n + 16) * 2**-1074 covers them.  The sum is rounded up to a float.
+    """
+    k = 2 * n + 16
+    bound = Fraction(k, 2**53 - k) * travel_bound(c_sum, Fraction(d_max)) + Fraction(8 * n + 16, 2**1074)
+    slack = float(bound)
+    return slack if slack >= bound else math.nextafter(slack, math.inf)
 
 
 def _swap_deltas(k: _KernelBlocks, P):
@@ -353,32 +414,33 @@ def _flip_deltas(k: _KernelBlocks, P):
     return rows + k.own * P[0::2, 1::2].diagonal()
 
 
-def _exact_move_delta(c, inst: Instance, bind, src, order) -> int:
+def _exact_move_delta(state: _SearchState, bind, src, order) -> int:
     """Exact distance change when labels src[r] take the teams of labels src[order[r]].
 
     Only the touched label rows of the instance's exact weights are read;
     the change is in units of 1 / scale (see `Instance.exact_weights`).
     """
-    rows = inst.exact_weights[0][bind[src]]  # rows[r] = W[bind[src[r]], :]
+    rows = state.inst.exact_weights[0][bind[src]]  # rows[r] = W[bind[src[r]], :]
     new = bind.copy()
     new[src] = bind[src[order]]
-    diff = c[src].astype(object) * (rows[order][:, new] - rows[:, bind])
+    diff = state.c[src] * (rows[order][:, new] - rows[:, bind])
     # Pairs with both labels touched are counted from both ends.
     return diff.sum() - diff[:, src].sum() // 2
 
 
-def _check_deltas(deltas, exact: bool, c, inst: Instance, bind, src, order) -> None:
-    """debug_check: each move's exact delta against an exact recomputation."""
-    W = inst.exact_weights[0]
-    c = c.astype(object)
-    before = (c * W[np.ix_(bind, bind)]).sum()
+def _check_deltas(deltas, state: _SearchState, bind, src, order) -> None:
+    """debug_check: each move's exact delta against an exact recomputation,
+    and its kernel delta within `slack` of it (equal in the exact tiers)."""
+    W, scale = state.inst.exact_weights
+    before = (state.c * W[np.ix_(bind, bind)]).sum()
     for q, s in enumerate(src):
         new = bind.copy()
         new[s] = bind[s[order]]
-        after = (c * W[np.ix_(new, new)]).sum()  # both totals count every travel twice
-        delta = _exact_move_delta(c, inst, bind, s, order)
+        after = (state.c * W[np.ix_(new, new)]).sum()  # both totals count every travel twice
+        delta = _exact_move_delta(state, bind, s, order)
         assert 2 * delta == after - before, "move delta disagrees with recomputation"
-        assert not exact or deltas[q] == delta, "exact-tier kernel delta disagrees with exact delta"
+        error = abs(Fraction(deltas[q].item()) - Fraction(delta, scale))
+        assert error <= state.slack, "kernel delta is further than slack from the exact delta"
 
 
 def _first_improvement(bind, coeffs, inst, kernel, src, order, debug_check):
@@ -391,22 +453,23 @@ def _first_improvement(bind, coeffs, inst, kernel, src, order, debug_check):
     touched columns, in O(n).  The loop takes the first negative delta at
     or after the last accepted move, applies it and evaluates again.  A
     sweep that reaches the end starts over from move 0 if it accepted a
-    move, and ends the pass if not.  Outside the exact tiers the kernel
-    only proposes: a move is accepted once its exact delta is negative, so
-    the exact total falls with every move and the search cannot cycle.
-    The caller's vector is left as it was.
+    move, and ends the pass if not.  A negative delta is only a proposal:
+    it is accepted at once below -slack, which proves the exact delta
+    negative (slack is 0 in the exact tiers), and otherwise only if its
+    exact delta is negative.  So the exact total falls with every move and
+    the search cannot cycle.  The caller's vector is left as it was.
     """
     bind = np.array(bind)
-    dist, exact = _search_weights(coeffs, inst)
-    blocks = _kernel_blocks(coeffs, dist.dtype)
+    state = _search_state(coeffs, inst)
     dst = src[:, order]
-    P = dist[np.ix_(bind, bind)]
+    P = state.dist[np.ix_(bind, bind)]
+    sure = -state.slack
 
     def evaluate():
-        deltas = kernel(blocks, P)
+        deltas = kernel(state.blocks, P)
         if debug_check:
-            assert np.array_equal(P, dist[np.ix_(bind, bind)]), "P is not dist[bind][:, bind]"
-            _check_deltas(deltas, exact, coeffs.c, inst, bind, src, order)
+            assert np.array_equal(P, state.dist[np.ix_(bind, bind)]), "P is not dist[bind][:, bind]"
+            _check_deltas(deltas, state, bind, src, order)
         return deltas
 
     deltas = evaluate()
@@ -414,7 +477,7 @@ def _first_improvement(bind, coeffs, inst, kernel, src, order, debug_check):
     while True:
         proposed = start + (deltas[start:] < 0).nonzero()[0]
         q = next(
-            (q for q in proposed if exact or _exact_move_delta(coeffs.c, inst, bind, src[q], order) < 0),
+            (q for q in proposed if deltas[q] < sure or _exact_move_delta(state, bind, src[q], order) < 0),
             None,
         )
         if q is None:

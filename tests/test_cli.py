@@ -238,7 +238,9 @@ def test_bench_baseline_accepts_real_totals(tmp_path, capsys):
     assert payload[0]["improvement_ratio"] == pytest.approx(7.44)
 
 
-@pytest.mark.parametrize("line", ["tight8", "tight8,nan"], ids=["no-comma", "nan"])
+@pytest.mark.parametrize(
+    "line", ["tight8", "tight8,nan", "tight8,0", "tight8,-60"], ids=["no-comma", "nan", "zero", "negative"]
+)
 def test_bench_baseline_rejects_malformed_line(tmp_path, capsys, line):
     write_inst(tmp_path, "tight8.txt", tight_instance(8))
     baseline = tmp_path / "baselines.csv"

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +14,13 @@ from ttp2.instance import Instance
 from ttp2.matching import independent_lower_bound, min_weight_perfect_matching
 from ttp2.odd import build_odd_template
 from ttp2.oracle import random_metric_instance, tight_instance
+from ttp2 import ordering
 from ttp2.ordering import (
     TeamOrdering,
     _exact_move_delta,
     _flip_deltas,
     _kernel_blocks,
-    _search_weights,
+    _search_state,
     _swap_deltas,
     bind_template,
     binding_vector,
@@ -376,7 +378,8 @@ def test_neighbourhood_deltas_equal_recomputation(n, seed, kind):
     inst = _variant(random_metric_instance(n, seed), kind)
     _, coeffs = _template_and_coeffs(n)
     bind = np.random.default_rng(seed).permutation(n)
-    dist, exact = _search_weights(coeffs, inst)
+    state = _search_state(coeffs, inst)
+    dist, exact = state.dist, state.slack == 0
     W, scale = inst.exact_weights
     c = coeffs.c.astype(object)
 
@@ -394,15 +397,15 @@ def test_neighbourhood_deltas_equal_recomputation(n, seed, kind):
         after = bind.copy()
         after[list(src)] = bind[list(dst)]
         truth = Fraction(doubled_total(after) - before, 2 * scale)
-        delta = _exact_move_delta(coeffs.c, inst, bind, np.array(src), [src.index(label) for label in dst])
+        delta = _exact_move_delta(state, bind, np.array(src), [src.index(label) for label in dst])
         assert Fraction(delta, scale) == truth
         if exact:
             assert int(value) == truth
         else:
-            assert abs(Fraction(value.item()) - truth) <= Fraction(before, scale) * Fraction(1, 10**9)
+            assert abs(Fraction(value.item()) - truth) <= state.slack
 
 
-# The kernel tier `_search_weights` picks: (dtype, exact).
+# The kernel tier `_search_state` picks: (dtype, exact).
 TIERS = {
     "below-2**53": (np.float64, True),
     "below-2**63": (np.int64, True),
@@ -433,8 +436,8 @@ def test_swap_passes_verified_on_every_tier(n, tier):
     inst = _tier_instance(n, 5, tier)
     matching = min_weight_perfect_matching(inst)
     _, coeffs = _template_and_coeffs(n)
-    dist, exact = _search_weights(coeffs, inst)
-    assert (dist.dtype, exact) == TIERS[tier]
+    state = _search_state(coeffs, inst)
+    assert (state.dist.dtype, state.slack == 0) == TIERS[tier]
     if tier != "real":
         bound = 4 * int(coeffs.c.sum()) * int(inst.dist.max())
         lo, hi = {
@@ -469,3 +472,72 @@ def test_float64_tier_matches_int64_just_below_two_to_the_53():
         P = inst.dist[np.ix_(bind, bind)]
         for kernel in (_swap_deltas, _flip_deltas):
             assert np.array_equal(kernel(k53, P.astype(np.float64)), kernel(k64, P))
+
+
+def _inexact_instance(n, seed, kind):
+    """An instance of the float64 tier that rounds: real-valued, integer above
+    2**63, real-valued just under `Instance`'s float64 overflow limit, or
+    around 1e-300 with about half the pairs subnormal."""
+    if kind in ("real", "above-2**63"):
+        return _tier_instance(n, seed, kind)
+    d = np.sqrt(random_metric_instance(n, seed).dist)
+    if kind == "huge":
+        d = d / d.max() * (sys.float_info.max / (8 * n * (2 * n - 1)) * (1 - 2**-40))
+    else:
+        sub = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
+        d = d * 1e-300
+        d[sub | sub.T] *= 1e-22
+    return Instance(n=n, dist=d)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.sampled_from([8, 10, 12, 14, 40, 42]),
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["real", "above-2**63", "huge", "tiny"]),
+)
+def test_kernel_deltas_within_rounding_slack(n, seed, kind):
+    inst = _inexact_instance(n, seed, kind)
+    _, coeffs = _template_and_coeffs(n)
+    state = _search_state(coeffs, inst)
+    assert state.dist.dtype == np.float64 and 0 < state.slack < math.inf
+    if kind == "tiny":
+        assert 0 < inst.dist[inst.dist > 0].min() < sys.float_info.min  # subnormal entries
+    bind = np.random.default_rng(seed).permutation(n)
+    P = state.dist[np.ix_(bind, bind)]
+    scale = inst.exact_weights[1]
+    m = n // 2
+    swaps, flips = ordering._pass_moves(m)
+    for kernel, src, order in ((_swap_deltas, swaps, [2, 3, 0, 1]), (_flip_deltas, flips, [1, 0])):
+        deltas = kernel(state.blocks, P)
+        assert len(deltas) == len(src)
+        for value, s in zip(deltas.tolist(), src):
+            exact = Fraction(_exact_move_delta(state, bind, s, order), scale)
+            assert abs(Fraction(value) - exact) <= state.slack
+
+
+def test_slack_filter_skips_exact_deltas_and_keeps_the_search(monkeypatch):
+    calls = []
+    spied = ordering._exact_move_delta
+    monkeypatch.setattr(ordering, "_exact_move_delta", lambda *args: calls.append(1) or spied(*args))
+    n = 30
+    template, _ = _template_and_coeffs(n)
+
+    def polished():
+        vectors = []
+        for seed in range(3):
+            inst = Instance(n=n, dist=np.sqrt(random_metric_instance(n, seed).dist))
+            matching = min_weight_perfect_matching(inst)
+            coeffs = extract_coefficients(template)  # a fresh search state
+            for r in range(3):
+                vectors.append(polish(binding_vector(matching, random_ordering(n // 2, r)), coeffs, inst).tolist())
+        return vectors
+
+    filtered = polished()
+    filtered_calls = len(calls)
+    # With an infinite slack every proposal takes the exact path.
+    monkeypatch.setattr(ordering, "_rounding_slack", lambda *args: math.inf)
+    calls.clear()
+    assert polished() == filtered
+    proposals = len(calls)
+    assert proposals > 100 and filtered_calls * 20 < proposals
