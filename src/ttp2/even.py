@@ -8,13 +8,14 @@ group-teams turns the last group round into recursive sub-problems on 4p
 teams, which lowers the number of costly left super-games; compute_L finds
 the best packing.
 
-The four super-game kinds are one table of day patterns over the roles
-(a1, a2, h1, h2) of an away and a home super-team.  The super-games of one
-kind in a slot, or in one round of a group meeting, are a single gather
-from that table into a (days, games, 2) array of (visitor, host) games; a
-slot puts its blocks side by side along the game axis, and the slots stack
-into the (2n-2, n/2, 2) array that games_to_schedule scatters into the
-table.
+Every super-game kind of both builders is one table of day patterns over
+team roles: the four kinds here over (a1, a2, h1, h2) of an away and a
+home super-team, and odd.py's three right super-game shapes over six
+roles.  The super-games of one kind in a slot, or in one round of a group
+meeting, are a single gather from that table into a (days, games, 2) array
+of (visitor, host) games; a slot puts its blocks side by side along the
+game axis, and the slots stack into the (2n-2, n/2, 2) array that
+games_to_schedule scatters into the table.
 """
 
 from __future__ import annotations
@@ -93,10 +94,17 @@ def packing_chain(n: int, packing="auto") -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Super-game day patterns.  An away super-team (a1, a2) meets a home
-# super-team (h1, h2); each day lists its two (visitor, host) games as role
-# indices 0..3 into (a1, a2, h1, h2).
+# Super-game day patterns.  Each day lists its (visitor, host) games as role
+# indices.  In the four-role kinds an away super-team (a1, a2) meets a home
+# super-team (h1, h2): roles 0..3 are (a1, a2, h1, h2).  The six-role right
+# super-games of odd.py put a clean white (c1, c2) and a dirty white
+# (d1, d2) with R (r1, r2): roles 0..5 are (c1, c2, d1, d2, r1, r2).
 # ---------------------------------------------------------------------------
+
+_RIGHT_HOME = [
+    [(2, 0), (4, 1), (3, 5)], [(3, 0), (5, 1), (2, 4)],
+    [(0, 2), (1, 4), (5, 3)], [(0, 3), (1, 5), (4, 2)],
+]
 
 _PATTERNS = {
     kind: np.array(days)
@@ -110,25 +118,32 @@ _PATTERNS = {
             [(2, 3), (0, 1)], [(0, 2), (1, 3)], [(1, 2), (3, 0)],
             [(2, 0), (3, 1)], [(2, 1), (0, 3)], [(3, 2), (1, 0)],
         ],
+        # The clean white is at home on the first two days; c2 plays all
+        # four R games and each dirty team one R team twice.  right-away is
+        # the same days in reverse.
+        "right-home": _RIGHT_HOME,
+        "right-away": _RIGHT_HOME[::-1],
+        # The pair that closes the odd cycle: both whites pay.
+        "right-closing": [
+            [(0, 2), (4, 3), (1, 5)], [(1, 3), (5, 2), (0, 4)],
+            [(2, 0), (3, 4), (5, 1)], [(3, 1), (2, 5), (4, 0)],
+        ],
     }.items()
 }
 
 
-def _super_games(kind: str, supers: np.ndarray, matches) -> np.ndarray:
-    """Days of `kind` super-games as a (days, 2k, 2) array of (visitor, host) games.
-
-    `matches` holds k (away, home) 1-based labels into the (m, 2) array of
-    super-teams `supers`.
-    """
-    away, home = np.array(matches, dtype=np.intp).reshape(-1, 2).T - 1
-    roles = np.hstack([supers[away], supers[home]])
+def _games(kind: str, roles: np.ndarray) -> np.ndarray:
+    """Days of k `kind` super-games as a (days, games, 2) array of
+    (visitor, host) games, from the (k, roles) array of their teams."""
     pattern = _PATTERNS[kind]
     return roles[:, pattern].transpose(1, 0, 2, 3).reshape(len(pattern), -1, 2)
 
 
-def _merge(blocks) -> np.ndarray:
-    """One slot from blocks of equally many days: their games side by side."""
-    return np.concatenate(blocks, axis=1)
+def _super_games(kind: str, supers: np.ndarray, matches) -> np.ndarray:
+    """`_games` of four-role `kind` for k (away, home) 1-based labels into
+    the (m, 2) array of super-teams `supers`."""
+    away, home = np.array(matches, dtype=np.intp).reshape(-1, 2).T - 1
+    return _games(kind, np.hstack([supers[away], supers[home]]))
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +164,13 @@ def _circle_pairs(m: int, q: int) -> tuple[list[tuple[int, int]], int]:
     return pairs, partner
 
 
-def _group_home(j: int, q: int, g: int) -> bool:
-    """Home/away status of white j in slot q of a circle of g super-teams
-    (or groups), for the slots before the last one."""
-    if j == 1:
-        return True
-    if j == g - 1:
-        return False
-    init = j % 2 == 1
-    return init if q <= g - j else not init
+def _block_home(s: int, q: int) -> bool:
+    """Home/away status in slot q of a white that meets the fixed
+    super-team in slot s (before the last slot): a white meeting it in
+    slot 1 is away throughout, any other starts home iff s is odd and
+    flips after slot s.  In a circle of g super-teams (or groups) white j
+    meets it in slot g - j."""
+    return s != 1 and (s % 2 == 1) == (q <= s)
 
 
 def _dark_home_base(q: int) -> bool:
@@ -185,13 +198,13 @@ def _base_even_days(supers: np.ndarray) -> np.ndarray:
             # a left super-game afterwards, home on even slots.  White
             # super-games are always normal here.
             dark = (partner, m) if _dark_home_base(q) else (m, partner)
-            whites = [(j, i) if _group_home(i, q, m) else (i, j) for i, j in pairs]
-            slots.append(_merge([
+            whites = [(j, i) if _block_home(m - i, q) else (i, j) for i, j in pairs]
+            slots.append(np.concatenate([
                 _super_games("normal" if q == 1 else "left", supers, [dark]),
                 _super_games("normal", supers, whites),
-            ]))
+            ], axis=1))
         elif q == m - 2:
-            matches = [(j, i) if _group_home(i, q, m) else (i, j) for i, j in pairs + [(partner, m)]]
+            matches = [(j, i) if _block_home(m - i, q) else (i, j) for i, j in pairs + [(partner, m)]]
             slots.append(_super_games("penultimate", supers, matches))
         else:  # q == m - 1, the six-day slot
             # Home side: u_1 or the even-indexed white; u_m is always away.
@@ -226,8 +239,10 @@ def _packed_even_days(supers: np.ndarray, p: int, subchain: list[int]) -> np.nda
     for q in range(1, g - 1):
         pairs, partner = _circle_pairs(g, q)
         dark = (partner, g) if _dark_home_base(q) else (g, partner)
-        whites = [(j, i) if _group_home(i, q, g) else (i, j) for i, j in pairs]
-        slots.append(_merge([group_game(*dark, left=q > 1)] + [group_game(*w) for w in whites]))
+        whites = [(j, i) if _block_home(g - i, q) else (i, j) for i, j in pairs]
+        slots.append(np.concatenate(
+            [group_game(*dark, left=q > 1)] + [group_game(*w) for w in whites], axis=1
+        ))
 
     # Last group-slot: recursive sub-problems on 4p teams each.  Groups
     # ending the previous slot on a home game start away.
@@ -240,7 +255,7 @@ def _packed_even_days(supers: np.ndarray, p: int, subchain: list[int]) -> np.nda
         sub_supers[away_pos] = groups[away_grp - 1]
         sub_supers[~away_pos] = groups[home_grp - 1]
         sub_blocks.append(_build_even_days(sub_supers, subchain))
-    slots.append(_merge(sub_blocks))
+    slots.append(np.concatenate(sub_blocks, axis=1))
     return np.concatenate(slots)
 
 

@@ -5,6 +5,7 @@ from conftest import GOLDEN_N8
 from ttp2.errors import DomainError
 from ttp2.even import (
     _L,
+    _PATTERNS,
     _valid_packing,
     build_even_template,
     compute_L,
@@ -85,6 +86,20 @@ def test_packing_chains_unchanged_up_to_200():
         assert packing_chain(n) == _reference_descent(compute_L(n)[1])
         for p in valid_packings(n):
             assert packing_chain(n, p) == _reference_descent(p)
+
+
+def test_pattern_table_kinds_are_well_formed():
+    for kind, pattern in _PATTERNS.items():
+        roles = pattern.max() + 1
+        for day in pattern:  # every role plays exactly once a day
+            assert sorted(day.ravel().tolist()) == list(range(roles)), kind
+        games = [tuple(g) for g in pattern.reshape(-1, 2).tolist()]
+        assert len(set(games)) == len(games), kind  # no (visitor, host) repeats
+        opponent = np.empty((len(pattern), roles), dtype=int)
+        for d, day in enumerate(pattern):
+            opponent[d, day[:, 0]] = day[:, 1]
+            opponent[d, day[:, 1]] = day[:, 0]
+        assert not (opponent[1:] == opponent[:-1]).any(), kind  # no repeat next day
 
 
 def test_feasibility_sweep_all_packings():

@@ -20,8 +20,11 @@ def test_tight_extra_cost_is_5n_minus_20():
         assert total == n * (n - 2) + 5 * n - 20
 
 
+N_2_MOD_4 = range(10, 123, 4)
+
+
 def test_r_team_rhythms():
-    for n in (10, 14, 18):
+    for n in N_2_MOD_4:
         s = build_odd_template(n)
         m = n // 2
         r1, r2 = 2 * m - 2, 2 * m - 1
@@ -29,6 +32,27 @@ def test_r_team_rhythms():
             p1 = "".join("A" if s.is_away(r1, 4 * q + d) else "H" for d in range(4))
             p2 = "".join("A" if s.is_away(r2, 4 * q + d) else "H" for d in range(4))
             assert p1 == "AHHA" and p2 == "HAAH", (n, q, p1, p2)
+
+
+def test_whites_play_r_teams_zero_two_or_four_times_per_slot():
+    # Per right super-game: no games against R, both games against one R
+    # team (one home, one away), or all four.
+    for n in N_2_MOD_4:
+        s = build_odd_template(n)
+        m = n // 2
+        r_teams = {2 * m - 2, 2 * m - 1}
+        for q in range(m - 2):
+            for team in range(2 * m - 4):  # white teams
+                games = {
+                    (s.opponent(team, d), s.is_away(team, d))
+                    for d in range(4 * q, 4 * q + 4)
+                    if s.opponent(team, d) in r_teams
+                }
+                if len(games) == 2:
+                    assert len({o for o, _ in games}) == 1, (n, q, team, games)
+                    assert {a for _, a in games} == {True, False}, (n, q, team, games)
+                else:
+                    assert len(games) in (0, 4), (n, q, team, games)
 
 
 def test_final_block_pairs_partners_twice():
@@ -45,7 +69,7 @@ def test_final_block_pairs_partners_twice():
 
 def test_no_triple_runs_across_final_junction():
     # Joint check over the penultimate slot and the final six days.
-    for n in (10, 14, 18):
+    for n in range(10, 63, 4):
         s = build_odd_template(n)
         start = max(0, 2 * n - 14)
         for t in range(n):
@@ -93,7 +117,7 @@ def test_delta_breakdown_tight_profile():
 def test_whites_trips_stay_inside_normal_and_left_slots():
     # Teams outside the R super-team return home between four-day blocks
     # except in right super-games (where the final block absorbs leftovers).
-    for n in (10, 14):
+    for n in range(10, 63, 4):
         s = build_odd_template(n)
         m = n // 2
         for team in range(2 * m - 2):  # whites and both L teams
