@@ -11,15 +11,19 @@ the best packing.
 Every super-game kind of both builders is one table of day patterns over
 team roles: the four kinds here over (a1, a2, h1, h2) of an away and a
 home super-team, and odd.py's three right super-game shapes over six
-roles.  The super-games of one kind in a slot, or in one round of a group
-meeting, are a single gather from that table into a (days, games, 2) array
-of (visitor, host) games; a slot puts its blocks side by side along the
-game axis, and the slots stack into the (2n-2, n/2, 2) array that
+roles.  All slots of a circle but the closing ones are a single gather
+from that table over every (slot, round, meeting, super-team) into a
+(days, games, 2) array of (visitor, host) games; the fixed super-team's or
+group's left super-games are then written over its normal ones.  The
+penultimate and last base slots are one gather each, and the last group
+slot gathers the 4p-team sub-template, built once, from each meeting's
+teams.  The slots stack into the (2n-2, n/2, 2) array that
 games_to_schedule scatters into the table.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -134,9 +138,11 @@ _PATTERNS = {
 
 def _games(kind: str, roles: np.ndarray) -> np.ndarray:
     """Days of k `kind` super-games as a (days, games, 2) array of
-    (visitor, host) games, from the (k, roles) array of their teams."""
+    (visitor, host) games, from the (k, roles) array of their teams.  Axes
+    before k are rounds, played one after another."""
     pattern = _PATTERNS[kind]
-    return roles[:, pattern].transpose(1, 0, 2, 3).reshape(len(pattern), -1, 2)
+    days = roles[..., pattern].swapaxes(-4, -3)
+    return days.reshape(math.prod(days.shape[:-3]), math.prod(days.shape[-3:-1]), 2)
 
 
 def _super_games(kind: str, supers: np.ndarray, matches) -> np.ndarray:
@@ -188,28 +194,46 @@ def slot1_away_positions(m: int, chain: list[int]) -> list[int]:
     return sorted(out)
 
 
+def _meeting_slots(supers: np.ndarray, p: int, last: int) -> np.ndarray:
+    """Slots 1..last of the circle of g groups of p consecutive super-teams,
+    each p rounds of four days.  In round l super-team i of a meeting's
+    away group visits super-team i + l (mod p) of its home group.  Every
+    super-game is normal but the one ending the fixed group's meeting, a
+    left super-game after slot 1.  With p = 1 the groups are the
+    super-teams themselves, slots of the base construction."""
+    g = len(supers) // p
+    meetings = []
+    for q in range(1, last + 1):
+        pairs, partner = _circle_pairs(g, q)
+        dark = (partner, g) if _dark_home_base(q) else (g, partner)
+        meetings.append([dark] + [(j, i) if _block_home(g - i, q) else (i, j) for i, j in pairs])
+    first = (np.array(meetings, dtype=np.intp) - 1) * p
+    i = np.arange(p)
+    # The (away, home) super-teams of each (slot, round, meeting, i), then
+    # their (a1, a2, h1, h2) teams.
+    sides = np.empty((last, p, g // 2, p, 2), dtype=np.intp)
+    sides[..., 0] = first[:, None, :, :1] + i
+    sides[..., 1] = first[:, None, :, 1:] + (i + i[:, None, None]) % p
+    roles = supers[sides].reshape(last, p, -1, 4)
+    days = _games("normal", roles).reshape(last, 4 * p, -1, 2)
+    left = days[1:, -4:, : 2 * p]
+    left[...] = _games("left", roles[1:, -1, :p]).reshape(left.shape)
+    return days.reshape(last * 4 * p, -1, 2)
+
+
 def _base_even_days(supers: np.ndarray) -> np.ndarray:
     m = len(supers)
-    slots = []
-    for q in range(1, m):
-        pairs, partner = _circle_pairs(m, q)
-        if q <= m - 3:
-            # The super-game of the fixed super-team: normal in slot 1,
-            # a left super-game afterwards, home on even slots.  White
-            # super-games are always normal here.
-            dark = (partner, m) if _dark_home_base(q) else (m, partner)
-            whites = [(j, i) if _block_home(m - i, q) else (i, j) for i, j in pairs]
-            slots.append(np.concatenate([
-                _super_games("normal" if q == 1 else "left", supers, [dark]),
-                _super_games("normal", supers, whites),
-            ], axis=1))
-        elif q == m - 2:
-            matches = [(j, i) if _block_home(m - i, q) else (i, j) for i, j in pairs + [(partner, m)]]
-            slots.append(_super_games("penultimate", supers, matches))
-        else:  # q == m - 1, the six-day slot
-            # Home side: u_1 or the even-indexed white; u_m is always away.
-            matches = [(j, i) if i == 1 or i % 2 == 0 else (i, j) for i, j in pairs]
-            slots.append(_super_games("last", supers, matches + [(m, partner)]))
+    # Slot 1 holds normal super-games; slots 2..m-3 differ only in the
+    # fixed super-team's left super-game, home on even slots.
+    slots = [_meeting_slots(supers, 1, m - 3)]
+    pairs, partner = _circle_pairs(m, m - 2)
+    matches = [(j, i) if _block_home(m - i, m - 2) else (i, j) for i, j in pairs + [(partner, m)]]
+    slots.append(_super_games("penultimate", supers, matches))
+    # The six-day slot m - 1.  Home side: u_1 or the even-indexed white;
+    # u_m is always away.
+    pairs, partner = _circle_pairs(m, m - 1)
+    matches = [(j, i) if i == 1 or i % 2 == 0 else (i, j) for i, j in pairs]
+    slots.append(_super_games("last", supers, matches + [(m, partner)]))
     return np.concatenate(slots)
 
 
@@ -221,41 +245,21 @@ def _packed_even_days(supers: np.ndarray, p: int, subchain: list[int]) -> np.nda
     m = len(supers)
     g = m // p
     groups = supers.reshape(g, p, 2)
-    slots = []
+    slots = [_meeting_slots(supers, p, g - 2)]
 
-    def group_game(away_grp: int, home_grp: int, left: bool = False) -> np.ndarray:
-        # p rounds of 4 days; in round l super-team i of the away group visits
-        # super-team i + l of the home group, and a left game ends the meeting.
-        i = np.arange(p)
-        return np.concatenate([
-            _super_games(
-                "left" if left and l == p - 1 else "normal",
-                supers,
-                np.column_stack([(away_grp - 1) * p + i, (home_grp - 1) * p + (i + l) % p]) + 1,
-            )
-            for l in range(p)
-        ])
-
-    for q in range(1, g - 1):
-        pairs, partner = _circle_pairs(g, q)
-        dark = (partner, g) if _dark_home_base(q) else (g, partner)
-        whites = [(j, i) if _block_home(g - i, q) else (i, j) for i, j in pairs]
-        slots.append(np.concatenate(
-            [group_game(*dark, left=q > 1)] + [group_game(*w) for w in whites], axis=1
-        ))
-
-    # Last group-slot: recursive sub-problems on 4p teams each.  Groups
+    # Last group-slot: the sub-problem on 4p teams, one per meeting, built
+    # once on labels 0..4p-1 and gathered from each meeting's teams.  Groups
     # ending the previous slot on a home game start away.
     pairs, partner = _circle_pairs(g, g - 1)
+    meetings = np.array([(i, j) if i % 2 == 1 else (j, i) for i, j in pairs] + [(g, partner)]) - 1
     away_pos = np.zeros(2 * p, dtype=bool)
     away_pos[np.array(slot1_away_positions(2 * p, subchain)) - 1] = True
-    sub_blocks = []
-    for away_grp, home_grp in [(i, j) if i % 2 == 1 else (j, i) for i, j in pairs] + [(g, partner)]:
-        sub_supers = np.empty_like(supers, shape=(2 * p, 2))
-        sub_supers[away_pos] = groups[away_grp - 1]
-        sub_supers[~away_pos] = groups[home_grp - 1]
-        sub_blocks.append(_build_even_days(sub_supers, subchain))
-    slots.append(np.concatenate(sub_blocks, axis=1))
+    sub_supers = np.empty_like(supers, shape=(len(meetings), 2 * p, 2))
+    sub_supers[:, away_pos] = groups[meetings[:, 0]]
+    sub_supers[:, ~away_pos] = groups[meetings[:, 1]]
+    sub_days = _build_even_days(np.arange(4 * p).reshape(-1, 2), subchain)
+    last = sub_supers.reshape(len(meetings), -1)[:, sub_days].swapaxes(0, 1)
+    slots.append(last.reshape(len(sub_days), -1, 2))
     return np.concatenate(slots)
 
 

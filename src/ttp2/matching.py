@@ -80,7 +80,7 @@ def min_weight_perfect_matching(inst: Instance) -> Matching:
     gain[ti, tj] = gain[tj, ti] = [top - c for c in cost]
     tight |= tight.T
     mate, dual, blossoms = _blossom_on(gain, tight)
-    _certified_slack(gain, tight, mate, dual, blossoms)
+    _certified_slack(gain, tight, mate, dual, blossoms, full=False)
     pairs = tuple((i, j) for i, j in enumerate(mate) if i < j)
 
     weight = sum(inst.d(i, j) for i, j in pairs)
@@ -529,7 +529,7 @@ def _blossom(n: int, edges: list[tuple[int, int, int]]):
     return mate, dual, blossoms
 
 
-def _certified_slack(w, solved, mate, dual, blossoms) -> np.ndarray:
+def _certified_slack(w, solved, mate, dual, blossoms, full=True) -> np.ndarray | None:
     """Full slack of every vertex pair, after checking the optimality certificate.
 
     The full slack of (i, j) is dual_i + dual_j - 2 w_ij + 2 * (sum of the
@@ -542,6 +542,8 @@ def _certified_slack(w, solved, mate, dual, blossoms) -> np.ndarray:
     blossoms do not nest (the blossom algorithm's always do).  The slack of
     the pairs outside ``solved`` prices them: when w holds every pair and
     none has negative slack, the certificate holds on the complete graph.
+    With full=False only the pairs the certificate reads, those of
+    ``solved`` and the matched ones, get a slack, and None is returned.
     """
     n = len(w)
     if -1 in mate:
@@ -564,9 +566,20 @@ def _certified_slack(w, solved, mate, dual, blossoms) -> np.ndarray:
         held.append(held[outer] + z)
         inner[block] = len(held) - 1
     u = np.array(dual, dtype=object)
-    slack = u[:, None] + u[None, :] - 2 * w + 2 * np.array(held, dtype=object)[inner]
-    if (slack[solved] < 0).any():
+    held = np.array(held, dtype=object)
+
+    def slack_at(i, j):
+        return u[i] + u[j] - 2 * w[i, j] + 2 * held[inner[i, j]]
+
+    rows = np.arange(n)
+    if full:
+        slack = slack_at(rows[:, None], rows)
+        on_solved, on_matched = slack[solved], slack[rows, partner]
+    else:
+        slack = None
+        on_solved, on_matched = slack_at(*np.nonzero(solved)), slack_at(rows, partner)
+    if (on_solved < 0).any():
         raise AssertionError("an edge has negative slack")
-    if not (slack[np.arange(n), partner] == 0).all():
+    if not (on_matched == 0).all():
         raise AssertionError("a matched edge has positive slack")
     return slack

@@ -14,6 +14,7 @@ table and this matrix.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,30 +183,52 @@ def itinerary_of(s: Schedule, team: int) -> list[list[int]]:
 
 
 def render_schedule(s: Schedule) -> str:
-    """CSV with one row per team and cells +j / -j (1-based opponents)."""
-    return "".join(
-        ",".join(f"+{e}" if e > 0 else str(e) for e in row) + "\n" for row in s.table.tolist()
-    )
+    """CSV with one row per team and cells +j / -j (1-based opponents).
+
+    Each distinct value is formatted once, a cell of 0 as "0".
+    """
+    values, cells = np.unique(s.table, return_inverse=True)
+    labels = np.array([f"+{v}" if v > 0 else str(v) for v in values.tolist()], dtype=object)
+    return "\n".join(map(",".join, labels[cells].reshape(s.table.shape).tolist())) + "\n"
+
+
+# A cell: an optional sign and ASCII digits, with whitespace around them;
+# the integers np.loadtxt reads.
+_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def parse_schedule_csv(text: str) -> Schedule:
+    """Schedule from the CSV that render_schedule writes.
+
+    Blank lines are skipped; every other line is a team's row of 2n-2
+    comma-separated cells, each naming a team in -n..n (0 is read, and left
+    to validate_schedule).  Raises FormatError naming the first bad cell or
+    row.
+    """
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
         raise FormatError("empty schedule CSV")
-    table = []
-    for line in rows:
-        try:
-            table.append([int(cell) for cell in line.split(",")])
-        except ValueError as exc:
-            raise FormatError(f"bad cell in line {line!r}") from exc
-    n = len(table)
-    if any(len(r) != 2 * n - 2 for r in table):
-        raise FormatError("rows do not all have 2n-2 entries")
+    n = len(rows)
     try:
-        t = np.array(table, dtype=np.int64)
-    except OverflowError as exc:
-        raise FormatError(f"a cell names no team of {n}") from exc
-    bad = np.flatnonzero((t > n) | (t < -n))
-    if bad.size:
-        raise FormatError(f"cell {t.flat[bad[0]]:+d} names no team of {n}")
+        t = np.loadtxt(rows, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        t = None
+    if t is None or t.shape[1] != 2 * n - 2 or ((t > n) | (t < -n)).any():
+        raise FormatError(_csv_error(text, n))
     return Schedule(n=n, table=t)
+
+
+def _csv_error(text: str, n: int) -> str:
+    """The first fault of a CSV of n rows that parse_schedule_csv rejects."""
+    for line, row in enumerate(text.splitlines(), 1):
+        if not row.strip():
+            continue
+        cells = row.split(",")
+        for column, cell in enumerate(cells, 1):
+            if not _CELL.fullmatch(cell):
+                return f"bad cell {cell.strip()!r} (line {line}, column {column})"
+            if abs(int(cell)) > n:
+                return f"cell {int(cell):+d} names no team of {n} (line {line}, column {column})"
+        if len(cells) != 2 * n - 2:
+            return f"line {line} has {len(cells)} cells; {n} teams need {2 * n - 2}"
+    return "malformed schedule CSV"

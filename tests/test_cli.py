@@ -148,6 +148,16 @@ def test_validate_rejects_cell_naming_no_team(tmp_path, capsys):
     assert f"error: {csv_path}: cell +9 names no team of 4" in capsys.readouterr().err
 
 
+def test_validate_names_the_malformed_cell(tmp_path, capsys):
+    csv_path = tmp_path / "bad4.schedule.csv"
+    csv_path.write_text("+2,-3,-4,+3,+4,-2\n-1,+4,+3,-4,-3,+1\n+4,+1,x2,-1,+2,-4\n-3,-2,+1,+2,-1,+3\n")
+    path = write_inst(tmp_path, "tight4.txt", tight_instance(4))
+    assert main(["validate", str(csv_path), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {csv_path}: bad cell 'x2' (line 3, column 3)" in captured.err
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_validate_rejects_k_below_one(tmp_path, capsys, golden_n8, k):
     csv_path = tmp_path / "golden8.schedule.csv"

@@ -157,3 +157,21 @@ def test_certificate_rejects_blossoms_that_do_not_nest():
     matching._certified_slack(w, solved, mate, dual, [(1, [0, 1, 2])])
     with pytest.raises(AssertionError, match="nest"):
         matching._certified_slack(w, solved, mate, dual, [(1, [0, 1, 2]), (1, [0, 1, 4])])
+
+
+def test_tie_break_certificate_checks_the_tight_pairs(monkeypatch):
+    # The tie-break solve is certified on its tight and matched pairs only,
+    # and a corrupted dual still fails that certificate.
+    real = matching._certified_slack
+    calls = []
+
+    def spy(w, solved, mate, dual, blossoms, full=True):
+        calls.append(full)
+        if not full:
+            dual = [dual[0] + 2, *dual[1:]]
+        return real(w, solved, mate, dual, blossoms, full=full)
+
+    monkeypatch.setattr(matching, "_certified_slack", spy)
+    with pytest.raises(AssertionError, match="slack"):
+        min_weight_perfect_matching(random_metric_instance(16, 1))
+    assert calls[-1] is False and all(calls[:-1])

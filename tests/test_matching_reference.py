@@ -115,18 +115,23 @@ def test_certificate_rejects_corrupted_duals():
     mate, dual, blossoms = _blossom(6, edges)
     assert blossoms  # this instance needs a blossom of positive dual
     gain, solved = top - w, ~np.eye(6, dtype=bool)
-    assert not (_certified_slack(gain, solved, mate, dual, blossoms)[solved] < 0).any()
-
-    for v, step in ((0, 2), (0, -2), (5, 1)):
-        bad = list(dual)
-        bad[v] += step
+    # full=False is the tie-break's certificate, on the pairs it reads only.
+    for full in (True, False):
+        slack = _certified_slack(gain, solved, mate, dual, blossoms, full=full)
+        if full:
+            assert not (slack[solved] < 0).any()
+        else:
+            assert slack is None
+        for v, step in ((0, 2), (0, -2), (5, 1)):
+            bad = list(dual)
+            bad[v] += step
+            with pytest.raises(AssertionError, match="slack"):
+                _certified_slack(gain, solved, mate, bad, blossoms, full=full)
+        (z, leaves), *rest = blossoms
         with pytest.raises(AssertionError, match="slack"):
-            _certified_slack(gain, solved, mate, bad, blossoms)
-    (z, leaves), *rest = blossoms
-    with pytest.raises(AssertionError, match="slack"):
-        _certified_slack(gain, solved, mate, dual, [(z + 1, leaves), *rest])
-    one_per_pair = [v for v in range(6) if v < mate[v]]
-    with pytest.raises(AssertionError, match="not full"):
-        _certified_slack(gain, solved, mate, dual, [*blossoms, (1, one_per_pair)])
-    with pytest.raises(AssertionError, match="not perfect"):
-        _certified_slack(gain, solved, [-1] * 6, dual, blossoms)
+            _certified_slack(gain, solved, mate, dual, [(z + 1, leaves), *rest], full=full)
+        one_per_pair = [v for v in range(6) if v < mate[v]]
+        with pytest.raises(AssertionError, match="not full"):
+            _certified_slack(gain, solved, mate, dual, [*blossoms, (1, one_per_pair)], full=full)
+        with pytest.raises(AssertionError, match="not perfect"):
+            _certified_slack(gain, solved, [-1] * 6, dual, blossoms, full=full)

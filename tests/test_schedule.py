@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttp2.errors import FormatError
 from ttp2.instance import Instance
@@ -137,6 +141,132 @@ def test_render_roundtrip_brute_force_and_construction():
 def test_parse_schedule_rejects_garbage():
     with pytest.raises(FormatError):
         parse_schedule_csv("+1,bogus\n")
+
+
+_ROWS_N4 = [",".join(f"+{e}" if e > 0 else str(e) for e in row) for row in HAND_N4.tolist()]
+
+
+def _n4_csv(third_row=None, sep="\n"):
+    rows = list(_ROWS_N4)
+    if third_row is not None:
+        rows[2] = third_row
+    return sep.join(rows) + sep
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(_n4_csv(), id="plain"),
+        pytest.param(_n4_csv().rstrip("\n"), id="no-final-newline"),
+        pytest.param(_n4_csv(sep="\r\n"), id="crlf"),
+        pytest.param(_n4_csv(sep="\r"), id="cr"),
+        pytest.param(_n4_csv().replace("\n", "\n\n  \t\n", 1), id="blank-lines-between-rows"),
+        pytest.param("\n" + _n4_csv() + "\n \n", id="blank-lines-around"),
+        pytest.param(_n4_csv().replace(",", " , ").replace("\n", " \n"), id="spaces-around-cells"),
+        pytest.param(_n4_csv().replace(",", "\t,"), id="tabs-around-cells"),
+        pytest.param(_n4_csv().replace("+", ""), id="unsigned-positive-cells"),
+    ],
+)
+def test_parse_schedule_accepts(text):
+    assert np.array_equal(parse_schedule_csv(text).table, HAND_N4)
+
+
+def test_parse_schedule_keeps_a_zero_cell_for_validation():
+    s = parse_schedule_csv(_n4_csv("0,+1,-2,-1,+2,-4"))
+    assert s.table[2, 0] == 0
+    assert not validate_schedule(s).feasible
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("", "empty schedule CSV", id="empty"),
+        pytest.param(" \n\n\t\r\n", "empty schedule CSV", id="blank-only"),
+        pytest.param(_n4_csv("+4,+1,-2,-1,+2,-4,+3"), "line 3", id="long-row"),
+        pytest.param(_n4_csv("+4,+1,-2,-1,+2"), "line 3", id="short-row"),
+        pytest.param(_n4_csv().replace("-2\n", "-2,\n", 1), "line 1", id="trailing-comma"),
+        pytest.param("+1,-1\n-1,+1\n+1,-1\n", "3 teams", id="wrong-column-count"),
+        pytest.param(_n4_csv("+5,+1,-2,-1,+2,-4"), "cell +5 names no team of 4", id="cell-n-plus-1"),
+        pytest.param(_n4_csv("-5,+1,-2,-1,+2,-4"), "cell -5 names no team of 4", id="cell-minus-n-minus-1"),
+        pytest.param(
+            _n4_csv("+1234567890123456789012345,+1,-2,-1,+2,-4"),
+            "cell +1234567890123456789012345 names no team of 4",
+            id="25-digit-token",
+        ),
+        pytest.param(
+            _n4_csv("-9223372036854775809,+1,-2,-1,+2,-4"),
+            "cell -9223372036854775809 names no team of 4",
+            id="below-int64",
+        ),
+        pytest.param(_n4_csv("#,+1,-2,-1,+2,-4"), "'#'", id="hash-cell"),
+        pytest.param(_n4_csv("+4 # home,+1,-2,-1,+2,-4"), "'+4 # home'", id="hash-comment"),
+        pytest.param(_n4_csv("1_000,+1,-2,-1,+2,-4"), "1_000", id="underscore-1_000"),
+        # int() reads these two as 4; the CSV grammar takes ASCII digits only.
+        pytest.param(_n4_csv("+0_4,+1,-2,-1,+2,-4"), "'+0_4'", id="underscore-in-range"),
+        pytest.param(_n4_csv("+\u0664,+1,-2,-1,+2,-4"), "line 3, column 1", id="arabic-indic-digit"),
+        pytest.param(_n4_csv("4.0,+1,-2,-1,+2,-4"), "'4.0'", id="float-cell"),
+        pytest.param(_n4_csv(",+1,-2,-1,+2,-4"), "line 3, column 1", id="empty-cell"),
+        pytest.param(_n4_csv("++4,+1,-2,-1,+2,-4"), "'++4'", id="double-sign"),
+        pytest.param(_n4_csv().replace(",", ";"), "line 1", id="semicolons"),
+    ],
+)
+def test_parse_schedule_rejects(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_schedule_csv(text)
+    assert message in str(exc.value)
+
+
+def test_parse_schedule_names_the_line_of_a_bad_cell():
+    # Blank lines count: the bad cell is on the fourth line of the text.
+    with pytest.raises(FormatError, match=r"cell \+5 names no team of 4 \(line 4, column 2\)"):
+        parse_schedule_csv(_n4_csv().replace("\n", "\n\n", 1).replace("+4,+1,-2", "+4,+5,-2"))
+
+
+def test_render_formats_zero_and_cells_beyond_n():
+    table = [[0, 5, -7, 0], [2**62, -(2**63), 1, 2**62], [-1, 0, 2, -1]]
+    assert render_schedule(Schedule(n=3, table=table)) == (
+        "0,+5,-7,0\n+4611686018427387904,-9223372036854775808,+1,+4611686018427387904\n-1,0,+2,-1\n"
+    )
+
+
+# sha256 of the rendered CSV of every digest template, in the order of
+# tests/test_template_digest.py.
+RENDERED_TEMPLATES_SHA256 = "ae2874404c30d1a2d552896142094996f2a4d6ee7e0f6800c0260236223851fb"
+
+
+def test_rendered_templates_unchanged_up_to_122():
+    from ttp2.even import build_even_template, compute_L
+    from ttp2.odd import build_odd_template
+
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(8, 123, 2):
+        if n % 4 == 0:
+            templates = [build_even_template(n, p) for p in compute_L(n)[2]]
+        else:
+            templates = [build_odd_template(n)] if n >= 10 else []
+        for template in templates:
+            text = render_schedule(template)
+            assert np.array_equal(parse_schedule_csv(text).table, template.table)
+            digest.update(text.encode())
+            count += 1
+    assert count == 110
+    assert digest.hexdigest() == RENDERED_TEMPLATES_SHA256
+
+
+@st.composite
+def _in_range_tables(draw):
+    n = draw(st.integers(2, 12))
+    cells = draw(st.lists(st.integers(-n, n), min_size=n * (2 * n - 2), max_size=n * (2 * n - 2)))
+    return Schedule(n=n, table=np.array(cells, dtype=np.int64).reshape(n, 2 * n - 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=_in_range_tables())
+def test_parse_of_render_gives_the_table(s):
+    again = parse_schedule_csv(render_schedule(s))
+    assert again.n == s.n
+    assert np.array_equal(again.table, s.table)
 
 
 def test_validator_relabeling_invariant(golden_n8):
