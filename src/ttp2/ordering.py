@@ -30,7 +30,12 @@ state, built once per TravelCoefficients and Instance.
 Each pass gathers P once and keeps it current in place: an accepted move
 permutes its touched rows and columns in O(n).  Both passes share one
 first-improvement loop that visits moves in the order of a pair-by-pair
-sweep, so the trajectory is that of the sweep.  The kernel runs in one of
+sweep, so the trajectory is that of the sweep.  After each evaluation one
+array scan finds the first move whose delta is below -slack (see below);
+only the negative deltas before it are looked at one by one.  `polish`
+alternates the passes and stops at the first pass, after the first, that
+finds no move: each pass ends at a local optimum of its own rule, so the
+vector is then a local optimum of both.  The kernel runs in one of
 three tiers, set by the bound 4 * sum(c) * max(d) on its partial sums.
 Integer instances below 2**53 run it in float64, on BLAS, and below 2**63
 in int64; both are exact.  All others run it in float64 with a proven
@@ -43,6 +48,7 @@ is accepted only when its exact delta is proven negative.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -124,7 +130,7 @@ def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int
     """
     perm = np.array(bind)
     weights = _search_state(coeffs, inst).weights
-    tot = (coeffs.c * weights[np.ix_(perm, perm)]).sum()  # every travel is counted from both ends
+    tot = (coeffs.c * weights.take(perm, 0).take(perm, 1)).sum()  # every travel is counted from both ends
     return int(tot) // 2 if inst.integral else float(tot) / 2
 
 
@@ -246,17 +252,25 @@ def derandomize(
 # Swap local search.
 # ---------------------------------------------------------------------------
 
+# Move q gives labels src[q][r] the teams of labels src[q][order[r]].
+_SWAP_ORDER = [2, 3, 0, 1]
+_FLIP_ORDER = [1, 0]
+
+
 @functools.lru_cache(maxsize=16)
-def _pass_moves(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _pass_moves(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The labels each move of a pass moves, one row per move in sweep order.
 
-    Returns the slot swaps (2i, 2i+1, 2j, 2j+1), i < j, and the in-slot
-    flips (2i, 2i+1); read-only, as calls share them.
+    Returns (src, dst) of the slot swaps, src = (2i, 2i+1, 2j, 2j+1) for
+    i < j, and of the in-slot flips, src = (2i, 2i+1); dst = src[:, order]
+    holds the labels whose teams they take.  Read-only, as calls share them.
     """
     i, j = np.triu_indices(m, 1)
     x = 2 * np.arange(m)
-    moves = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1), np.stack([x, x + 1], axis=1)
-    for a in moves:
+    swaps = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
+    flips = np.stack([x, x + 1], axis=1)
+    moves = (swaps, swaps[:, _SWAP_ORDER]), (flips, flips[:, _FLIP_ORDER])
+    for a in itertools.chain(*moves):
         a.setflags(write=False)
     return moves
 
@@ -432,87 +446,104 @@ def _check_deltas(deltas, state: _SearchState, bind, src, order) -> None:
     """debug_check: each move's exact delta against an exact recomputation,
     and its kernel delta within `slack` of it (equal in the exact tiers)."""
     W, scale = state.inst.exact_weights
-    before = (state.c * W[np.ix_(bind, bind)]).sum()
+    before = (state.c * W.take(bind, 0).take(bind, 1)).sum()
     for q, s in enumerate(src):
         new = bind.copy()
         new[s] = bind[s[order]]
-        after = (state.c * W[np.ix_(new, new)]).sum()  # both totals count every travel twice
+        after = (state.c * W.take(new, 0).take(new, 1)).sum()  # both totals count every travel twice
         delta = _exact_move_delta(state, bind, s, order)
         assert 2 * delta == after - before, "move delta disagrees with recomputation"
         error = abs(Fraction(deltas[q].item()) - Fraction(delta, scale))
         assert error <= state.slack, "kernel delta is further than slack from the exact delta"
 
 
-def _first_improvement(bind, coeffs, inst, kernel, src, order, debug_check):
+def _first_improvement(bind, coeffs, inst, kernel, moves, order, debug_check):
     """The first-improvement loop of both passes; returns (bind, improved).
 
-    Move q gives labels src[q][r] the teams of labels src[q][order[r]],
-    moves in sweep order.  `kernel` evaluates every move on the current
-    P = dist[bind][:, bind] at once.  P is gathered once per pass and kept
-    current in place: an accepted move permutes its touched rows, then its
-    touched columns, in O(n).  The loop takes the first negative delta at
-    or after the last accepted move, applies it and evaluates again.  A
-    sweep that reaches the end starts over from move 0 if it accepted a
-    move, and ends the pass if not.  A negative delta is only a proposal:
-    it is accepted at once below -slack, which proves the exact delta
-    negative (slack is 0 in the exact tiers), and otherwise only if its
-    exact delta is negative.  So the exact total falls with every move and
-    the search cannot cycle.  The caller's vector is left as it was.
+    Move q gives labels src[q][r] the teams of labels dst[q][r] =
+    src[q][order[r]], moves in sweep order.  `kernel` evaluates every move
+    on the current P = dist[bind][:, bind] at once.  P is gathered once per
+    pass and kept current in place: an accepted move permutes its touched
+    rows, then its touched columns, in O(n).  The loop takes the first
+    accepted move at or after the one after the last accepted move,
+    applies it and evaluates again; after the last move of the sweep it
+    goes on from move 0.  A scan that finds no move ends the pass if it
+    began at move 0, and starts over from move 0 if not.
+
+    One array scan finds the first move whose delta lies below -slack,
+    which proves its exact delta negative (slack is 0 in the exact
+    tiers).  The negative deltas before it, within slack of zero, are only
+    proposals: in sweep order, the first whose exact delta is negative is
+    accepted instead.  So the exact total falls with every move and the
+    search cannot cycle.  The caller's vector is left as it was.
     """
     bind = np.array(bind)
     state = _search_state(coeffs, inst)
-    dst = src[:, order]
-    P = state.dist[np.ix_(bind, bind)]
+    src, dst = moves
+    P = state.dist.take(bind, 0).take(bind, 1)
     sure = -state.slack
 
     def evaluate():
         deltas = kernel(state.blocks, P)
         if debug_check:
-            assert np.array_equal(P, state.dist[np.ix_(bind, bind)]), "P is not dist[bind][:, bind]"
+            assert np.array_equal(P, state.dist.take(bind, 0).take(bind, 1)), "P is not dist[bind][:, bind]"
             _check_deltas(deltas, state, bind, src, order)
         return deltas
 
+    def first_accepted(deltas, start):
+        """The first move at or after `start` to accept; len(deltas) if none."""
+        below = deltas[start:] < sure
+        q = start + int(below.argmax())
+        if not below[q - start]:
+            q = len(deltas)
+        if state.slack:  # the proposals before q, within slack of zero
+            for p in (start + (deltas[start:q] < 0).nonzero()[0]).tolist():
+                if _exact_move_delta(state, bind, src[p], order) < 0:
+                    return p
+        return q
+
     deltas = evaluate()
-    start, improved, swept = 0, False, False
+    start, improved = 0, False
     while True:
-        proposed = start + (deltas[start:] < 0).nonzero()[0]
-        q = next(
-            (q for q in proposed if deltas[q] < sure or _exact_move_delta(state, bind, src[q], order) < 0),
-            None,
-        )
-        if q is None:
-            if not swept:
+        q = first_accepted(deltas, start)
+        if q == len(deltas):
+            if start == 0:
                 return bind, improved
-            start, swept = 0, False
+            start = 0
             continue
         s, t = src[q], dst[q]
-        bind[s] = bind[t]
-        P[s] = P[t]
-        P[:, s] = P[:, t]
+        bind[s] = bind.take(t)
+        P[s] = P.take(t, 0)
+        P[:, s] = P.take(t, 1)
         deltas = evaluate()
-        start, improved, swept = q + 1, True, True
+        start, improved = (q + 1) % len(deltas), True
 
 
 def swap_super_teams_pass(bind, coeffs: TravelCoefficients, inst: Instance, debug_check: bool = False):
     """One full first-improvement sweep over all slot pairs, repeated while
     a sweep improves; returns (bind, improved)."""
-    src = _pass_moves(len(bind) // 2)[0]
-    return _first_improvement(bind, coeffs, inst, _swap_deltas, src, [2, 3, 0, 1], debug_check)
+    moves = _pass_moves(len(bind) // 2)[0]
+    return _first_improvement(bind, coeffs, inst, _swap_deltas, moves, _SWAP_ORDER, debug_check)
 
 
 def swap_within_pass(bind, coeffs: TravelCoefficients, inst: Instance, debug_check: bool = False):
     """First-improvement sweep flipping team order inside each super-team;
     returns (bind, improved)."""
-    src = _pass_moves(len(bind) // 2)[1]
-    return _first_improvement(bind, coeffs, inst, _flip_deltas, src, [1, 0], debug_check)
+    moves = _pass_moves(len(bind) // 2)[1]
+    return _first_improvement(bind, coeffs, inst, _flip_deltas, moves, _FLIP_ORDER, debug_check)
 
 
 def polish(bind, coeffs: TravelCoefficients, inst: Instance) -> np.ndarray:
-    """Alternate the two swapping rules until neither improves."""
-    while True:
-        bind, a = swap_super_teams_pass(bind, coeffs, inst)
-        bind, b = swap_within_pass(bind, coeffs, inst)
-        if not (a or b):
+    """Alternate the two swapping rules, starting with slot swaps; stops at
+    the first pass, after the first, that finds no move.
+
+    A pass ends at a local optimum of its own rule and an idle pass leaves
+    the vector as it was, so the vector is then a local optimum of both.
+    """
+    bind, _ = swap_super_teams_pass(bind, coeffs, inst)
+    for rule in itertools.cycle((swap_within_pass, swap_super_teams_pass)):
+        bind, improved = rule(bind, coeffs, inst)
+        if not improved:
             return bind
 
 

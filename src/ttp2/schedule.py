@@ -185,11 +185,19 @@ def itinerary_of(s: Schedule, team: int) -> list[list[int]]:
 def render_schedule(s: Schedule) -> str:
     """CSV with one row per team and cells +j / -j (1-based opponents).
 
-    Each distinct value is formatted once, a cell of 0 as "0".
+    Cells in -n..n, a cell of 0 included, take their text from one table
+    of the 2n+1 labels; a cell outside that range is formatted on its own.
     """
-    values, cells = np.unique(s.table, return_inverse=True)
-    labels = np.array([f"+{v}" if v > 0 else str(v) for v in values.tolist()], dtype=object)
-    return "\n".join(map(",".join, labels[cells].reshape(s.table.shape).tolist())) + "\n"
+    n, t = s.n, s.table
+    labels = np.array([_cell_text(v) for v in range(-n, n + 1)], dtype=object)
+    text = labels[np.clip(t, -n, n) + n]
+    for r, c in np.argwhere((t < -n) | (t > n)).tolist():
+        text[r, c] = _cell_text(int(t[r, c]))
+    return "\n".join(map(",".join, text.tolist())) + "\n"
+
+
+def _cell_text(v: int) -> str:
+    return f"+{v}" if v > 0 else str(v)
 
 
 # A cell: an optional sign and ASCII digits, with whitespace around them;

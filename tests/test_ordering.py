@@ -507,7 +507,7 @@ def test_kernel_deltas_within_rounding_slack(n, seed, kind):
     P = state.dist[np.ix_(bind, bind)]
     scale = inst.exact_weights[1]
     m = n // 2
-    swaps, flips = ordering._pass_moves(m)
+    (swaps, _), (flips, _) = ordering._pass_moves(m)
     for kernel, src, order in ((_swap_deltas, swaps, [2, 3, 0, 1]), (_flip_deltas, flips, [1, 0])):
         deltas = kernel(state.blocks, P)
         assert len(deltas) == len(src)
@@ -541,3 +541,74 @@ def test_slack_filter_skips_exact_deltas_and_keeps_the_search(monkeypatch):
     assert polished() == filtered
     proposals = len(calls)
     assert proposals > 100 and filtered_calls * 20 < proposals
+
+
+def _polish_by_rounds(bind, coeffs, inst):
+    """The reference stop rule: alternate whole swap-then-flip rounds until
+    a round in which neither pass improves."""
+    while True:
+        bind, a = swap_super_teams_pass(bind, coeffs, inst)
+        bind, b = swap_within_pass(bind, coeffs, inst)
+        if not (a or b):
+            return bind
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("n", [12, 14, 24])
+def test_polish_stop_rule_keeps_the_vectors_of_the_round_loop(n, tier):
+    inst = _tier_instance(n, 7, tier)
+    matching = min_weight_perfect_matching(inst)
+    _, coeffs = _template_and_coeffs(n)
+    for seed in range(8):
+        b = binding_vector(matching, random_ordering(n // 2, seed))
+        assert polish(b, coeffs, inst).tolist() == _polish_by_rounds(b, coeffs, inst).tolist()
+
+
+def test_polish_runs_no_pass_after_an_idle_one(monkeypatch):
+    log = []
+    for name in ("swap_super_teams_pass", "swap_within_pass"):
+
+        def spy(*args, _rule=getattr(ordering, name), _name=name):
+            bind, improved = _rule(*args)
+            log.append((_name, improved))
+            return bind, improved
+
+        monkeypatch.setattr(ordering, name, spy)
+    n = 24
+    inst = random_metric_instance(n, 3)
+    matching = min_weight_perfect_matching(inst)
+    _, coeffs = _template_and_coeffs(n)
+    for seed in range(10):
+        log.clear()
+        polish(binding_vector(matching, random_ordering(n // 2, seed)), coeffs, inst)
+        rules = ["swap_super_teams_pass", "swap_within_pass"] * len(log)
+        assert [name for name, _ in log] == rules[: len(log)]
+        # Only the first pass may be idle without ending the search.
+        assert [k for k, (_, improved) in enumerate(log) if k and not improved] == [len(log) - 1]
+
+
+@pytest.mark.parametrize("rule", ["swap", "flip"])
+def test_pass_accepts_the_last_move_of_a_sweep(rule, monkeypatch):
+    """A vector whose only improving move is the sweep's last: the pass
+    accepts it, goes on from move 0, finds nothing and ends."""
+    n = 10
+    inst = random_metric_instance(n, 1)
+    matching = min_weight_perfect_matching(inst)
+    _, coeffs = _template_and_coeffs(n)
+    best = polish(binding_vector(matching, random_ordering(n // 2, 0)), coeffs, inst)
+    # The last swap trades slots m-2 and m-1, the last flip the two teams of slot m-1.
+    if rule == "swap":
+        kernel, run, src, dst = _swap_deltas, swap_super_teams_pass, [6, 7, 8, 9], [8, 9, 6, 7]
+    else:
+        kernel, run, src, dst = _flip_deltas, swap_within_pass, [8, 9], [9, 8]
+    start = best.copy()
+    start[src] = best[dst]  # one step from `best`, by the last move
+    state = _search_state(coeffs, inst)
+    deltas = kernel(state.blocks, state.dist[np.ix_(start, start)])
+    assert np.flatnonzero(deltas < 0).tolist() == [len(deltas) - 1]
+
+    evaluations = []
+    monkeypatch.setattr(ordering, kernel.__name__, lambda *args: evaluations.append(1) or kernel(*args))
+    bind, improved = run(start.tolist(), coeffs, inst, debug_check=True)
+    assert improved and bind.tolist() == best.tolist()
+    assert len(evaluations) == 2  # before and after the one accepted move

@@ -227,6 +227,7 @@ def test_render_formats_zero_and_cells_beyond_n():
     assert render_schedule(Schedule(n=3, table=table)) == (
         "0,+5,-7,0\n+4611686018427387904,-9223372036854775808,+1,+4611686018427387904\n-1,0,+2,-1\n"
     )
+    assert render_schedule(Schedule(n=1, table=np.zeros((1, 0), dtype=np.int64))) == "\n"
 
 
 # sha256 of the rendered CSV of every digest template, in the order of
