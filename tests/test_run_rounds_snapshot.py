@@ -19,7 +19,7 @@ from ttp2.instance import Instance
 from ttp2.matching import min_weight_perfect_matching
 from ttp2.odd import build_odd_template
 from ttp2.oracle import random_metric_instance
-from ttp2.ordering import TeamOrdering, run_rounds
+from ttp2.ordering import TeamOrdering, extract_coefficients, run_rounds
 
 RUN_ROUNDS_SNAPSHOT = [
     (18, (8, 0, 6, 1, 5, 2, 4, 7, 3), (1, 0, 0, 0, 0, 1, 0, 1, 0), 201978),
@@ -91,5 +91,66 @@ def test_run_rounds_wide_snapshot(n, kind, x, derandomized, sigma, pi, total):
     ordering, _, report = run_rounds(
         inst, template, matching, x=x, base_seed=0, include_derandomized=derandomized
     )
+    assert ordering == TeamOrdering(sigma=sigma, pi=pi)
+    assert report.total == total
+
+
+# Three rounds from seed 0 on random_metric_instance(n, n) in each band of the
+# kernel bound 4 * sum(c) * max(d) that once had its own arithmetic: below
+# 2**53, from 2**53 to 2**63, above 2**63, and real-valued (sqrt).  The
+# integer instances are scaled against 8n(2n-1) * max(d), the bound for any
+# template.  The values were produced while the middle band ran on int64.
+RUN_ROUNDS_TIER_SNAPSHOT = [
+    (14, "below-2**53", (0, 1, 6, 2, 5, 4, 3), (0, 0, 0, 0, 0, 1, 1), 334123154532000),
+    (14, "2**53-2**63", (0, 1, 6, 2, 5, 4, 3), (0, 0, 0, 0, 0, 1, 1), 10691940945923200),
+    (14, "above-2**63", (0, 1, 6, 2, 5, 4, 3), (0, 0, 0, 0, 0, 1, 1), 684284220542007200),
+    (14, "real", (0, 1, 6, 2, 5, 4, 3), (0, 0, 0, 0, 0, 1, 1), 5477.360636154191),
+    (
+        24,
+        "below-2**53",
+        (6, 10, 9, 5, 7, 4, 1, 2, 3, 11, 8, 0),
+        (0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1),
+        294097025481621,
+    ),
+    (
+        24,
+        "2**53-2**63",
+        (6, 10, 9, 5, 7, 4, 1, 2, 3, 11, 8, 0),
+        (0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1),
+        9411104816073646,
+    ),
+    (
+        24,
+        "above-2**63",
+        (6, 10, 9, 5, 7, 4, 1, 2, 3, 11, 8, 0),
+        (0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1),
+        602310708232683988,
+    ),
+    (
+        24,
+        "real",
+        (9, 11, 4, 1, 2, 6, 10, 7, 3, 5, 0, 8),
+        (0, 1, 0, 0, 1, 1, 1, 0, 1, 1, 1, 1),
+        15768.647870227898,
+    ),
+]
+
+_BANDS = {"below-2**53": (0, 2**53), "2**53-2**63": (2**53, 2**63), "above-2**63": (2**63, 2**64)}
+
+
+@pytest.mark.parametrize("n, tier, sigma, pi, total", RUN_ROUNDS_TIER_SNAPSHOT)
+def test_run_rounds_tier_snapshot(n, tier, sigma, pi, total):
+    inst = random_metric_instance(n, n)
+    template = build_odd_template(n) if n % 4 else build_even_template(n, packing_chain(n))
+    if tier == "real":
+        inst = Instance(n=n, dist=np.sqrt(inst.dist), integral=False)
+    else:
+        unit = 4 * 2 * n * (2 * n - 1) * int(inst.dist.max())
+        scale = {"below-2**53": (2**53 - 1) // unit, "2**53-2**63": 2**58 // unit, "above-2**63": 2**64 // unit}
+        inst = Instance(n=n, dist=inst.dist * scale[tier])
+        lo, hi = _BANDS[tier]
+        assert lo < 4 * int(extract_coefficients(template).c.sum()) * int(inst.dist.max()) < hi
+    matching = min_weight_perfect_matching(inst)
+    ordering, _, report = run_rounds(inst, template, matching, x=3, base_seed=0)
     assert ordering == TeamOrdering(sigma=sigma, pi=pi)
     assert report.total == total
