@@ -5,10 +5,11 @@ alternates two first-improvement sweeps until neither helps: swapping the
 positions of two super-teams, and swapping the two teams inside one
 super-team.  Both keep the matching pairing intact.  Deltas come from the
 travel-count linear form: after every accepted move, the whole
-neighbourhood of the current rule is evaluated in one array pass.
-Integer instances whose bound 4 * sum(c) * max(d) fits in int64 use int64;
-all others use float64 only to propose moves, each confirmed by its exact
-delta in Python integers before it is taken.
+neighbourhood of the current rule is evaluated in float64 in one array
+pass.  This instance has small integer distances, so it is `float_exact`
+and every float64 delta is exact.  On other instances a move is taken
+when its float64 delta lies below a proven rounding bound, or, within
+that bound of zero, when its exact delta in Python integers is negative.
 """
 
 from ttp2 import (

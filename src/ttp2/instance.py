@@ -45,6 +45,16 @@ class Instance:
         return self.dist[i, j].item()
 
     @functools.cached_property
+    def float_exact(self) -> bool:
+        """Whether float64 computes every total and swap delta exactly.
+
+        True for integer distances with travel_bound(n, max(d)) below 2**53:
+        every partial sum of a total or a swap kernel, for any template, is
+        then an integer float64 holds exactly, in whatever order it is added.
+        """
+        return self.integral and travel_bound(self.n, self.dist.max().item()) < 2**53
+
+    @functools.cached_property
     def exact_weights(self) -> tuple[np.ndarray, int]:
         """Distances as exact Python ints, with the scale that produced them.
 
@@ -86,25 +96,25 @@ def _validate(n: int, dist: np.ndarray) -> None:
         if dist[i, j] < 0:
             raise ValidationError(f"negative distance at ({i},{j}): {dist[i, j]}")
         raise ValidationError(f"asymmetry at ({i},{j}): {dist[i, j]} != {dist[j, i]}")
-    # Any template's coefficients add up to at most 2n(2n-1): each of the n
-    # walks has at most 2n-1 legs, each counted from both ends.
     d_max = dist.max().item()
-    if travel_bound(2 * n * (2 * n - 1), d_max) >= sys.float_info.max:
+    if travel_bound(n, d_max) >= sys.float_info.max:
         raise ValidationError(
             f"distances up to {d_max} overflow float64 totals: 8n(2n-1)*max(d) must stay below {sys.float_info.max}"
         )
 
 
-def travel_bound(c_sum, d_max):
-    """4 * sum(c) * max(d): a bound on the magnitude of every total and swap delta.
+def travel_bound(n: int, d_max):
+    """8n(2n-1) * max(d): a bound on the magnitude of every total and swap delta.
 
     A binding's total is sum(c * P) / 2 for the travel coefficients c and
     the bound distances P, and a swap delta is the difference of two such
-    sums, so neither exceeds it; nor does any partial sum of the swap
-    kernels.  ``Instance`` keeps it below the float64 maximum for every
-    template; the swap search picks its exact tiers by it.
+    sums, so neither exceeds 4 * sum(c) * max(d); nor does any partial sum
+    of the swap kernels.  Any n-team template's coefficients add up to at
+    most 2n(2n-1): each of the n walks has at most 2n-1 legs, each counted
+    from both ends.  ``Instance`` keeps the bound below the float64
+    maximum, and `Instance.float_exact` is decided by it.
     """
-    return 4 * c_sum * d_max
+    return 8 * n * (2 * n - 1) * d_max
 
 
 @dataclass(frozen=True)
@@ -127,8 +137,16 @@ def parse_instance(text: str) -> Instance:
     tokens = text.split()
     if not tokens:
         raise FormatError("empty input")
+    if not text.isascii() or "_" in text:
+        # int() and float() also read "1_0" and non-ASCII digits; the format
+        # does not.  Non-ASCII whitespace only separates tokens.
+        bad = next((tok for tok in tokens if not tok.isascii() or "_" in tok), None)
+        if bad is not None:
+            raise FormatError(f"non-numeric token {bad!r}: numbers are ASCII, without '_'")
     values = []
     integral = True
+    int64 = np.iinfo(np.int64)
+    lo, hi = int64.min, int64.max  # locals: the loop below runs once per token
     for tok in tokens:
         try:
             value = int(tok)
@@ -139,7 +157,7 @@ def parse_instance(text: str) -> Instance:
                 raise FormatError(f"non-numeric token {tok!r}") from None
             integral = False
         else:
-            if not -(2**63) <= value < 2**63:
+            if not lo <= value <= hi:
                 raise FormatError(f"integer token {tok!r} does not fit in 64 bits")
         values.append(value)
 

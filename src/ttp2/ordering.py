@@ -23,26 +23,22 @@ take and return vectors, and `run_rounds` rebuilds a TeamOrdering once,
 for the winning vector.  After every accepted move the search evaluates
 the whole neighbourhood of a pass in one array pass: all m(m-1)/2 slot
 swaps, or all m in-slot flips, from P = dist[bind][:, bind] and
-G = c @ P (as in quadratic-assignment local search).  What is fixed for a
-solve (the tier below, the distances in its dtype, the c-derived blocks of
-both kernels, c in Python ints and the rounding slack) is one search
-state, built once per TravelCoefficients and Instance.
+G = c @ P (as in quadratic-assignment local search), in float64 on BLAS.
+The kernels' c-derived blocks are built once per TravelCoefficients.
 Each pass gathers P once and keeps it current in place: an accepted move
 permutes its touched rows and columns in O(n).  Both passes share one
 first-improvement loop that visits moves in the order of a pair-by-pair
-sweep, so the trajectory is that of the sweep.  After each evaluation one
-array scan finds the first move whose delta is below -slack (see below);
-only the negative deltas before it are looked at one by one.  `polish`
-alternates the passes and stops at the first pass, after the first, that
-finds no move: each pass ends at a local optimum of its own rule, so the
-vector is then a local optimum of both.  The kernel runs in one of
-three tiers, set by the bound 4 * sum(c) * max(d) on its partial sums.
-Integer instances below 2**53 run it in float64, on BLAS, and below 2**63
-in int64; both are exact.  All others run it in float64 with a proven
-bound, `slack`, on its rounding error: a proposal whose delta lies below
--slack is accepted at once, and only one within slack of zero has its
-exact delta taken in Python ints on the touched rows.  Either way a move
-is accepted only when its exact delta is proven negative.
+sweep, so the trajectory is that of the sweep.  `polish` alternates the
+passes and stops at the first pass, after the first, that finds no move:
+each pass ends at a local optimum of its own rule, so the vector is then a
+local optimum of both.
+
+A move is accepted only when its exact delta is proven negative.  The
+loop takes the moves with a negative float64 delta in sweep order and
+accepts the first whose delta lies below -slack, a proven bound on the
+rounding error, or whose exact delta, taken in Python ints on the touched
+rows, is negative.  `slack` is 0 on `Instance.float_exact` instances,
+where float64 is exact, and `_rounding_slack` otherwise.
 """
 
 from __future__ import annotations
@@ -76,9 +72,21 @@ class TravelCoefficients:
     c: np.ndarray
 
     @functools.cached_property
-    def _search_cache(self) -> list:
-        """The last `_SearchState` built on these coefficients, by `_search_state`."""
-        return []
+    def blocks(self) -> _KernelBlocks:
+        """The float64 constants of the swap and flip kernels."""
+        c = self.c.astype(np.float64)
+        m = self.n // 2
+        c01 = c[0::2, 1::2]
+        cw = c01.diagonal()
+        i, j = np.triu_indices(m, 1)
+        return _KernelBlocks(
+            cols=np.concatenate([c[:, 0::2], c[:, 1::2]]),
+            same=(c[0::2, 0::2], c[1::2, 1::2]),
+            cross=cw[:, None] + cw - c01 - c01.T,
+            rows=c[0::2] - c[1::2],
+            own=2 * cw,
+            upper=i * m + j,
+        )
 
 
 def random_ordering(m: int, seed: int) -> TeamOrdering:
@@ -124,12 +132,12 @@ def bind_template(template: Schedule, matching: Matching, ordering: TeamOrdering
 def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int]) -> object:
     """Total distance of a binding straight from the linear form.
 
-    Exact on integer instances: in an exact tier of the search state when
-    the instance has one and in Python ints otherwise.  Real-valued
-    instances sum in float64.
+    Exact on integer instances: summed over the int64 distances when the
+    instance is `float_exact` and over its Python-int weights otherwise.
+    Real-valued instances sum in float64.
     """
     perm = np.array(bind)
-    weights = _search_state(coeffs, inst).weights
+    weights = inst.exact_weights[0] if inst.integral and not inst.float_exact else inst.dist
     tot = (coeffs.c * weights.take(perm, 0).take(perm, 1)).sum()  # every travel is counted from both ends
     return int(tot) // 2 if inst.integral else float(tot) / 2
 
@@ -252,24 +260,19 @@ def derandomize(
 # Swap local search.
 # ---------------------------------------------------------------------------
 
-# Move q gives labels src[q][r] the teams of labels src[q][order[r]].
-_SWAP_ORDER = [2, 3, 0, 1]
-_FLIP_ORDER = [1, 0]
-
-
 @functools.lru_cache(maxsize=16)
 def _pass_moves(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The labels each move of a pass moves, one row per move in sweep order.
 
     Returns (src, dst) of the slot swaps, src = (2i, 2i+1, 2j, 2j+1) for
-    i < j, and of the in-slot flips, src = (2i, 2i+1); dst = src[:, order]
-    holds the labels whose teams they take.  Read-only, as calls share them.
+    i < j, and of the in-slot flips, src = (2i, 2i+1); move q gives labels
+    src[q][r] the teams of labels dst[q][r].  Read-only, as calls share them.
     """
     i, j = np.triu_indices(m, 1)
     x = 2 * np.arange(m)
     swaps = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
     flips = np.stack([x, x + 1], axis=1)
-    moves = (swaps, swaps[:, _SWAP_ORDER]), (flips, flips[:, _FLIP_ORDER])
+    moves = (swaps, swaps[:, [2, 3, 0, 1]]), (flips, flips[:, [1, 0]])
     for a in itertools.chain(*moves):
         a.setflags(write=False)
     return moves
@@ -277,7 +280,7 @@ def _pass_moves(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray
 
 @dataclass(frozen=True)
 class _KernelBlocks:
-    """The c-derived constants of the swap and flip kernels, in one dtype.
+    """The c-derived constants of the swap and flip kernels.
 
     `cols` stacks c[:, 0::2] on c[:, 1::2]; `same` holds c[0::2, 0::2]
     and c[1::2, 1::2]; `cross` is K = cw_i + cw_j - c01 - c01^T, where
@@ -294,72 +297,13 @@ class _KernelBlocks:
     upper: np.ndarray
 
 
-def _kernel_blocks(coeffs: TravelCoefficients, dtype) -> _KernelBlocks:
-    """The kernels' constants for weights of `dtype`."""
-    c = coeffs.c.astype(dtype)
-    m = coeffs.n // 2
-    c01 = c[0::2, 1::2]
-    cw = c01.diagonal()
-    i, j = np.triu_indices(m, 1)
-    return _KernelBlocks(
-        cols=np.concatenate([c[:, 0::2], c[:, 1::2]]),
-        same=(c[0::2, 0::2], c[1::2, 1::2]),
-        cross=cw[:, None] + cw - c01 - c01.T,
-        rows=c[0::2] - c[1::2],
-        own=2 * cw,
-        upper=i * m + j,
-    )
+def _slack(inst: Instance) -> float:
+    """The bound on |float64 kernel delta - exact delta| the search uses."""
+    return 0.0 if inst.float_exact else _rounding_slack(inst.n, inst.dist.max().item())
 
 
-@dataclass(frozen=True)
-class _SearchState:
-    """What the swap search of one solve reads, built once by `_search_state`.
-
-    `dist` holds the distances in the kernels' dtype and `blocks` the
-    kernels' constants in it; `c` is the coefficients as Python ints,
-    `weights` the distances `coefficient_total` sums, and `slack` a bound
-    on |kernel delta - exact delta| over every swap and flip, 0 in the
-    exact tiers.
-    """
-
-    inst: Instance
-    dist: np.ndarray
-    blocks: _KernelBlocks
-    c: np.ndarray
-    weights: np.ndarray
-    slack: float
-
-
-def _search_state(coeffs: TravelCoefficients, inst: Instance) -> _SearchState:
-    """The search state of `coeffs` on `inst`; the coefficients keep the last one.
-
-    Integer instances have two exact tiers, set by `travel_bound`, the bound
-    4 * sum(c) * max(d) on every partial sum of the kernels and on every
-    total or delta.  Below 2**53 they use float64: every partial sum is an
-    integer float64 holds exactly, in whatever order BLAS adds the terms.
-    Below 2**63 they use int64, exact modulo 2**64, so wrapped intermediates
-    cannot change a result.  Every other instance gets float64 within
-    `_rounding_slack` of the exact deltas; its totals are summed in Python
-    ints when it is integral.
-    """
-    cache = coeffs._search_cache
-    if cache and cache[0].inst is inst:
-        return cache[0]
-    dist = inst.dist
-    c_sum, d_max = int(coeffs.c.sum()), dist.max().item()
-    bound = travel_bound(c_sum, d_max)
-    if inst.integral and bound < 2**63:
-        dist, slack = dist.astype(np.float64 if bound < 2**53 else np.int64), 0.0
-        weights = dist
-    else:
-        dist, slack = dist.astype(np.float64), _rounding_slack(coeffs.n, c_sum, d_max)
-        weights = inst.exact_weights[0] if inst.integral else dist
-    state = _SearchState(inst, dist, _kernel_blocks(coeffs, dist.dtype), coeffs.c.astype(object), weights, slack)
-    cache[:] = [state]
-    return state
-
-
-def _rounding_slack(n: int, c_sum: int, d_max) -> float:
+@functools.lru_cache(maxsize=64)
+def _rounding_slack(n: int, d_max) -> float:
     """A float no smaller than |float64 kernel delta - exact delta| for every
     swap and flip of an n-team binding.
 
@@ -371,7 +315,7 @@ def _rounding_slack(n: int, c_sum: int, d_max) -> float:
     the `cross` and `same` terms, whose coefficients are the pairs inside
     those labels, at most 2 R4 max(d).  A flip's leaves add up to at most
     3 R2 max(d), R2 the row sums of its own two labels.  Both stay within
-    travel_bound(sum(c), max(d)).
+    4 sum(c) max(d) <= travel_bound(n, max(d)), whatever the template.
 
     Each swap leaf reaches the result through at most 2n + 6 roundings,
     each a factor 1 + e with |e| <= u = 2**-53 (Higham, "Accuracy and
@@ -387,9 +331,10 @@ def _rounding_slack(n: int, c_sum: int, d_max) -> float:
     absolute, at most 2**-1075, and at most doubled by the later factors;
     sums never underflow inexactly.  A delta has at most 8n + 6 products,
     so (8n + 16) * 2**-1074 covers them.  The sum is rounded up to a float.
+    Cached, as the search asks for it once per pass.
     """
     k = 2 * n + 16
-    bound = Fraction(k, 2**53 - k) * travel_bound(c_sum, Fraction(d_max)) + Fraction(8 * n + 16, 2**1074)
+    bound = Fraction(k, 2**53 - k) * travel_bound(n, Fraction(d_max)) + Fraction(8 * n + 16, 2**1074)
     slack = float(bound)
     return slack if slack >= bound else math.nextafter(slack, math.inf)
 
@@ -428,79 +373,79 @@ def _flip_deltas(k: _KernelBlocks, P):
     return rows + k.own * P[0::2, 1::2].diagonal()
 
 
-def _exact_move_delta(state: _SearchState, bind, src, order) -> int:
-    """Exact distance change when labels src[r] take the teams of labels src[order[r]].
+def _exact_move_delta(coeffs: TravelCoefficients, inst: Instance, bind, src, dst) -> int:
+    """Exact distance change when labels src[r] take the teams of labels dst[r].
 
     Only the touched label rows of the instance's exact weights are read;
     the change is in units of 1 / scale (see `Instance.exact_weights`).
     """
-    rows = state.inst.exact_weights[0][bind[src]]  # rows[r] = W[bind[src[r]], :]
+    W = inst.exact_weights[0]
     new = bind.copy()
-    new[src] = bind[src[order]]
-    diff = state.c[src] * (rows[order][:, new] - rows[:, bind])
+    new[src] = bind[dst]
+    diff = coeffs.c[src].astype(object) * (W[bind[dst]][:, new] - W[bind[src]][:, bind])
     # Pairs with both labels touched are counted from both ends.
     return diff.sum() - diff[:, src].sum() // 2
 
 
-def _check_deltas(deltas, state: _SearchState, bind, src, order) -> None:
+def _check_deltas(deltas, coeffs: TravelCoefficients, inst: Instance, bind, moves, slack) -> None:
     """debug_check: each move's exact delta against an exact recomputation,
-    and its kernel delta within `slack` of it (equal in the exact tiers)."""
-    W, scale = state.inst.exact_weights
-    before = (state.c * W.take(bind, 0).take(bind, 1)).sum()
-    for q, s in enumerate(src):
+    and its kernel delta within `slack` of it."""
+    W, scale = inst.exact_weights
+    c = coeffs.c.astype(object)
+    before = (c * W.take(bind, 0).take(bind, 1)).sum()
+    for q, (s, t) in enumerate(zip(*moves)):
         new = bind.copy()
-        new[s] = bind[s[order]]
-        after = (state.c * W.take(new, 0).take(new, 1)).sum()  # both totals count every travel twice
-        delta = _exact_move_delta(state, bind, s, order)
+        new[s] = bind[t]
+        after = (c * W.take(new, 0).take(new, 1)).sum()  # both totals count every travel twice
+        delta = _exact_move_delta(coeffs, inst, bind, s, t)
         assert 2 * delta == after - before, "move delta disagrees with recomputation"
         error = abs(Fraction(deltas[q].item()) - Fraction(delta, scale))
-        assert error <= state.slack, "kernel delta is further than slack from the exact delta"
+        assert error <= slack, "kernel delta is further than slack from the exact delta"
 
 
-def _first_improvement(bind, coeffs, inst, kernel, moves, order, debug_check):
+def _first_improvement(bind, coeffs, inst, kernel, moves, debug_check):
     """The first-improvement loop of both passes; returns (bind, improved).
 
-    Move q gives labels src[q][r] the teams of labels dst[q][r] =
-    src[q][order[r]], moves in sweep order.  `kernel` evaluates every move
-    on the current P = dist[bind][:, bind] at once.  P is gathered once per
-    pass and kept current in place: an accepted move permutes its touched
-    rows, then its touched columns, in O(n).  The loop takes the first
-    accepted move at or after the one after the last accepted move,
-    applies it and evaluates again; after the last move of the sweep it
-    goes on from move 0.  A scan that finds no move ends the pass if it
-    began at move 0, and starts over from move 0 if not.
+    Move q gives labels src[q][r] the teams of labels dst[q][r], moves in
+    sweep order.  `kernel` evaluates every move on the current
+    P = dist[bind][:, bind] at once.  P is gathered once per pass and kept
+    current in place: an accepted move permutes its touched rows, then its
+    touched columns, in O(n).  The loop takes the first accepted move at or
+    after the one after the last accepted move, applies it and evaluates
+    again; after the last move of the sweep it goes on from move 0.  A scan
+    that finds no move ends the pass if it began at move 0, and starts over
+    from move 0 if not.
 
-    One array scan finds the first move whose delta lies below -slack,
-    which proves its exact delta negative (slack is 0 in the exact
-    tiers).  The negative deltas before it, within slack of zero, are only
-    proposals: in sweep order, the first whose exact delta is negative is
-    accepted instead.  So the exact total falls with every move and the
-    search cannot cycle.  The caller's vector is left as it was.
+    The moves with a negative kernel delta are visited in sweep order; the
+    first whose delta lies below -slack, or whose exact delta is negative,
+    is accepted.  So the exact total falls with every move and the search
+    cannot cycle.  The caller's vector is left as it was.
     """
     bind = np.array(bind)
-    state = _search_state(coeffs, inst)
     src, dst = moves
-    P = state.dist.take(bind, 0).take(bind, 1)
-    sure = -state.slack
+    dist = inst.dist.astype(np.float64, copy=False)
+    P = dist.take(bind, 0).take(bind, 1)
+    slack = _slack(inst)
 
     def evaluate():
-        deltas = kernel(state.blocks, P)
+        deltas = kernel(coeffs.blocks, P)
         if debug_check:
-            assert np.array_equal(P, state.dist.take(bind, 0).take(bind, 1)), "P is not dist[bind][:, bind]"
-            _check_deltas(deltas, state, bind, src, order)
+            assert np.array_equal(P, dist.take(bind, 0).take(bind, 1)), "P is not dist[bind][:, bind]"
+            _check_deltas(deltas, coeffs, inst, bind, moves, slack)
         return deltas
 
     def first_accepted(deltas, start):
         """The first move at or after `start` to accept; len(deltas) if none."""
-        below = deltas[start:] < sure
-        q = start + int(below.argmax())
-        if not below[q - start]:
-            q = len(deltas)
-        if state.slack:  # the proposals before q, within slack of zero
-            for p in (start + (deltas[start:q] < 0).nonzero()[0]).tolist():
-                if _exact_move_delta(state, bind, src[p], order) < 0:
-                    return p
-        return q
+        negative = deltas < 0
+        q = start
+        while q < len(deltas):
+            q += int(negative[q:].argmax())  # the next negative delta, or q if none is left
+            if not negative[q]:
+                break
+            if deltas[q] < -slack or _exact_move_delta(coeffs, inst, bind, src[q], dst[q]) < 0:
+                return q
+            q += 1
+        return len(deltas)
 
     deltas = evaluate()
     start, improved = 0, False
@@ -523,14 +468,14 @@ def swap_super_teams_pass(bind, coeffs: TravelCoefficients, inst: Instance, debu
     """One full first-improvement sweep over all slot pairs, repeated while
     a sweep improves; returns (bind, improved)."""
     moves = _pass_moves(len(bind) // 2)[0]
-    return _first_improvement(bind, coeffs, inst, _swap_deltas, moves, _SWAP_ORDER, debug_check)
+    return _first_improvement(bind, coeffs, inst, _swap_deltas, moves, debug_check)
 
 
 def swap_within_pass(bind, coeffs: TravelCoefficients, inst: Instance, debug_check: bool = False):
     """First-improvement sweep flipping team order inside each super-team;
     returns (bind, improved)."""
     moves = _pass_moves(len(bind) // 2)[1]
-    return _first_improvement(bind, coeffs, inst, _flip_deltas, moves, _FLIP_ORDER, debug_check)
+    return _first_improvement(bind, coeffs, inst, _flip_deltas, moves, debug_check)
 
 
 def polish(bind, coeffs: TravelCoefficients, inst: Instance) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttp2.errors import FormatError, ValidationError
-from ttp2.instance import Instance, check_metric, parse_instance, write_instance
+from ttp2.instance import Instance, check_metric, parse_instance, travel_bound, write_instance
 from ttp2.oracle import random_metric_instance, tight_instance
 
 
@@ -117,6 +117,31 @@ def test_parse_rejects_integers_beyond_64_bits(token):
     with pytest.raises(FormatError, match=token):
         parse_instance("4\n" + "\n".join(" ".join(r) for r in rows))
     assert parse_instance("4 0 9223372036854775807 1 1 9223372036854775807 0 1 1 1 1 0 1 1 1 1 0").integral
+
+
+@pytest.mark.parametrize(
+    "token", ["1_0", "1_0.5", "1e1_0", "\u0661", "\u0661.5", "\uff11"], ids=["1_0", "1_0.5", "1e1_0", "arabic-indic-1", "arabic-indic-1.5", "fullwidth-1"]
+)
+def test_parse_rejects_underscores_and_non_ascii_digits(token):
+    # int() and float() read every one of these; the format takes ASCII only.
+    text = f"4\n0 {token} 1 1\n{token} 0 1 1\n1 1 0 1\n1 1 1 0\n"
+    with pytest.raises(FormatError, match=repr(token)):
+        parse_instance(text)
+    assert parse_instance(text.replace(token, "10")).d(0, 1) == 10
+
+
+def test_parse_keeps_non_ascii_whitespace_as_a_separator():
+    inst = parse_instance("4\u00a00 1 2 3\u30001 0 4 5 2 4 0 6 3 5 6 0")
+    assert inst.n == 4 and inst.d(2, 3) == 6
+
+
+def test_float_exact_below_two_to_the_53_only():
+    n = 6
+    unit = travel_bound(n, 1)
+    d = 1 - np.eye(n, dtype=np.int64)
+    assert Instance(n=n, dist=d * ((2**53 - 1) // unit)).float_exact
+    assert not Instance(n=n, dist=d * (2**53 // unit + 1)).float_exact
+    assert not Instance(n=n, dist=d.astype(float)).float_exact  # real-valued
 
 
 def test_distances_whose_totals_overflow_float64_are_rejected():

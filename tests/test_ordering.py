@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttp2.even import build_even_template
-from ttp2.instance import Instance
+from ttp2.instance import Instance, travel_bound
 from ttp2.matching import independent_lower_bound, min_weight_perfect_matching
 from ttp2.odd import build_odd_template
 from ttp2.oracle import random_metric_instance, tight_instance
@@ -19,8 +19,8 @@ from ttp2.ordering import (
     TeamOrdering,
     _exact_move_delta,
     _flip_deltas,
-    _kernel_blocks,
-    _search_state,
+    _pass_moves,
+    _slack,
     _swap_deltas,
     bind_template,
     binding_vector,
@@ -378,8 +378,7 @@ def test_neighbourhood_deltas_equal_recomputation(n, seed, kind):
     inst = _variant(random_metric_instance(n, seed), kind)
     _, coeffs = _template_and_coeffs(n)
     bind = np.random.default_rng(seed).permutation(n)
-    state = _search_state(coeffs, inst)
-    dist, exact = state.dist, state.slack == 0
+    slack = _slack(inst)
     W, scale = inst.exact_weights
     c = coeffs.c.astype(object)
 
@@ -390,38 +389,35 @@ def test_neighbourhood_deltas_equal_recomputation(n, seed, kind):
     pairs = [(i, j) for i in range(n // 2) for j in range(i + 1, n // 2)]
     moves = [((2 * i, 2 * i + 1, 2 * j, 2 * j + 1), (2 * j, 2 * j + 1, 2 * i, 2 * i + 1)) for i, j in pairs]
     moves += [((2 * i, 2 * i + 1), (2 * i + 1, 2 * i)) for i in range(n // 2)]
-    k, P = _kernel_blocks(coeffs, dist.dtype), dist[np.ix_(bind, bind)]
-    deltas = np.concatenate([_swap_deltas(k, P), _flip_deltas(k, P)])
+    P = inst.dist[np.ix_(bind, bind)].astype(np.float64)
+    deltas = np.concatenate([_swap_deltas(coeffs.blocks, P), _flip_deltas(coeffs.blocks, P)])
     assert len(deltas) == len(moves)
     for value, (src, dst) in zip(deltas, moves):
         after = bind.copy()
         after[list(src)] = bind[list(dst)]
         truth = Fraction(doubled_total(after) - before, 2 * scale)
-        delta = _exact_move_delta(state, bind, np.array(src), [src.index(label) for label in dst])
+        delta = _exact_move_delta(coeffs, inst, bind, np.array(src), np.array(dst))
         assert Fraction(delta, scale) == truth
-        if exact:
-            assert int(value) == truth
-        else:
-            assert abs(Fraction(value.item()) - truth) <= state.slack
+        assert abs(Fraction(value.item()) - truth) <= slack
 
 
-# The kernel tier `_search_state` picks: (dtype, exact).
+# Bands of the bound travel_bound(n, max(d)), each with whether the instance
+# is `float_exact`.  The middle band once ran the kernels on int64.
 TIERS = {
-    "below-2**53": (np.float64, True),
-    "below-2**63": (np.int64, True),
-    "above-2**63": (np.float64, False),
-    "real": (np.float64, False),
+    "below-2**53": True,
+    "below-2**63": False,
+    "above-2**63": False,
+    "real": False,
 }
 
 
 def _tier_instance(n, seed, tier):
-    """random_metric_instance(n, seed), scaled so that the kernel bound
-    4 * sum(c) * max(d) lands in `tier`, or made real-valued."""
+    """random_metric_instance(n, seed), scaled so that the bound
+    travel_bound(n, max(d)) lands in `tier`, or made real-valued."""
     inst = random_metric_instance(n, seed)
     if tier == "real":
         return Instance(n=n, dist=np.sqrt(inst.dist), integral=False)
-    _, coeffs = _template_and_coeffs(n)
-    unit = 4 * int(coeffs.c.sum()) * int(inst.dist.max())
+    unit = travel_bound(n, int(inst.dist.max()))
     scale = {
         "below-2**53": (2**53 - 1) // unit,
         "below-2**63": 2**58 // unit,
@@ -436,10 +432,9 @@ def test_swap_passes_verified_on_every_tier(n, tier):
     inst = _tier_instance(n, 5, tier)
     matching = min_weight_perfect_matching(inst)
     _, coeffs = _template_and_coeffs(n)
-    state = _search_state(coeffs, inst)
-    assert (state.dist.dtype, state.slack == 0) == TIERS[tier]
+    assert inst.float_exact == (_slack(inst) == 0) == TIERS[tier]
     if tier != "real":
-        bound = 4 * int(coeffs.c.sum()) * int(inst.dist.max())
+        bound = travel_bound(n, int(inst.dist.max()))
         lo, hi = {
             "below-2**53": (0.999999 * 2**53, 2**53),
             "below-2**63": (2**53, 2**63),
@@ -461,21 +456,8 @@ def test_swap_passes_verified_on_every_tier(n, tier):
     assert moves > 0
 
 
-def test_float64_tier_matches_int64_just_below_two_to_the_53():
-    n = 14
-    inst = _tier_instance(n, 5, "below-2**53")
-    _, coeffs = _template_and_coeffs(n)
-    k64, k53 = _kernel_blocks(coeffs, np.int64), _kernel_blocks(coeffs, np.float64)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        bind = rng.permutation(n)
-        P = inst.dist[np.ix_(bind, bind)]
-        for kernel in (_swap_deltas, _flip_deltas):
-            assert np.array_equal(kernel(k53, P.astype(np.float64)), kernel(k64, P))
-
-
 def _inexact_instance(n, seed, kind):
-    """An instance of the float64 tier that rounds: real-valued, integer above
+    """An instance that is not `float_exact` and rounds: real-valued, integer above
     2**63, real-valued just under `Instance`'s float64 overflow limit, or
     around 1e-300 with about half the pairs subnormal."""
     if kind in ("real", "above-2**63"):
@@ -499,21 +481,20 @@ def _inexact_instance(n, seed, kind):
 def test_kernel_deltas_within_rounding_slack(n, seed, kind):
     inst = _inexact_instance(n, seed, kind)
     _, coeffs = _template_and_coeffs(n)
-    state = _search_state(coeffs, inst)
-    assert state.dist.dtype == np.float64 and 0 < state.slack < math.inf
+    slack = _slack(inst)
+    assert not inst.float_exact and 0 < slack < math.inf
     if kind == "tiny":
         assert 0 < inst.dist[inst.dist > 0].min() < sys.float_info.min  # subnormal entries
     bind = np.random.default_rng(seed).permutation(n)
-    P = state.dist[np.ix_(bind, bind)]
+    P = inst.dist[np.ix_(bind, bind)].astype(np.float64)
     scale = inst.exact_weights[1]
-    m = n // 2
-    (swaps, _), (flips, _) = ordering._pass_moves(m)
-    for kernel, src, order in ((_swap_deltas, swaps, [2, 3, 0, 1]), (_flip_deltas, flips, [1, 0])):
-        deltas = kernel(state.blocks, P)
+    swaps, flips = _pass_moves(n // 2)
+    for kernel, (src, dst) in ((_swap_deltas, swaps), (_flip_deltas, flips)):
+        deltas = kernel(coeffs.blocks, P)
         assert len(deltas) == len(src)
-        for value, s in zip(deltas.tolist(), src):
-            exact = Fraction(_exact_move_delta(state, bind, s, order), scale)
-            assert abs(Fraction(value) - exact) <= state.slack
+        for value, s, t in zip(deltas.tolist(), src, dst):
+            exact = Fraction(_exact_move_delta(coeffs, inst, bind, s, t), scale)
+            assert abs(Fraction(value) - exact) <= slack
 
 
 def test_slack_filter_skips_exact_deltas_and_keeps_the_search(monkeypatch):
@@ -528,7 +509,7 @@ def test_slack_filter_skips_exact_deltas_and_keeps_the_search(monkeypatch):
         for seed in range(3):
             inst = Instance(n=n, dist=np.sqrt(random_metric_instance(n, seed).dist))
             matching = min_weight_perfect_matching(inst)
-            coeffs = extract_coefficients(template)  # a fresh search state
+            coeffs = extract_coefficients(template)
             for r in range(3):
                 vectors.append(polish(binding_vector(matching, random_ordering(n // 2, r)), coeffs, inst).tolist())
         return vectors
@@ -541,6 +522,28 @@ def test_slack_filter_skips_exact_deltas_and_keeps_the_search(monkeypatch):
     assert polished() == filtered
     proposals = len(calls)
     assert proposals > 100 and filtered_calls * 20 < proposals
+
+
+def test_rejected_proposals_leave_the_search_unchanged(monkeypatch):
+    """Kernel deltas lowered by half the slack turn every neutral move of an
+    instance with distances 1 and 2 into a proposal that its exact delta
+    rejects; the loop must go on to the next negative delta and take the
+    moves it took before."""
+    n = 14
+    d = np.triu(np.random.default_rng(n).integers(1, 3, size=(n, n)), 1)
+    inst = Instance(n=n, dist=(d + d.T).astype(float))  # not float_exact
+    matching = min_weight_perfect_matching(inst)
+    _, coeffs = _template_and_coeffs(n)
+    starts = [binding_vector(matching, random_ordering(n // 2, seed)) for seed in range(10)]
+    polished = [polish(b, coeffs, inst).tolist() for b in starts]
+    nudge = _slack(inst) / 2
+    calls = []
+    spied = ordering._exact_move_delta
+    monkeypatch.setattr(ordering, "_exact_move_delta", lambda *args: calls.append(1) or spied(*args))
+    for name in ("_swap_deltas", "_flip_deltas"):
+        monkeypatch.setattr(ordering, name, lambda *args, _k=getattr(ordering, name): _k(*args) - nudge)
+    assert [polish(b, coeffs, inst).tolist() for b in starts] == polished
+    assert len(calls) > 20  # each one a rejected proposal: every true delta is -1 or below
 
 
 def _polish_by_rounds(bind, coeffs, inst):
@@ -603,8 +606,7 @@ def test_pass_accepts_the_last_move_of_a_sweep(rule, monkeypatch):
         kernel, run, src, dst = _flip_deltas, swap_within_pass, [8, 9], [9, 8]
     start = best.copy()
     start[src] = best[dst]  # one step from `best`, by the last move
-    state = _search_state(coeffs, inst)
-    deltas = kernel(state.blocks, state.dist[np.ix_(start, start)])
+    deltas = kernel(coeffs.blocks, inst.dist[np.ix_(start, start)].astype(np.float64))
     assert np.flatnonzero(deltas < 0).tolist() == [len(deltas) - 1]
 
     evaluations = []

@@ -105,6 +105,17 @@ def test_total_distance_hand_trace():
     assert rep.total == sum(rep.per_team) == 67
 
 
+@pytest.mark.parametrize("scale", [1, 2**50, 2**60], ids=["float-exact", "past-2**53", "walk-past-2**63"])
+def test_total_distance_exact_in_python_ints_past_float_exact(scale):
+    # At 2**60 one team's walk passes 2**63, where int64 legs would wrap.
+    d = np.array([[0, 1, 2, 4], [1, 0, 3, 6], [2, 3, 0, 5], [4, 6, 5, 0]], dtype=np.int64) * scale
+    inst = Instance(n=4, dist=d)
+    rep = total_distance(Schedule(n=4, table=HAND_N4), inst)
+    assert inst.float_exact == (scale == 1)
+    assert rep.per_team == (13 * scale, 16 * scale, 17 * scale, 21 * scale)
+    assert all(type(t) is int for t in rep.per_team) and rep.total == 67 * scale
+
+
 def test_itinerary_trips(golden_n8):
     trips = itinerary_of(golden_n8, 0)
     assert trips[0] == [2, 3]  # first trip of team 1 visits t3 then t4
