@@ -502,14 +502,13 @@ def test_slack_filter_skips_exact_deltas_and_keeps_the_search(monkeypatch):
     spied = ordering._exact_move_delta
     monkeypatch.setattr(ordering, "_exact_move_delta", lambda *args: calls.append(1) or spied(*args))
     n = 30
-    template, _ = _template_and_coeffs(n)
+    _, coeffs = _template_and_coeffs(n)
 
     def polished():
         vectors = []
         for seed in range(3):
             inst = Instance(n=n, dist=np.sqrt(random_metric_instance(n, seed).dist))
             matching = min_weight_perfect_matching(inst)
-            coeffs = extract_coefficients(template)
             for r in range(3):
                 vectors.append(polish(binding_vector(matching, random_ordering(n // 2, r)), coeffs, inst).tolist())
         return vectors
