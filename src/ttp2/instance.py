@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,15 +24,18 @@ class Instance:
 
     `integral` follows the dtype of `dist`: True for integer distances.
     Passing a value that contradicts the dtype raises ValidationError.
+    `d_max` is the largest distance, a Python int or float, kept from
+    validation.
     """
 
     n: int
     dist: np.ndarray
     integral: bool | None = None
+    d_max: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dist", _frozen(self.dist))
-        _validate(self.n, self.dist)
+        object.__setattr__(self, "d_max", _validate(self.n, self.dist))
         integral = self.dist.dtype.kind in "iu"
         if self.integral not in (None, integral):
             raise ValidationError(
@@ -52,7 +55,16 @@ class Instance:
         every partial sum of a total or a swap kernel, for any template, is
         then an integer float64 holds exactly, in whatever order it is added.
         """
-        return self.integral and travel_bound(self.n, self.dist.max().item()) < 2**53
+        return self.integral and travel_bound(self.n, self.d_max) < 2**53
+
+    @functools.cached_property
+    def float_dist(self) -> np.ndarray:
+        """`dist` in float64, read-only; other dtypes are converted once."""
+        if self.dist.dtype == np.float64:
+            return self.dist
+        d = self.dist.astype(np.float64)
+        d.setflags(write=False)
+        return d
 
     @functools.cached_property
     def exact_weights(self) -> tuple[np.ndarray, int]:
@@ -79,7 +91,8 @@ def _frozen(dist: np.ndarray) -> np.ndarray:
     return a
 
 
-def _validate(n: int, dist: np.ndarray) -> None:
+def _validate(n: int, dist: np.ndarray):
+    """Raise ValidationError unless dist is a valid n-team matrix; returns max(dist)."""
     if n < 4 or n % 2 != 0:
         raise ValidationError(f"team count must be even and >= 4, got {n}")
     if dist.shape != (n, n):
@@ -101,6 +114,7 @@ def _validate(n: int, dist: np.ndarray) -> None:
         raise ValidationError(
             f"distances up to {d_max} overflow float64 totals: 8n(2n-1)*max(d) must stay below {sys.float_info.max}"
         )
+    return d_max
 
 
 def travel_bound(n: int, d_max):

@@ -13,9 +13,11 @@ free edge with the least expectation over the remaining edges and all
 orientations.  The pi phase then sets the bits in slot order, each to the
 orientation whose expectation over the open bits is lower; only the terms
 touching that slot differ, so a bit costs O(n).  Both phases run on exact
-integer weights (floats scaled by a common denominator) in Python ints, so
+integer weights (floats scaled by a common denominator): in float64 when a
+proven bound keeps every value below 2**53, in Python ints otherwise.  So
 the chain of expectations is exact and never rises, whatever the magnitude
-or type of the distances.
+or type of the distances.  The sigma phase keeps its free-set sums current
+as each edge leaves, rather than summing them again every step.
 
 The swap local search runs on the binding vector (label -> team) alone:
 each start's ordering becomes its vector once, the passes and `polish`
@@ -143,47 +145,34 @@ def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int
 
 
 # ---------------------------------------------------------------------------
-# Derandomization by conditional expectations (exact rational arithmetic).
+# Derandomization by conditional expectations (exact integer arithmetic).
 # ---------------------------------------------------------------------------
 
-def _sigma_step(CS, CP, SD, PD, assigned, free):
-    """Exact numerators of E[W | prefix + candidate] for every free edge.
+def _derandomize_in_float64(n: int, w_max) -> bool:
+    """Whether `derandomize` is exact in float64 on n teams with weights up to w_max.
 
-    CS/CP are the slot aggregates and SD/PD the edge aggregates built in
-    `derandomize`.  All candidates of one step share the denominator
-    4*k'*(k'-1) (with the degenerate factors clamped to one), so integer
-    comparison picks the argmin exactly.  Returns (numerators as an object
-    array of Python ints, denominator).
+    True when m(m + 1) T < 2**54, with m = n/2 and T = travel_bound(n, w_max):
+    every value `derandomize` forms in arrays is then an integer below 2**53
+    in magnitude.  float64 holds each one, and an operation whose exact
+    result float64 holds returns it (Higham, "Accuracy and Stability of
+    Numerical Algorithms", ch. 2), so the sums may run in any order and
+    every comparison and chain entry is that of Python ints.
+
+    Let C = sum(c) <= 2n(2n-1), so 4 C w_max <= T.  The CP[i] and the
+    CS[i, j], i < j, add up to C / 2; SD <= 4 w_max and PD <= w_max.  Write
+    a numerator of step s, with k = m - s free edges, as a signed sum of
+    coefficient * weight terms.  Each CP[i] or CS[i, j] meets weights of
+    absolute sum at most 4 w_max m(m + 1): 4 w_max times f1 f2 <= m^2 in
+    the plain part; k + 1 terms of 4 w_max times f2, f2 (k + 1) <= m^2, in
+    the part averaged over one free edge; (k - 1)(k + 2) terms of 4 w_max,
+    ff_sum less 2 row_f[e], in the part averaged over pairs.  So every
+    partial result, in any order, lies within 2 m(m + 1) C w_max <=
+    m(m + 1) T / 2, and the running aggregates far below.  The pi phase's
+    sums stay within 2 C w_max <= T / 2.  Step 0's sum of m numerators, up
+    to about m^3 T / 2, is taken in Python ints.
     """
-    s = len(assigned)
-    kp = len(free) - 1
-    f1 = max(kp, 1)
-    f2 = max(kp - 1, 1)
-
-    idx = np.array(assigned, dtype=np.intp)
-    fre = np.array(free, dtype=np.intp)
-    sd_af = SD[np.ix_(idx, fre)]
-    row_f = SD[:, fre].sum(axis=1)  # over the current free set
-    pd_f = PD[fre]
-
-    # Plain terms (exact integers after fixing slot s to each candidate).
-    # CS and SD are symmetric with zero diagonals: half the full sum is the
-    # sum over slot pairs i < j.
-    a_const = 4 * (CP[:s] * PD[idx]).sum() + (CS[:s, :s] * SD[np.ix_(idx, idx)]).sum() // 2
-    exact = a_const + CS[:s, s] @ sd_af + 4 * CP[s] * pd_f
-
-    # Terms averaged over the remaining free edges (denominator k').
-    csff = CS[:s, s + 1 :].sum(axis=1)
-    c_vec = csff @ row_f[idx] - csff @ sd_af
-    d_vec = CS[s, s + 1 :].sum() * row_f[fre]
-    pair_free = 4 * CP[s + 1 :].sum() * (pd_f.sum() - pd_f)
-    avg1 = c_vec + d_vec + pair_free
-
-    # Free-free average over ordered pairs (denominator k'(k'-1)).
-    cs_ff_rest = CS[s + 1 :, s + 1 :].sum() // 2
-    ff_vec = cs_ff_rest * (SD[np.ix_(fre, fre)].sum() - 2 * row_f[fre])
-
-    return exact * (f1 * f2) + avg1 * f2 + ff_vec, 4 * f1 * f2
+    m = n // 2
+    return m * (m + 1) * travel_bound(n, w_max) < 2**54
 
 
 def derandomize(
@@ -197,11 +186,17 @@ def derandomize(
     Returns the ordering, or (ordering, chain of expectations) when
     `with_chain` is set; chain values are exact Fractions of E[W] in the
     instance's units after each of the 2m fixing steps (entry 0 is the
-    unconditioned expectation).
+    unconditioned expectation).  The steps run on the exact integer
+    weights: in float64 when `_derandomize_in_float64` holds, in Python
+    ints (object arrays) otherwise.
     """
     m = inst.n // 2
     W, scale = inst.exact_weights
-    c = coeffs.c.astype(object)
+    if _derandomize_in_float64(inst.n, Fraction(inst.d_max) * scale):
+        W = inst.float_dist if scale == 1 else W.astype(np.float64)
+        c = coeffs.c.astype(np.float64)
+    else:
+        c = coeffs.c.astype(object)
     X = np.array([a for a, _ in matching.pairs])
     Y = np.array([b for _, b in matching.pairs])
 
@@ -215,17 +210,42 @@ def derandomize(
     SD = W[np.ix_(X, X)] + W[np.ix_(X, Y)] + W[np.ix_(Y, X)] + W[np.ix_(Y, Y)]
     np.fill_diagonal(SD, 0)
     PD = W[X, Y]
+    # Sums over the slots after slot s: after[i, s] of CS[i, j] and
+    # cp_after[s] of CP[j] for j > s, ff_pairs[s] of CS[i, j] for s < i < j.
+    after = CS.sum(axis=1)[:, None] - CS.cumsum(axis=1)
+    cp_after = CP.sum() - CP.cumsum()
+    ff_pairs = after.diagonal().sum() - after.diagonal().cumsum()
 
+    # Step s fixes slot s.  As each edge leaves the free set, row_f[e] (SD[e, f]
+    # over free f), ff_sum (SD over free pairs), pd_free (PD over free edges)
+    # and a_const (the terms inside the prefix) are updated.
+    row_f = SD.sum(axis=1)
+    ff_sum, pd_free, a_const = row_f.sum(), PD.sum(), 0
     assigned: list[int] = []
     free = list(range(m))
     chain: list[Fraction] = []
     for s in range(m):
-        nums, den = _sigma_step(CS, CP, SD, PD, assigned, free)
+        # Numerators of E[W | prefix + candidate] for every free edge over the
+        # shared denominator 4 k'(k'-1), k' = m - s - 1 (degenerate factors
+        # clamped to one), so integer comparison picks the argmin exactly.
+        f1, f2 = max(m - s - 1, 1), max(m - s - 2, 1)
+        idx, fre = np.array(assigned, dtype=np.intp), np.array(free, dtype=np.intp)
+        sd_af, pd_f, csff = SD[np.ix_(idx, fre)], PD[fre], after[:s, s]
+        exact = a_const + CS[:s, s] @ sd_af + 4 * CP[s] * pd_f
+        # Averaged over the other free edges (k') and over their ordered pairs (k'(k'-1)).
+        avg1 = csff @ row_f[idx] - csff @ sd_af + after[s, s] * row_f[fre] + 4 * cp_after[s] * (pd_free - pd_f)
+        ff_vec = ff_pairs[s] * (ff_sum - 2 * row_f[fre])
+        nums, den = exact * (f1 * f2) + avg1 * f2 + ff_vec, 4 * f1 * f2
         if s == 0:
-            chain.append(Fraction(nums.sum(), m * den))  # slot 0's edge is uniform
+            chain.append(Fraction(sum(map(int, nums.tolist())), m * den))  # slot 0's edge is uniform
         pick = int(np.argmin(nums))
-        chain.append(Fraction(nums[pick], den))
-        assigned.append(free.pop(pick))
+        chain.append(Fraction(int(nums[pick]), den))
+        e = free.pop(pick)
+        a_const += 4 * CP[s] * PD[e] + CS[:s, s] @ SD[idx, e]
+        assigned.append(e)
+        pd_free -= PD[e]
+        ff_sum -= 2 * row_f[e]
+        row_f -= SD[:, e]
 
     # Each label has two candidate teams: both endpoints of its slot's edge
     # while the slot's bit is open, its own team twice once the bit is set,
@@ -247,7 +267,7 @@ def derandomize(
         # expectation is their mean, so the smaller lies |S_0 - S_1| / 4 below.
         b = int(s1 < s0)
         bits.append(b)
-        expect -= Fraction(abs(s0 - s1), 4)
+        expect -= Fraction(int(abs(s0 - s1)), 4)
         chain.append(expect)
         L1[2 * s] = L2[2 * s] = ends[b]
         L1[2 * s + 1] = L2[2 * s + 1] = ends[1 - b]
@@ -299,7 +319,7 @@ class _KernelBlocks:
 
 def _slack(inst: Instance) -> float:
     """The bound on |float64 kernel delta - exact delta| the search uses."""
-    return 0.0 if inst.float_exact else _rounding_slack(inst.n, inst.dist.max().item())
+    return 0.0 if inst.float_exact else _rounding_slack(inst.n, inst.d_max)
 
 
 @functools.lru_cache(maxsize=64)
@@ -423,7 +443,7 @@ def _first_improvement(bind, coeffs, inst, kernel, moves, debug_check):
     """
     bind = np.array(bind)
     src, dst = moves
-    dist = inst.dist.astype(np.float64, copy=False)
+    dist = inst.float_dist
     P = dist.take(bind, 0).take(bind, 1)
     slack = _slack(inst)
 

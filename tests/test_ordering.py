@@ -17,6 +17,7 @@ from ttp2.oracle import random_metric_instance, tight_instance
 from ttp2 import ordering
 from ttp2.ordering import (
     TeamOrdering,
+    _derandomize_in_float64,
     _exact_move_delta,
     _flip_deltas,
     _pass_moves,
@@ -34,6 +35,7 @@ from ttp2.ordering import (
     swap_within_pass,
 )
 from ttp2.schedule import total_distance, validate_schedule
+from test_matching_reference import _clustered
 
 
 def test_random_ordering_deterministic():
@@ -613,3 +615,114 @@ def test_pass_accepts_the_last_move_of_a_sweep(rule, monkeypatch):
     bind, improved = run(start.tolist(), coeffs, inst, debug_check=True)
     assert improved and bind.tolist() == best.tolist()
     assert len(evaluations) == 2  # before and after the one accepted move
+
+
+def _sigma_step_reference(CS, CP, SD, PD, assigned, free):
+    """The numerators and denominator of one sigma step, re-summed from the
+    full aggregates in Python ints."""
+    s = len(assigned)
+    kp = len(free) - 1
+    f1 = max(kp, 1)
+    f2 = max(kp - 1, 1)
+    idx = np.array(assigned, dtype=np.intp)
+    fre = np.array(free, dtype=np.intp)
+    sd_af = SD[np.ix_(idx, fre)]
+    row_f = SD[:, fre].sum(axis=1)
+    pd_f = PD[fre]
+    a_const = 4 * (CP[:s] * PD[idx]).sum() + (CS[:s, :s] * SD[np.ix_(idx, idx)]).sum() // 2
+    exact = a_const + CS[:s, s] @ sd_af + 4 * CP[s] * pd_f
+    csff = CS[:s, s + 1 :].sum(axis=1)
+    c_vec = csff @ row_f[idx] - csff @ sd_af
+    d_vec = CS[s, s + 1 :].sum() * row_f[fre]
+    pair_free = 4 * CP[s + 1 :].sum() * (pd_f.sum() - pd_f)
+    avg1 = c_vec + d_vec + pair_free
+    cs_ff_rest = CS[s + 1 :, s + 1 :].sum() // 2
+    ff_vec = cs_ff_rest * (SD[np.ix_(fre, fre)].sum() - 2 * row_f[fre])
+    return exact * (f1 * f2) + avg1 * f2 + ff_vec, 4 * f1 * f2
+
+
+def _derandomize_reference(coeffs, inst, matching):
+    """`derandomize` on object arrays of Python ints throughout, each sigma
+    step summed again in full; returns (ordering, chain)."""
+    m = inst.n // 2
+    W, scale = inst.exact_weights
+    c = coeffs.c.astype(object)
+    X = np.array([a for a, _ in matching.pairs])
+    Y = np.array([b for _, b in matching.pairs])
+    CS = c.reshape(m, 2, m, 2).sum(axis=(1, 3))
+    np.fill_diagonal(CS, 0)
+    CP = c[0::2, 1::2].diagonal()
+    SD = W[np.ix_(X, X)] + W[np.ix_(X, Y)] + W[np.ix_(Y, X)] + W[np.ix_(Y, Y)]
+    np.fill_diagonal(SD, 0)
+    PD = W[X, Y]
+    assigned, free, chain = [], list(range(m)), []
+    for s in range(m):
+        nums, den = _sigma_step_reference(CS, CP, SD, PD, assigned, free)
+        if s == 0:
+            chain.append(Fraction(nums.sum(), m * den))
+        pick = int(np.argmin(nums))
+        chain.append(Fraction(nums[pick], den))
+        assigned.append(free.pop(pick))
+    L1 = np.repeat(X[assigned], 2)
+    L2 = np.repeat(Y[assigned], 2)
+    bits = []
+    expect = chain[-1]
+    for s in range(m):
+        ends = [L1[2 * s], L2[2 * s]]
+        M = c[2 * s : 2 * s + 2] @ (W[ends][:, L1] + W[ends][:, L2]).T
+        s0 = M[0, 0] + M[1, 1]
+        s1 = M[0, 1] + M[1, 0]
+        b = int(s1 < s0)
+        bits.append(b)
+        expect -= Fraction(abs(s0 - s1), 4)
+        chain.append(expect)
+        L1[2 * s] = L2[2 * s] = ends[b]
+        L1[2 * s + 1] = L2[2 * s + 1] = ends[1 - b]
+    return TeamOrdering(sigma=tuple(assigned), pi=tuple(bits)), [v / scale for v in chain]
+
+
+def _in_float64(inst):
+    """Whether `derandomize` takes its float64 path on the instance."""
+    return _derandomize_in_float64(inst.n, Fraction(inst.d_max) * inst.exact_weights[1])
+
+
+def _at_derandomize_bound(n, seed, past):
+    """random_metric_instance(n, seed) scaled to the largest weights the
+    float64 path of `derandomize` admits, or with past=True one step beyond."""
+    inst = random_metric_instance(n, seed)
+    m = n // 2
+    scale = (2**54 - 1) // (m * (m + 1) * travel_bound(n, inst.d_max)) + past
+    return Instance(n=n, dist=inst.dist * scale)
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [("uniform", 80), ("clustered", 80), ("uniform", 122), ("clustered", 122),
+     ("real", 40), ("real", 80), ("half", 80), ("big", 40),
+     ("at-bound", 40), ("at-bound", 122), ("past-bound", 40), ("past-bound", 122)],
+)
+def test_derandomize_matches_python_int_reference(kind, n):
+    if kind == "clustered":
+        inst = _clustered(n, 3)
+    elif kind == "half":  # real-valued with scale 2: the float64 path
+        inst = Instance(n=n, dist=random_metric_instance(n, 3).dist / 2.0, integral=False)
+    elif kind in ("at-bound", "past-bound"):
+        inst = _at_derandomize_bound(n, 4, past=kind == "past-bound")
+        assert inst.float_exact
+    else:
+        inst = _variant(random_metric_instance(n, 3), kind if kind != "uniform" else "int")
+    assert _in_float64(inst) == (kind in ("uniform", "clustered", "half", "at-bound"))
+    matching = min_weight_perfect_matching(inst)
+    _, coeffs = _template_and_coeffs(n)
+    assert derandomize(coeffs, inst, matching, with_chain=True) == _derandomize_reference(coeffs, inst, matching)
+
+
+@pytest.mark.parametrize("n", [4, 6, 40, 122, 240])
+def test_derandomize_float64_bound_threshold(n):
+    """The largest weight the float64 path admits, and the next one up."""
+    m = n // 2
+    unit = m * (m + 1) * travel_bound(n, 1)
+    w_max = (2**54 - 1) // unit
+    assert _derandomize_in_float64(n, w_max)
+    assert not _derandomize_in_float64(n, w_max + 1)
+    assert unit * w_max < 2**54 <= unit * (w_max + 1)
