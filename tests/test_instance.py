@@ -144,6 +144,16 @@ def test_float_exact_below_two_to_the_53_only():
     assert not Instance(n=n, dist=d.astype(float)).float_exact  # real-valued
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+def test_d_max_and_float_dist_are_kept_on_the_instance(dtype):
+    inst = Instance(n=8, dist=random_metric_instance(8, 2).dist.astype(dtype))
+    assert inst.d_max == inst.dist.max() and type(inst.d_max) is type(inst.dist.max().item())
+    f = inst.float_dist
+    assert f.dtype == np.float64 and not f.flags.writeable and np.array_equal(f, inst.dist)
+    assert inst.float_dist is f  # converted once
+    assert (f is inst.dist) == (dtype is np.float64)
+
+
 def test_distances_whose_totals_overflow_float64_are_rejected():
     d = random_metric_instance(12, 3).dist.astype(float)
     limit = sys.float_info.max / (8 * 12 * 23)  # 8n(2n-1) max(d) must stay below it
