@@ -22,7 +22,7 @@ print("instance:")
 print(write_instance(inst))
 
 report = check_metric(inst)
-print("symmetric:", report.symmetric, "| triangle violations:", report.triangle_violations)
+print("triangle violations:", report.triangle_violations)
 
 # The matching pairs teams into super-teams; its weight D_M and the row
 # sums D_i give the per-team bounds LB_i = D_i + D_M.

@@ -33,7 +33,7 @@ for n in (8, 16, 24, 32, 40):
     base_extra = total_distance(build_even_template(n, 1), ti).total - lb
     best_l, _, _ = compute_L(n)
     chain = packing_chain(n)
-    packed_extra = total_distance(build_even_template(n, chain), ti).total - lb
+    packed_extra = total_distance(build_even_template(n, "auto"), ti).total - lb
     print(
         f"n={n:2d}: base extra {base_extra:3d} (=3n-16) | "
         f"packing {chain} -> L={best_l} left super-games, "

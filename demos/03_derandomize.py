@@ -30,7 +30,7 @@ lb = independent_lower_bound(inst, matching).total
 template = build_even_template(n)
 coeffs = extract_coefficients(template)
 
-ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
+ordering, chain = derandomize(coeffs, inst, matching)
 print("conditional expectation after each fixing step:")
 for step, value in enumerate(chain):
     stage = "start" if step == 0 else ("slot" if step <= n // 2 else "orientation")

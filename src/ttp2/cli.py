@@ -62,23 +62,17 @@ def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing):
     matching = min_weight_perfect_matching(inst)
     lb = independent_lower_bound(inst, matching).total
     if n <= BRUTE_FORCE_LIMIT:
-        schedule, total = brute_force_optimal(inst, lower_bound=lb)
+        schedule, total = brute_force_optimal(inst)
         construction = "brute"
     else:
         if chain:
-            template = build_even_template(n, chain)
+            template = build_even_template(n, chain[0])
             construction = "even" if chain == [1] else "even-dc"
         else:
             template = build_odd_template(n)
             construction = "odd"
         _, schedule, dist = run_rounds(
-            inst,
-            template,
-            matching,
-            rounds,
-            base_seed=seed,
-            lb=lb,
-            include_derandomized=derandomize_flag,
+            inst, template, matching, rounds, base_seed=seed, include_derandomized=derandomize_flag
         )
         total = dist.total
     elapsed = 1000 * (time.perf_counter() - start)

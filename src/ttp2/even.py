@@ -71,30 +71,19 @@ def compute_L(n: int):
 def packing_chain(n: int, packing="auto") -> list[int]:
     """Validated packing chain for n = 0 (mod 4), n >= 8.
 
-    `packing` is "auto" for the packing that realizes L(n), an integer p,
-    or a full chain.  Below an integer p each level takes the best packing
-    of its 4p-team sub-problem, ties to the smallest.
+    `packing` is "auto" for the packing that realizes L(n), or an integer
+    p.  Below p each level takes the best packing of its 4p-team
+    sub-problem, ties to the smallest; the chain ends at the base
+    construction, 1.
     """
     if packing == "auto":
         packing = compute_L(n)[1]
-    if isinstance(packing, int):
-        if not _valid_packing(n, packing):
-            raise DomainError(f"packing {packing} invalid for n={n}")
-        chain = [packing]
-        while chain[-1] > 1:
-            chain.append(compute_L(4 * chain[-1])[1])
-        return chain
-    chain = list(packing)
-    size = n
-    for depth, p in enumerate(chain):
-        if not _valid_packing(size, p):
-            raise DomainError(f"packing {chain} invalid at depth {depth} for n={size}")
-        if p == 1:
-            if depth != len(chain) - 1:
-                raise DomainError("chain continues past base construction")
-            return chain
-        size = 4 * p
-    raise DomainError(f"packing chain {chain} does not end in the base construction")
+    if not isinstance(packing, int) or not _valid_packing(n, packing):
+        raise DomainError(f"packing {packing} invalid for n={n}")
+    chain = [packing]
+    while chain[-1] > 1:
+        chain.append(compute_L(4 * chain[-1])[1])
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +261,9 @@ def _build_even_days(supers: np.ndarray, chain: list[int]) -> np.ndarray:
 def build_even_template(n: int, packing=1) -> Schedule:
     """Template schedule over labels 0..n-1 for n = 0 (mod 4), n >= 8.
 
-    `packing` is any spelling `packing_chain` accepts; the default 1 is the
-    base construction.  Label pairs (0,1), (2,3), ... are the super-teams.
+    `packing` is "auto" or an integer p, as `packing_chain` takes it; the
+    default 1 is the base construction.  Label pairs (0,1), (2,3), ... are
+    the super-teams.
     """
     if n % 4 != 0 or n < 8:
         raise DomainError(f"even-n/2 construction needs n = 0 (mod 4), n >= 8, got {n}")

@@ -129,15 +129,14 @@ def independent_lower_bound(inst: Instance, m: Matching) -> LowerBound:
 def _row_sums(inst: Instance, index) -> list:
     """Row sums of the distances ``dist[index]`` (a 2-D selection), as ``sum()`` gives them.
 
-    Integer instances give exact Python ints: `float_exact` ones sum in
-    int64, as n max(d) < travel_bound(n, max(d)) < 2**53, and the others add
-    their exact weights.  Real-valued ones accumulate from 0.0 left to right
-    in float64, the additions ``sum()`` makes in the order it makes them, so
-    the values are bit-identical to the loop.
+    Integer instances give exact Python ints, summed over
+    `Instance.sum_dist` (n max(d) < travel_bound(n, max(d)) bounds a row
+    sum).  Real-valued ones accumulate from 0.0 left to right in float64,
+    the additions ``sum()`` makes in the order it makes them, so the values
+    are bit-identical to the loop.
     """
     if inst.integral:
-        w = inst.dist if inst.float_exact else inst.exact_weights[0]
-        return w[index].sum(axis=1).tolist()
+        return inst.sum_dist[index].sum(axis=1).tolist()
     rows = inst.dist[index]
     return np.cumsum(np.hstack([np.zeros((len(rows), 1)), rows]), axis=1)[:, -1].tolist()
 

@@ -80,14 +80,15 @@ def _trip_cover_tables(inst: Instance):
     return others, cover
 
 
-def brute_force_optimal(inst: Instance, lower_bound=None) -> tuple[Schedule, object]:
+def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
     """Exact optimum for n in {4, 6} by game-by-game backtracking.
 
     Days are filled one game at a time (lowest free team first, cheapest
     option first).  Branches are cut on no-repeat / bounded-by-2 prefixes,
     remaining-game counts, and partial cost plus the sum of per-team
-    independent remaining-itinerary optima.  `lower_bound` (the instance's
-    independent lower bound) allows an early exit when it is attained.
+    independent remaining-itinerary optima.  That sum at the root, the
+    per-team trip-cover bound, holds without the triangle inequality, so
+    the search stops once its best schedule attains it.
     """
     n = inst.n
     if n > BRUTE_FORCE_LIMIT:
@@ -128,6 +129,7 @@ def brute_force_optimal(inst: Instance, lower_bound=None) -> tuple[Schedule, obj
         return best
 
     bound_parts = [team_bound(i) for i in range(n)]
+    root_bound = sum(bound_parts)
 
     def play(away: int, home: int):
         venue[away] = home
@@ -164,9 +166,7 @@ def brute_force_optimal(inst: Instance, lower_bound=None) -> tuple[Schedule, obj
 
     def search(day: int, free: list[int], cost: int):
         nonlocal best_cost, best_days
-        if best_cost is not None and lower_bound is not None and best_cost <= lower_bound:
-            return
-        if best_cost is not None and cost + sum(bound_parts) >= best_cost:
+        if best_cost is not None and (best_cost <= root_bound or cost + sum(bound_parts) >= best_cost):
             return
         if not free:
             nxt = day + 1

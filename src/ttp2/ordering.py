@@ -21,11 +21,11 @@ as each edge leaves, rather than summing them again every step.
 
 The swap local search runs on the binding vector (label -> team) alone:
 each start's ordering becomes its vector once, the passes and `polish`
-take and return vectors, and `run_rounds` rebuilds a TeamOrdering once,
-for the winning vector.  After every accepted move the search evaluates
-the whole neighbourhood of a pass in one array pass: all m(m-1)/2 slot
-swaps, or all m in-slot flips, from P = dist[bind][:, bind] and
-G = c @ P (as in quadratic-assignment local search), in float64 on BLAS.
+take and return vectors, and `run_rounds` returns the winning vector.
+After every accepted move the search evaluates the whole neighbourhood of
+a pass in one array pass: all m(m-1)/2 slot swaps, or all m in-slot
+flips, from P = dist[bind][:, bind] and G = c @ P (as in
+quadratic-assignment local search), in float64 on BLAS.
 The kernels' c-derived blocks are built once per TravelCoefficients.
 Each pass gathers P once and keeps it current in place: an accepted move
 permutes its touched rows and columns in O(n).  Both passes share one
@@ -123,7 +123,12 @@ def binding_vector(matching: Matching, ordering: TeamOrdering) -> list[int]:
 
 def bind_template(template: Schedule, matching: Matching, ordering: TeamOrdering) -> Schedule:
     """Rename template labels to real teams according to the ordering."""
-    bind = np.array(binding_vector(matching, ordering))
+    return _relabel(template, binding_vector(matching, ordering))
+
+
+def _relabel(template: Schedule, bind) -> Schedule:
+    """Rename template label l to real team bind[l]."""
+    bind = np.asarray(bind)
     t = template.table
     opp = bind[np.abs(t) - 1] + 1
     table = np.zeros_like(t)
@@ -134,13 +139,11 @@ def bind_template(template: Schedule, matching: Matching, ordering: TeamOrdering
 def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int]) -> object:
     """Total distance of a binding straight from the linear form.
 
-    Exact on integer instances: summed over the int64 distances when the
-    instance is `float_exact` and over its Python-int weights otherwise.
-    Real-valued instances sum in float64.
+    Summed over `Instance.sum_dist`: exact on integer instances, in float64
+    on real-valued ones.
     """
     perm = np.array(bind)
-    weights = inst.exact_weights[0] if inst.integral and not inst.float_exact else inst.dist
-    tot = (coeffs.c * weights.take(perm, 0).take(perm, 1)).sum()  # every travel is counted from both ends
+    tot = (coeffs.c * inst.sum_dist.take(perm, 0).take(perm, 1)).sum()  # every travel is counted from both ends
     return int(tot) // 2 if inst.integral else float(tot) / 2
 
 
@@ -175,20 +178,14 @@ def _derandomize_in_float64(n: int, w_max) -> bool:
     return m * (m + 1) * travel_bound(n, w_max) < 2**54
 
 
-def derandomize(
-    coeffs: TravelCoefficients,
-    inst: Instance,
-    matching: Matching,
-    with_chain: bool = False,
-):
+def derandomize(coeffs: TravelCoefficients, inst: Instance, matching: Matching):
     """Fix sigma then pi greedily so the conditional expectation never rises.
 
-    Returns the ordering, or (ordering, chain of expectations) when
-    `with_chain` is set; chain values are exact Fractions of E[W] in the
-    instance's units after each of the 2m fixing steps (entry 0 is the
-    unconditioned expectation).  The steps run on the exact integer
-    weights: in float64 when `_derandomize_in_float64` holds, in Python
-    ints (object arrays) otherwise.
+    Returns (ordering, chain of expectations); chain values are exact
+    Fractions of E[W] in the instance's units after each of the 2m fixing
+    steps (entry 0 is the unconditioned expectation).  The steps run on the
+    exact integer weights: in float64 when `_derandomize_in_float64` holds,
+    in Python ints (object arrays) otherwise.
     """
     m = inst.n // 2
     W, scale = inst.exact_weights
@@ -272,8 +269,7 @@ def derandomize(
         L1[2 * s] = L2[2 * s] = ends[b]
         L1[2 * s + 1] = L2[2 * s + 1] = ends[1 - b]
 
-    ordering = TeamOrdering(sigma=tuple(assigned), pi=tuple(bits))
-    return (ordering, [v / scale for v in chain]) if with_chain else ordering
+    return TeamOrdering(sigma=tuple(assigned), pi=tuple(bits)), [v / scale for v in chain]
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +514,13 @@ def run_rounds(
     matching: Matching,
     x: int,
     base_seed: int = 0,
-    lb=None,
     include_derandomized: bool = False,
 ):
     """x random restarts, each polished by the two swap rules; best wins.
 
     Each start's ordering becomes its binding vector once and the search
-    runs on vectors; the TeamOrdering is rebuilt once, for the winning
-    vector.  Returns (ordering, schedule, DistanceReport).
+    runs on vectors.  Returns (bind, schedule, DistanceReport) for the
+    winning vector bind (label -> team, as `binding_vector` gives it).
     """
     if x < 1:
         raise ValueError("round count must be >= 1")
@@ -533,7 +528,7 @@ def run_rounds(
     coeffs = extract_coefficients(template)
     starts = [random_ordering(m, base_seed + r) for r in range(x)]
     if include_derandomized:
-        starts.append(derandomize(coeffs, inst, matching))
+        starts.append(derandomize(coeffs, inst, matching)[0])
 
     best = None
     best_total = None
@@ -543,13 +538,5 @@ def run_rounds(
         if best_total is None or total < best_total:
             best_total = total
             best = bind
-    # Slot i holds the edge of its first team, flipped when that team is
-    # the edge's second end.
-    first = best[0::2].tolist()
-    edge = {team: e for e, pair in enumerate(matching.pairs) for team in pair}
-    sigma = tuple(edge[t] for t in first)
-    pi = tuple(int(matching.pairs[e][0] != t) for e, t in zip(sigma, first))
-    ordering = TeamOrdering(sigma=sigma, pi=pi)
-    schedule = bind_template(template, matching, ordering)
-    report = total_distance(schedule, inst, lb=lb)
-    return ordering, schedule, report
+    schedule = _relabel(template, best)
+    return best.tolist(), schedule, total_distance(schedule, inst)

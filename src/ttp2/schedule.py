@@ -152,15 +152,11 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
 def total_distance(s: Schedule, inst: Instance, lb=None) -> DistanceReport:
     """Sum of direct travels along every team's venue sequence.
 
-    Legs are added in walking order (real-valued totals are those of a walk).
-    Integer legs are summed in int64 when the instance is `float_exact`,
-    whose bound keeps every total far inside int64, and in Python ints
-    otherwise.
+    Legs of `Instance.sum_dist` are added in walking order, so integer
+    totals are exact and real-valued totals are those of a walk.
     """
     v = s.venues
-    legs = inst.dist[v[:, :-1], v[:, 1:]]
-    if inst.integral and not inst.float_exact:
-        legs = legs.astype(object)
+    legs = inst.sum_dist[v[:, :-1], v[:, 1:]]
     per_team = tuple(np.cumsum(legs, axis=1)[:, -1].tolist())
     total = sum(per_team)
     gap = None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_N8, enumerate_perfect_matchings
-from ttp2.even import build_even_template, compute_L, packing_chain
+from ttp2.even import build_even_template, compute_L
 from ttp2.instance import Instance, parse_instance
 from ttp2.matching import independent_lower_bound, min_weight_perfect_matching
 from ttp2.odd import build_odd_template
@@ -101,7 +101,7 @@ def test_criterion_04_tight_extra_costs():
     for n in EVEN_NS:
         ti = tight_instance(n)
         base = total_distance(build_even_template(n, 1), ti).total - n * (n - 2)
-        packed = total_distance(build_even_template(n, packing_chain(n)), ti).total - n * (n - 2)
+        packed = total_distance(build_even_template(n, "auto"), ti).total - n * (n - 2)
         L, _, _ = compute_L(n)
         if base != 3 * n - 16 or packed != 4 * L + n:
             ok = False
@@ -133,7 +133,7 @@ def test_criterion_05_and_06_derandomized_ratio_and_monotonicity():
             inst = random_metric_instance(n, 10_000 * n + seed)
             matching = min_weight_perfect_matching(inst)
             lb = independent_lower_bound(inst, matching).total
-            ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
+            ordering, chain = derandomize(coeffs, inst, matching)
             if any(chain[i + 1] > chain[i] for i in range(len(chain) - 1)):
                 chain_breaks += 1
             total = total_distance(bind_template(template, matching, ordering), inst).total
@@ -166,7 +166,7 @@ def test_criterion_08_bruteforce_sanity():
     ti = tight_instance(4)
     matching = min_weight_perfect_matching(ti)
     lb = independent_lower_bound(ti, matching).total
-    s, cost = brute_force_optimal(ti, lower_bound=lb)
+    s, cost = brute_force_optimal(ti)
     ok = lb == 8 and cost > lb and validate_schedule(s).feasible
 
     # The optimum never exceeds any other feasible schedule's total.
@@ -203,8 +203,8 @@ def test_criterion_09_benchmark_regression():
         matching = min_weight_perfect_matching(inst)
         lb_row, prev, r50 = baselines[name]
         lb = independent_lower_bound(inst, matching).total
-        template = build_odd_template(inst.n) if inst.n % 4 else build_even_template(inst.n, packing_chain(inst.n))
-        _, sched, rep = run_rounds(inst, template, matching, x=50, base_seed=0, lb=lb)
+        template = build_odd_template(inst.n) if inst.n % 4 else build_even_template(inst.n, "auto")
+        _, sched, rep = run_rounds(inst, template, matching, x=50, base_seed=0)
         if lb != lb_row or rep.total > prev or rep.total > 1.01 * r50:
             misses.append((name, lb, rep.total))
     elapsed = time.perf_counter() - t0

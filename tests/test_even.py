@@ -65,8 +65,6 @@ def test_packing_chain_rejects_invalid():
     with pytest.raises(DomainError):
         packing_chain(20, 2)  # 20 % 8 != 0
     with pytest.raises(DomainError):
-        packing_chain(16, [2, 2])  # chain must end at the base case
-    with pytest.raises(DomainError):
         packing_chain(40, 0)
 
 
@@ -121,7 +119,7 @@ def test_tight_extra_cost_best_packing_is_4L_plus_n():
     for n in range(8, 44, 4):
         ti = tight_instance(n)
         best, _, _ = compute_L(n)
-        total = total_distance(build_even_template(n, packing_chain(n)), ti).total
+        total = total_distance(build_even_template(n, "auto"), ti).total
         assert total == n * (n - 2) + 4 * best + n
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from ttp2.errors import ValidationError
-from ttp2.even import build_even_template, packing_chain
+from ttp2.even import build_even_template
 from ttp2.instance import Instance
 from ttp2.matching import Matching
 from ttp2.odd import build_odd_template
@@ -27,7 +27,7 @@ SIZES = [8, 10, 12, 14, 40, 42]
 
 @functools.lru_cache(maxsize=None)
 def _template(n):
-    return build_odd_template(n) if n % 4 else build_even_template(n, packing_chain(n))
+    return build_odd_template(n) if n % 4 else build_even_template(n, "auto")
 
 
 def _variant(inst, kind):

@@ -1,11 +1,13 @@
 import itertools
+import json
 import time
 
 import numpy as np
 import pytest
 
+from ttp2.cli import main
 from ttp2.errors import DomainError
-from ttp2.instance import Instance, check_metric
+from ttp2.instance import Instance, check_metric, write_instance
 from ttp2.matching import independent_lower_bound, min_weight_perfect_matching
 from ttp2.oracle import brute_force_optimal, random_metric_instance, tight_instance
 from ttp2.schedule import total_distance, validate_schedule
@@ -101,11 +103,55 @@ def test_bruteforce_matches_independent_enumeration_n4():
     assert cost == exhaustive_optimal_n4(inst)
 
 
+# Non-metric instances whose optimum lies below the independent lower bound,
+# which assumes the triangle inequality: (matrix, optimum, LB).  At n = 4,
+# d(0, 2) = 12 > d(0, 1) + d(1, 2) = 2; the n = 6 optimum is that of the
+# same search with no early stop at all.
+NON_METRIC = {
+    "n4": ([[0, 1, 12, 87], [1, 0, 1, 65], [12, 1, 0, 79], [87, 65, 79, 0]], 791, 798),
+    "n6": (
+        [
+            [0, 74, 13, 64, 44, 54],
+            [74, 0, 24, 60, 12, 184],
+            [13, 24, 0, 0, 15, 12],
+            [64, 60, 0, 0, 0, 44],
+            [44, 12, 15, 0, 0, 192],
+            [54, 184, 12, 44, 192, 0],
+        ],
+        1968,
+        1980,
+    ),
+}
+
+
+def test_bruteforce_exact_below_the_lower_bound_on_non_metric_input():
+    dist, optimum, lb = NON_METRIC["n4"]
+    inst = Instance(n=4, dist=np.array(dist))
+    assert check_metric(inst).triangle_violations > 0
+    assert independent_lower_bound(inst, min_weight_perfect_matching(inst)).total == lb
+    s, cost = brute_force_optimal(inst)
+    assert validate_schedule(s).feasible
+    assert total_distance(s, inst).total == cost
+    assert cost == exhaustive_optimal_n4(inst) == optimum
+
+
+@pytest.mark.parametrize("case", sorted(NON_METRIC))
+@pytest.mark.parametrize("command", ["oracle", "solve"])
+def test_cli_reports_the_optimum_below_the_lower_bound(tmp_path, capsys, command, case):
+    dist, optimum, lb = NON_METRIC[case]
+    path = tmp_path / f"{case}.txt"
+    path.write_text(write_instance(Instance(n=len(dist), dist=np.array(dist))))
+    assert main([command, str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["total"], report["lb"]) == (optimum, lb)
+    assert report["gap_percent"] < 0
+
+
 def test_bruteforce_tight4_beats_lower_bound():
     ti = tight_instance(4)
     m = min_weight_perfect_matching(ti)
     lb = independent_lower_bound(ti, m).total
-    s, cost = brute_force_optimal(ti, lower_bound=lb)
+    s, cost = brute_force_optimal(ti)
     assert validate_schedule(s).feasible
     assert lb == 8
     assert cost > lb  # the bound is unattainable even at n=4
@@ -114,9 +160,7 @@ def test_bruteforce_tight4_beats_lower_bound():
 
 def test_bruteforce_zero_matrix_n6():
     z = Instance(n=6, dist=np.zeros((6, 6), dtype=np.int64))
-    m = min_weight_perfect_matching(z)
-    lb = independent_lower_bound(z, m).total
-    s, cost = brute_force_optimal(z, lower_bound=lb)
+    s, cost = brute_force_optimal(z)
     assert cost == 0
     assert validate_schedule(s).feasible
 
@@ -125,7 +169,7 @@ def test_bruteforce_random_n6_in_bounds():
     inst = random_metric_instance(6, 21)
     m = min_weight_perfect_matching(inst)
     lb = independent_lower_bound(inst, m).total
-    s, cost = brute_force_optimal(inst, lower_bound=lb)
+    s, cost = brute_force_optimal(inst)
     assert validate_schedule(s).feasible
     assert lb <= cost <= 2 * lb
     assert total_distance(s, inst).total == cost

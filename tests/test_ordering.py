@@ -95,7 +95,7 @@ def test_derandomize_monotone_chain_and_bound():
             inst = random_metric_instance(n, seed)
             matching = min_weight_perfect_matching(inst)
             lb = independent_lower_bound(inst, matching).total
-            ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
+            ordering, chain = derandomize(coeffs, inst, matching)
             assert len(chain) == 2 * (n // 2) + 1
             assert all(chain[i + 1] <= chain[i] for i in range(len(chain) - 1))
             s = bind_template(template, matching, ordering)
@@ -115,7 +115,7 @@ def test_derandomize_constant_on_tight():
     coeffs = extract_coefficients(template)
     ti = tight_instance(n)
     matching = min_weight_perfect_matching(ti)
-    _, chain = derandomize(coeffs, ti, matching, with_chain=True)
+    _, chain = derandomize(coeffs, ti, matching)
     assert all(v == chain[0] for v in chain)
     assert chain[0] == 56
 
@@ -195,10 +195,9 @@ def test_run_rounds_deterministic_and_bounded():
     n = 10
     inst = random_metric_instance(n, 2)
     matching = min_weight_perfect_matching(inst)
-    lb = independent_lower_bound(inst, matching).total
     template = build_odd_template(n)
-    r1 = run_rounds(inst, template, matching, x=1, base_seed=5, lb=lb)
-    r2 = run_rounds(inst, template, matching, x=1, base_seed=5, lb=lb)
+    r1 = run_rounds(inst, template, matching, x=1, base_seed=5)
+    r2 = run_rounds(inst, template, matching, x=1, base_seed=5)
     assert r1[0] == r2[0]
     assert r1[2].total == r2[2].total
     assert validate_schedule(r1[1]).feasible
@@ -269,7 +268,7 @@ def test_derandomize_large_distances_chain_monotone():
     inst = _variant(random_metric_instance(n, 1), "big")
     matching = min_weight_perfect_matching(inst)
     template, coeffs = _template_and_coeffs(n)
-    ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
+    ordering, chain = derandomize(coeffs, inst, matching)
     assert all(chain[i + 1] <= chain[i] for i in range(len(chain) - 1))
     assert chain[-1] == total_distance(bind_template(template, matching, ordering), inst).total
 
@@ -283,7 +282,7 @@ def test_derandomize_chain_equals_brute_force_means(n, kind):
     inst = _variant(random_metric_instance(n, 20 + n), kind)
     matching = min_weight_perfect_matching(inst)
     template, coeffs = _template_and_coeffs(n)
-    ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
+    ordering, chain = derandomize(coeffs, inst, matching)
 
     travels = [(a, b, int(coeffs.c[a, b])) for a in range(n) for b in range(a + 1, n) if coeffs.c[a, b]]
     dist = [[Fraction(x) for x in row] for row in inst.dist.tolist()]
@@ -317,7 +316,7 @@ def test_derandomize_chain_properties(n, seed, kind):
     inst = _variant(random_metric_instance(n, seed), kind)
     matching = min_weight_perfect_matching(inst)
     template, coeffs = _template_and_coeffs(n)
-    ordering, chain = derandomize(coeffs, inst, matching, with_chain=True)
+    ordering, chain = derandomize(coeffs, inst, matching)
     assert len(chain) == n + 1
     assert all(chain[i + 1] <= chain[i] for i in range(n))
     schedule = bind_template(template, matching, ordering)
@@ -714,7 +713,7 @@ def test_derandomize_matches_python_int_reference(kind, n):
     assert _in_float64(inst) == (kind in ("uniform", "clustered", "half", "at-bound"))
     matching = min_weight_perfect_matching(inst)
     _, coeffs = _template_and_coeffs(n)
-    assert derandomize(coeffs, inst, matching, with_chain=True) == _derandomize_reference(coeffs, inst, matching)
+    assert derandomize(coeffs, inst, matching) == _derandomize_reference(coeffs, inst, matching)
 
 
 @pytest.mark.parametrize("n", [4, 6, 40, 122, 240])

@@ -4,6 +4,8 @@ Five rounds from seed 0 on random_metric_instance(n, n) cover the odd
 template (n = 18), the base template (28) and packed templates (24, 40).
 The values were produced by the search before it evaluated whole
 neighbourhoods at once, so this file imports only the public API.
+`run_rounds` returns the winning binding vector; each pinned (sigma, pi)
+is compared as the vector `binding_vector` makes of it.
 
 The wider cases were produced before the kernel gained its exact float64
 tier: a real-valued n = 24 (float proposals, each confirmed exactly) and
@@ -14,12 +16,12 @@ for the kernel to run on BLAS).
 import numpy as np
 import pytest
 
-from ttp2.even import build_even_template, packing_chain
+from ttp2.even import build_even_template
 from ttp2.instance import Instance
 from ttp2.matching import min_weight_perfect_matching
 from ttp2.odd import build_odd_template
 from ttp2.oracle import random_metric_instance
-from ttp2.ordering import TeamOrdering, extract_coefficients, run_rounds
+from ttp2.ordering import TeamOrdering, binding_vector, extract_coefficients, run_rounds
 
 RUN_ROUNDS_SNAPSHOT = [
     (18, (8, 0, 6, 1, 5, 2, 4, 7, 3), (1, 0, 0, 0, 0, 1, 0, 1, 0), 201978),
@@ -38,9 +40,9 @@ RUN_ROUNDS_SNAPSHOT = [
 def test_run_rounds_snapshot(n, sigma, pi, total):
     inst = random_metric_instance(n, n)
     matching = min_weight_perfect_matching(inst)
-    template = build_odd_template(n) if n % 4 else build_even_template(n, packing_chain(n))
-    ordering, _, report = run_rounds(inst, template, matching, x=5, base_seed=0)
-    assert ordering == TeamOrdering(sigma=sigma, pi=pi)
+    template = build_odd_template(n) if n % 4 else build_even_template(n, "auto")
+    bind, _, report = run_rounds(inst, template, matching, x=5, base_seed=0)
+    assert bind == binding_vector(matching, TeamOrdering(sigma=sigma, pi=pi))
     assert report.total == total
 
 
@@ -87,11 +89,11 @@ def test_run_rounds_wide_snapshot(n, kind, x, derandomized, sigma, pi, total):
     if kind == "sqrt":  # real-valued and not a multiple of an integer instance
         inst = Instance(n=n, dist=np.sqrt(inst.dist), integral=False)
     matching = min_weight_perfect_matching(inst)
-    template = build_odd_template(n) if n % 4 else build_even_template(n, packing_chain(n))
-    ordering, _, report = run_rounds(
+    template = build_odd_template(n) if n % 4 else build_even_template(n, "auto")
+    bind, _, report = run_rounds(
         inst, template, matching, x=x, base_seed=0, include_derandomized=derandomized
     )
-    assert ordering == TeamOrdering(sigma=sigma, pi=pi)
+    assert bind == binding_vector(matching, TeamOrdering(sigma=sigma, pi=pi))
     assert report.total == total
 
 
@@ -141,7 +143,7 @@ _BANDS = {"below-2**53": (0, 2**53), "2**53-2**63": (2**53, 2**63), "above-2**63
 @pytest.mark.parametrize("n, tier, sigma, pi, total", RUN_ROUNDS_TIER_SNAPSHOT)
 def test_run_rounds_tier_snapshot(n, tier, sigma, pi, total):
     inst = random_metric_instance(n, n)
-    template = build_odd_template(n) if n % 4 else build_even_template(n, packing_chain(n))
+    template = build_odd_template(n) if n % 4 else build_even_template(n, "auto")
     if tier == "real":
         inst = Instance(n=n, dist=np.sqrt(inst.dist), integral=False)
     else:
@@ -151,6 +153,6 @@ def test_run_rounds_tier_snapshot(n, tier, sigma, pi, total):
         lo, hi = _BANDS[tier]
         assert lo < 4 * int(extract_coefficients(template).c.sum()) * int(inst.dist.max()) < hi
     matching = min_weight_perfect_matching(inst)
-    ordering, _, report = run_rounds(inst, template, matching, x=3, base_seed=0)
-    assert ordering == TeamOrdering(sigma=sigma, pi=pi)
+    bind, _, report = run_rounds(inst, template, matching, x=3, base_seed=0)
+    assert bind == binding_vector(matching, TeamOrdering(sigma=sigma, pi=pi))
     assert report.total == total

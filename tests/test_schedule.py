@@ -142,7 +142,7 @@ def test_render_roundtrip_brute_force_and_construction():
     from ttp2.oracle import brute_force_optimal
 
     z = Instance(n=4, dist=np.zeros((4, 4), dtype=np.int64))
-    s4, _ = brute_force_optimal(z, lower_bound=0)
+    s4, _ = brute_force_optimal(z)
     assert np.array_equal(parse_schedule_csv(render_schedule(s4)).table, s4.table)
 
     s20 = build_even_template(20)
