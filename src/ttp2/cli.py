@@ -15,12 +15,12 @@ from pathlib import Path
 
 from .errors import DomainError, FormatError, ValidationError
 from .even import build_even_template, packing_chain
-from .instance import Instance, parse_instance
+from .instance import parse_instance
 from .matching import independent_lower_bound, min_weight_perfect_matching
 from .odd import build_odd_template
 from .oracle import BRUTE_FORCE_LIMIT, brute_force_optimal
 from .ordering import run_rounds
-from .schedule import Schedule, parse_schedule_csv, render_schedule, total_distance, validate_schedule
+from .schedule import parse_schedule_csv, render_schedule, total_distance, validate_schedule
 
 
 def _emit(obj, pretty: bool):
@@ -32,20 +32,17 @@ def _emit(obj, pretty: bool):
         print(json.dumps(obj))
 
 
-def _read_instance(path) -> Instance:
-    """Parse an instance file; parse errors name the file."""
+def _read(parse, path):
+    """`parse` of a file's text: an instance or a schedule CSV; parse errors name the file."""
     try:
-        return parse_instance(Path(path).read_text())
+        return parse(Path(path).read_text())
     except (FormatError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _read_schedule(path) -> Schedule:
-    """Parse a schedule CSV file; parse errors name the file."""
-    try:
-        return parse_schedule_csv(Path(path).read_text())
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+def _gap_percent(total, lb) -> float:
+    """Percent above the LB, to 2 places; 0.0 for an LB of 0, where every distance is 0."""
+    return round(100.0 * (total - lb) / lb, 2) if lb else 0.0
 
 
 def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing):
@@ -76,13 +73,12 @@ def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing):
         )
         total = dist.total
     elapsed = 1000 * (time.perf_counter() - start)
-    gap = 100.0 * (total - lb) / lb if lb else 0.0
     report = {
         "instance": name,
         "n": n,
         "lb": lb,
         "total": total,
-        "gap_percent": round(gap, 2),
+        "gap_percent": _gap_percent(total, lb),
         "rounds": rounds,
         "seed": seed,
         "elapsed_ms": round(elapsed, 1),
@@ -94,7 +90,7 @@ def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing):
 
 def cmd_solve(args) -> int:
     path = Path(args.instance)
-    inst = _read_instance(path)
+    inst = _read(parse_instance, path)
     report, schedule = _solve_instance(inst, path.stem, args.rounds, args.seed, args.derandomize, args.packing)
     if report["construction"] == "brute":
         print(f"note: n={inst.n} is solved exactly by brute force", file=sys.stderr)
@@ -106,14 +102,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    schedule = _read_schedule(args.schedule)
-    inst = _read_instance(args.instance)
+    schedule = _read(parse_schedule_csv, args.schedule)
+    inst = _read(parse_instance, args.instance)
     if schedule.n != inst.n:
         raise ValidationError(f"schedule has {schedule.n} teams, instance has {inst.n}")
     feas = validate_schedule(schedule, k=args.k)
     matching = min_weight_perfect_matching(inst)
     lb = independent_lower_bound(inst, matching).total
-    dist = total_distance(schedule, inst, lb=lb)
+    dist = total_distance(schedule, inst)
     _emit(
         {
             "feasible": feas.feasible,
@@ -121,7 +117,7 @@ def cmd_validate(args) -> int:
             "total": dist.total,
             "per_team": list(dist.per_team),
             "lb": lb,
-            "gap_percent": None if dist.lb_gap_percent is None else round(dist.lb_gap_percent, 2),
+            "gap_percent": _gap_percent(dist.total, lb),
         },
         args.pretty,
     )
@@ -129,7 +125,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lb(args) -> int:
-    inst = _read_instance(args.instance)
+    inst = _read(parse_instance, args.instance)
     matching = min_weight_perfect_matching(inst)
     bound = independent_lower_bound(inst, matching)
     _emit(
@@ -147,7 +143,7 @@ def cmd_lb(args) -> int:
 
 def cmd_oracle(args) -> int:
     path = Path(args.instance)
-    inst = _read_instance(path)
+    inst = _read(parse_instance, path)
     if inst.n > BRUTE_FORCE_LIMIT:
         raise DomainError(f"oracle needs n <= {BRUTE_FORCE_LIMIT}, got n={inst.n}")
     report, schedule = _solve_instance(inst, path.stem, 1, 0, False, "auto")
@@ -196,7 +192,7 @@ def cmd_bench(args) -> int:
     files = sorted(p for p in Path(args.directory).iterdir() if p.is_file() and p.suffix != ".csv")
     # Read every input before solving any, so that a bad one stops the run early.
     baseline = _load_baseline(args.baseline)
-    instances = [(path.stem, _read_instance(path)) for path in files]
+    instances = [(path.stem, _read(parse_instance, path)) for path in files]
 
     results = []
     any_infeasible = False

@@ -25,7 +25,8 @@ class Instance:
     `integral` follows the dtype of `dist`: True for integer distances.
     Passing a value that contradicts the dtype raises ValidationError.
     `d_max` is the largest distance, a Python int or float, kept from
-    validation.
+    validation.  There is no per-cell accessor: loops read one
+    `dist.tolist()` table, whose entries are the same Python scalars.
     """
 
     n: int
@@ -42,10 +43,6 @@ class Instance:
                 f"integral={self.integral} contradicts distances of dtype {self.dist.dtype}"
             )
         object.__setattr__(self, "integral", integral)
-
-    def d(self, i: int, j: int):
-        """Distance between the homes of teams i and j (0-based)."""
-        return self.dist[i, j].item()
 
     @functools.cached_property
     def float_exact(self) -> bool:

@@ -83,7 +83,8 @@ def min_weight_perfect_matching(inst: Instance) -> Matching:
     _certified_slack(gain, tight, mate, dual, blossoms, full=False)
     pairs = tuple((i, j) for i, j in enumerate(mate) if i < j)
 
-    weight = sum(inst.d(i, j) for i, j in pairs)
+    pi, pj = zip(*pairs)
+    weight = sum(inst.dist[pi, pj].tolist())  # in pair order, as Python scalars
     iu, ju = np.triu_indices(n, 1)
     (d_g,) = _row_sums(inst, (iu[None], ju[None]))
     return Matching(pairs=pairs, weight=weight, d_g=d_g, d_h=d_g - weight)

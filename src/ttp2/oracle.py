@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DomainError
 from .instance import Instance
-from .schedule import Schedule, games_to_schedule
+from .schedule import Schedule, games_to_schedule, total_distance
 
 BRUTE_FORCE_LIMIT = 6
 
@@ -52,10 +52,11 @@ def _trip_cover_tables(inst: Instance):
     `mask` (bits over the other teams, sorted) in road trips of length one
     or two, starting and ending at home.  Only the trip structure forced by
     bounded-by-2 is used, so the value is a valid lower bound regardless of
-    scheduling interactions or the triangle inequality.
+    scheduling interactions or the triangle inequality.  Distances are read
+    from one `dist.tolist()` table, the Python scalars of `dist`.
     """
     n = inst.n
-    d = inst.d
+    d = inst.dist.tolist()
     others = [sorted(set(range(n)) - {i}) for i in range(n)]
     cover = []
     for i in range(n):
@@ -66,12 +67,12 @@ def _trip_cover_tables(inst: Instance):
             lo = (mask & -mask).bit_length() - 1
             v = opp[lo]
             rest = mask & ~(1 << lo)
-            best = 2 * d(i, v) + table[rest]
+            best = 2 * d[i][v] + table[rest]
             sub = rest
             while sub:
                 lo2 = (sub & -sub).bit_length() - 1
                 w = opp[lo2]
-                cand = d(i, v) + d(v, w) + d(w, i) + table[rest & ~(1 << lo2)]
+                cand = d[i][v] + d[v][w] + d[w][i] + table[rest & ~(1 << lo2)]
                 if cand < best:
                     best = cand
                 sub &= sub - 1
@@ -88,13 +89,15 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
     remaining-game counts, and partial cost plus the sum of per-team
     independent remaining-itinerary optima.  That sum at the root, the
     per-team trip-cover bound, holds without the triangle inequality, so
-    the search stops once its best schedule attains it.
+    the search stops once its best schedule attains it.  The total returned
+    is the `total_distance` walk's, not the search's own sum, which can
+    differ from it in the last bits on real-valued distances.
     """
     n = inst.n
     if n > BRUTE_FORCE_LIMIT:
         raise DomainError(f"brute force is guarded to n <= {BRUTE_FORCE_LIMIT}")
     days = 2 * n - 2
-    d = inst.d
+    d = inst.dist.tolist()
     others, cover = _trip_cover_tables(inst)
     bit = [{v: 1 << idx for idx, v in enumerate(others[i])} for i in range(n)]
 
@@ -115,14 +118,14 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
             return cover[i][mask]
         # Currently away at v: either head home now, or take one more stop
         # if the current trip has room.
-        best = d(v, i) + cover[i][mask]
+        best = d[v][i] + cover[i][mask]
         if run[i][1] < 2:
             sub = mask
             while sub:
                 lo = (sub & -sub).bit_length() - 1
                 w = others[i][lo]
                 if w != last_opp[i]:
-                    cand = d(v, w) + d(w, i) + cover[i][mask & ~(1 << lo)]
+                    cand = d[v][w] + d[w][i] + cover[i][mask & ~(1 << lo)]
                     if cand < best:
                         best = cand
                 sub &= sub - 1
@@ -171,7 +174,7 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
         if not free:
             nxt = day + 1
             if nxt == days:
-                total = cost + sum(d(venue[i], i) for i in range(n) if venue[i] != i)
+                total = cost + sum(d[venue[i]][i] for i in range(n) if venue[i] != i)
                 if best_cost is None or total < best_cost:
                     best_cost = total
                     best_days = [list(g) for g in schedule_days]
@@ -184,9 +187,9 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
         options = []
         for u in free[1:]:
             if may_play(t, u):
-                options.append((d(venue[t], u) + d(venue[u], u), t, u))
+                options.append((d[venue[t]][u] + d[venue[u]][u], t, u))
             if may_play(u, t):
-                options.append((d(venue[u], t) + d(venue[t], t), u, t))
+                options.append((d[venue[u]][t] + d[venue[t]][t], u, t))
         options.sort(key=lambda o: o[0])
 
         for step, away, home in options:
@@ -208,4 +211,4 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
     if best_days is None:
         raise AssertionError("no feasible schedule found")
     sched = games_to_schedule(n, best_days)
-    return sched, best_cost
+    return sched, total_distance(sched, inst).total

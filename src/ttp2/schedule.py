@@ -68,9 +68,10 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class DistanceReport:
+    """A schedule's walk total and each team's share; no LB gap (see cli)."""
+
     total: object
     per_team: tuple
-    lb_gap_percent: float | None = None
 
 
 def games_to_schedule(n: int, days) -> Schedule:
@@ -149,20 +150,17 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
     return FeasibilityReport(feasible=not violations, violations=violations)
 
 
-def total_distance(s: Schedule, inst: Instance, lb=None) -> DistanceReport:
+def total_distance(s: Schedule, inst: Instance) -> DistanceReport:
     """Sum of direct travels along every team's venue sequence.
 
     Legs of `Instance.sum_dist` are added in walking order, so integer
-    totals are exact and real-valued totals are those of a walk.
+    totals are exact and real-valued totals are those of a walk.  This is
+    the one rule for a schedule's total: every command reports it.
     """
     v = s.venues
     legs = inst.sum_dist[v[:, :-1], v[:, 1:]]
     per_team = tuple(np.cumsum(legs, axis=1)[:, -1].tolist())
-    total = sum(per_team)
-    gap = None
-    if lb is not None and lb > 0:
-        gap = 100.0 * (total - lb) / lb
-    return DistanceReport(total=total, per_team=per_team, lb_gap_percent=gap)
+    return DistanceReport(total=sum(per_team), per_team=per_team)
 
 
 def itinerary_of(s: Schedule, team: int) -> list[list[int]]:

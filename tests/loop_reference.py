@@ -77,20 +77,17 @@ def venue_sequence(s: Schedule, team: int) -> list[int]:
     return seq
 
 
-def total_distance(s: Schedule, inst, lb=None) -> DistanceReport:
+def total_distance(s: Schedule, inst) -> DistanceReport:
+    d = inst.dist.tolist()
     per_team = []
     for i in range(s.n):
         seq = venue_sequence(s, i)
         dist = 0
         for a, b in zip(seq, seq[1:]):
             if a != b:
-                dist += inst.d(a, b)
+                dist += d[a][b]
         per_team.append(dist)
-    total = sum(per_team)
-    gap = None
-    if lb is not None and lb > 0:
-        gap = 100.0 * (total - lb) / lb
-    return DistanceReport(total=total, per_team=tuple(per_team), lb_gap_percent=gap)
+    return DistanceReport(total=sum(per_team), per_team=tuple(per_team))
 
 
 def extract_coefficients(template: Schedule) -> np.ndarray:

@@ -4,8 +4,8 @@
 own blossom solver (an exact solve, then a tie-break on the tight pairs) and
 computes its sums on arrays.  The functions below are the plain definitions
 it must agree with: one networkx blossom run on integer weights that combine
-the distance with a positional penalty, and the sums of `inst.d` calls
-behind D_G and the lower bound (see test_matching_reference.py).
+the distance with a positional penalty, and the loop sums over a
+`dist.tolist()` table behind D_G and the lower bound (see test_matching_reference.py).
 """
 
 from __future__ import annotations
@@ -52,14 +52,16 @@ def min_weight_perfect_matching(inst: Instance) -> Matching:
     if 2 * len(pairs) != n:
         raise AssertionError("matching is not perfect")
 
-    weight = sum(inst.d(i, j) for i, j in pairs)
-    d_g = sum(inst.d(i, j) for i in range(n) for j in range(i + 1, n))
+    d = inst.dist.tolist()
+    weight = sum(d[i][j] for i, j in pairs)
+    d_g = sum(d[i][j] for i in range(n) for j in range(i + 1, n))
     return Matching(pairs=pairs, weight=weight, d_g=d_g, d_h=d_g - weight)
 
 
 def independent_lower_bound(inst: Instance, m: Matching) -> LowerBound:
     """Per-team bound D_i + D_M; the total telescopes to 2*D_G + n*D_M."""
     n = inst.n
-    row_sums = [sum(inst.d(i, j) for j in range(n)) for i in range(n)]
+    d = inst.dist.tolist()
+    row_sums = [sum(d[i][j] for j in range(n)) for i in range(n)]
     per_team = tuple(r + m.weight for r in row_sums)
     return LowerBound(per_team=per_team, total=sum(per_team))

@@ -154,8 +154,9 @@ def test_criterion_07_matching_exactness():
         np.fill_diagonal(d, 0)
         inst = Instance(n=n, dist=d)
         got = min_weight_perfect_matching(inst).weight
+        table = inst.dist.tolist()
         want = min(
-            sum(inst.d(a, b) for a, b in match)
+            sum(table[a][b] for a, b in match)
             for match in enumerate_perfect_matchings(range(n))
         )
         bad += got != want

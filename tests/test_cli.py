@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ttp2.cli import main
@@ -108,6 +109,36 @@ def test_validate_roundtrip(tmp_path, capsys):
     assert code == 0
     assert payload[0]["feasible"] is True
     assert payload[0]["total"] == 56
+
+
+def _real_instance(n, seed):
+    """Real-valued Euclidean distances between uniform points in the plane."""
+    pts = np.random.default_rng(seed).uniform(0.0, 1000.0, size=(n, 2))
+    return Instance(n=n, dist=np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+
+
+@pytest.mark.parametrize("n, seed", [(4, 1), (6, 5)])
+def test_small_real_valued_instance_reports_one_total(tmp_path, capsys, n, seed):
+    # The exhaustive search's own running sum differs from the venue walk in
+    # the last bits on these instances; every command reports the walk.
+    inst = _real_instance(n, seed)
+    path = write_inst(tmp_path, "real.txt", inst)
+    csv_path = tmp_path / "real.schedule.csv"
+    _, (oracle,) = run(capsys, ["oracle", str(path)])
+    _, (solved,) = run(capsys, ["solve", str(path)])
+    _, (checked,) = run(capsys, ["validate", str(csv_path), str(path)])
+    walk = total_distance(parse_schedule_csv(csv_path.read_text()), inst).total
+    assert oracle["total"] == solved["total"] == checked["total"] == walk
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_validate_reports_a_zero_gap_when_the_lb_is_zero(tmp_path, capsys, n):
+    path = write_inst(tmp_path, "zero.txt", Instance(n=n, dist=np.zeros((n, n), dtype=np.int64)))
+    _, (solved,) = run(capsys, ["solve", str(path)])
+    code, (checked,) = run(capsys, ["validate", str(tmp_path / "zero.schedule.csv"), str(path)])
+    assert code == 0
+    assert (checked["lb"], checked["total"]) == (0, 0)
+    assert checked["gap_percent"] == solved["gap_percent"] == 0.0
 
 
 def test_validate_catches_corruption(tmp_path, capsys):

@@ -156,7 +156,7 @@ def test_per_team_travel_bounds_on_metric_instances():
         lb = independent_lower_bound(inst, matching)
         s = build_even_template(12)
         rep = total_distance(s, inst)
-        row = [sum(inst.d(i, j) for j in range(12)) for i in range(12)]
+        row = [sum(r) for r in inst.dist.tolist()]
         for i in range(12):
             assert rep.per_team[i] >= row[i] + matching.weight  # optimal itinerary
             assert rep.per_team[i] <= 2 * row[i]

@@ -36,7 +36,7 @@ def test_integral_contradicting_the_dtype_is_rejected(dtype, integral):
 
 def test_parse_bare_square_block():
     ti = tight_instance(4)
-    body = " ".join(str(ti.d(i, j)) for i in range(4) for j in range(4))
+    body = " ".join(str(x) for row in ti.dist.tolist() for x in row)
     inst = parse_instance(body)
     assert inst.n == 4
     assert np.array_equal(inst.dist, ti.dist)
@@ -127,12 +127,12 @@ def test_parse_rejects_underscores_and_non_ascii_digits(token):
     text = f"4\n0 {token} 1 1\n{token} 0 1 1\n1 1 0 1\n1 1 1 0\n"
     with pytest.raises(FormatError, match=repr(token)):
         parse_instance(text)
-    assert parse_instance(text.replace(token, "10")).d(0, 1) == 10
+    assert parse_instance(text.replace(token, "10")).dist.tolist()[0][1] == 10
 
 
 def test_parse_keeps_non_ascii_whitespace_as_a_separator():
     inst = parse_instance("4\u00a00 1 2 3\u30001 0 4 5 2 4 0 6 3 5 6 0")
-    assert inst.n == 4 and inst.d(2, 3) == 6
+    assert inst.n == 4 and inst.dist.tolist()[2][3] == 6
 
 
 def test_float_exact_below_two_to_the_53_only():

@@ -89,7 +89,7 @@ def test_schedule_layer_matches_loops(n, seed, edits, k, kind):
         with pytest.raises(IndexError):
             ref.total_distance(s, inst)
         return
-    got, want = total_distance(s, inst, lb=1), ref.total_distance(s, inst, lb=1)
+    got, want = total_distance(s, inst), ref.total_distance(s, inst)
     assert got == want
     assert [type(x) for x in got.per_team] == [type(x) for x in want.per_team]
     assert type(got.total) is type(want.total)

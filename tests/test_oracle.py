@@ -66,6 +66,8 @@ def exhaustive_optimal_n4(inst):
                 return False
         return True
 
+    d = inst.dist.tolist()
+
     def cost(seq):
         total = 0
         for t in range(4):
@@ -73,9 +75,9 @@ def exhaustive_optimal_n4(inst):
             for day in seq:
                 for a, h in day:
                     if t in (a, h):
-                        total += inst.d(venue, h)
+                        total += d[venue][h]
                         venue = h
-            total += inst.d(venue, t)
+            total += d[venue][t]
         return total
 
     best = None

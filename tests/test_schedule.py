@@ -69,10 +69,9 @@ def test_total_distance_zero_matrix(golden_n8):
 
 def test_total_distance_golden_on_tight(golden_n8):
     ti = tight_instance(8)
-    rep = total_distance(golden_n8, ti, lb=48)
+    rep = total_distance(golden_n8, ti)
     assert rep.total == 56  # lower bound 48 plus extra 3n-16 = 8
     assert rep.total == sum(rep.per_team)
-    assert rep.lb_gap_percent == pytest.approx(100 * 8 / 48)
 
 
 HAND_N4 = np.array(
@@ -293,7 +292,7 @@ def test_validator_relabeling_invariant(golden_n8):
     assert validate_schedule(s).feasible
 
     ti = tight_instance(8)
-    inv = np.argsort(perm)  # relabeled.d(perm[a], perm[b]) == ti.d(a, b)
+    inv = np.argsort(perm)  # relabeled.dist[perm[a], perm[b]] == ti.dist[a, b]
     relabeled = Instance(n=8, dist=ti.dist[np.ix_(inv, inv)])
     assert total_distance(s, relabeled).total == total_distance(golden_n8, ti).total
 
