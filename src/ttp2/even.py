@@ -19,6 +19,11 @@ penultimate and last base slots are one gather each, and the last group
 slot gathers the 4p-team sub-template, built once, from each meeting's
 teams.  The slots stack into the (2n-2, n/2, 2) array that
 games_to_schedule scatters into the table.
+
+Both builders share one circle: `_circle` pairs the whites of any slots
+at once, and `_meetings` orients every meeting by one block-status rule.
+odd.py's slots are this circle on its whites and L, with R joining the
+circle's last pair.
 """
 
 from __future__ import annotations
@@ -134,53 +139,43 @@ def _games(kind: str, roles: np.ndarray) -> np.ndarray:
     return days.reshape(math.prod(days.shape[:-3]), math.prod(days.shape[-3:-1]), 2)
 
 
-def _super_games(kind: str, supers: np.ndarray, matches) -> np.ndarray:
-    """`_games` of four-role `kind` for k (away, home) 1-based labels into
-    the (m, 2) array of super-teams `supers`."""
-    away, home = np.array(matches, dtype=np.intp).reshape(-1, 2).T - 1
-    return _games(kind, np.hstack([supers[away], supers[home]]))
-
-
 # ---------------------------------------------------------------------------
-# Base construction (packing 1).
+# The circle of both builders, and the base construction (packing 1).
 # ---------------------------------------------------------------------------
 
-def _circle_pairs(m: int, q: int) -> tuple[list[tuple[int, int]], int]:
-    """White pairings and the white meeting u_m in slot q (1-based labels)."""
-    mod = m - 1
-    partner = (1 - q) % mod or mod
-    pairs = []
-    for i in range(1, mod + 1):
-        if i == partner:
-            continue
-        j = (2 - 2 * q - i) % mod or mod
-        if i < j:
-            pairs.append((i, j))
-    return pairs, partner
+def _circle(mod: int, q):
+    """Slot q, an int or an array of slots, of the circle method on whites
+    1..mod (mod odd) around a fixed super-team: the white f that meets it
+    and the (lo, hi) pairs (f - k, f + k) mod `mod`, k = 1..(mod-1)/2, that
+    meet each other.  Over slots 1..mod every two whites meet once."""
+    f = -np.asarray(q) % mod + 1
+    k = np.arange(1, (mod + 1) // 2)
+    pairs = (f[..., None, None] + np.stack([-k, k], axis=-1) - 1) % mod + 1
+    return f, np.sort(pairs, axis=-1)
 
 
-def _block_home(s: int, q: int) -> bool:
+def _block_home(s, q):
     """Home/away status in slot q of a white that meets the fixed
-    super-team in slot s (before the last slot): a white meeting it in
-    slot 1 is away throughout, any other starts home iff s is odd and
-    flips after slot s.  In a circle of g super-teams (or groups) white j
-    meets it in slot g - j."""
-    return s != 1 and (s % 2 == 1) == (q <= s)
+    super-team in slot s: a white meeting it in slot 1 is away throughout,
+    any other starts home iff s is odd and flips after slot s.  In a
+    circle of g super-teams (or groups) white j meets it in slot g - j."""
+    return (s != 1) & ((s % 2 == 1) == (q <= s))
 
 
-def _dark_home_base(q: int) -> bool:
-    return q == 1 or q % 2 == 0
+def _dark_home_base(q):
+    return (q == 1) | (q % 2 == 0)
 
 
-def slot1_away_positions(m: int, chain: list[int]) -> list[int]:
-    """Positions (1-based) whose super-teams start with away games."""
-    p = chain[0]
-    g = m // p
-    away_groups = [2] + [j for j in range(4, g - 1, 2)] + [g - 1]
-    out = []
-    for grp in away_groups:
-        out.extend(range((grp - 1) * p + 1, grp * p + 1))
-    return sorted(out)
+def _meetings(g: int, q) -> np.ndarray:
+    """The (away, home) 1-based groups of every meeting in slot q, an int or
+    an array of slots, of the circle of g groups, the fixed group g's
+    meeting first.  The fixed group hosts on `_dark_home_base` slots, and
+    the lower white of a pair hosts while its `_block_home` is home."""
+    f, pairs = _circle(g - 1, q)
+    q = np.asarray(q)[..., None]
+    meetings = np.concatenate([np.stack([f, np.full_like(f, g)], -1)[..., None, :], pairs], axis=-2)
+    swap = np.concatenate([~_dark_home_base(q), _block_home(g - pairs[..., 0], q)], axis=-1)
+    return np.where(swap[..., None], meetings[..., ::-1], meetings)
 
 
 def _meeting_slots(supers: np.ndarray, p: int, last: int) -> np.ndarray:
@@ -189,14 +184,10 @@ def _meeting_slots(supers: np.ndarray, p: int, last: int) -> np.ndarray:
     away group visits super-team i + l (mod p) of its home group.  Every
     super-game is normal but the one ending the fixed group's meeting, a
     left super-game after slot 1.  With p = 1 the groups are the
-    super-teams themselves, slots of the base construction."""
+    super-teams themselves, slots of the base construction; on the whites
+    and L of odd.py they are its slots 1..M before its two edits."""
     g = len(supers) // p
-    meetings = []
-    for q in range(1, last + 1):
-        pairs, partner = _circle_pairs(g, q)
-        dark = (partner, g) if _dark_home_base(q) else (g, partner)
-        meetings.append([dark] + [(j, i) if _block_home(g - i, q) else (i, j) for i, j in pairs])
-    first = (np.array(meetings, dtype=np.intp) - 1) * p
+    first = (_meetings(g, np.arange(1, last + 1)) - 1) * p
     i = np.arange(p)
     # The (away, home) super-teams of each (slot, round, meeting, i), then
     # their (a1, a2, h1, h2) teams.
@@ -213,22 +204,26 @@ def _meeting_slots(supers: np.ndarray, p: int, last: int) -> np.ndarray:
 def _base_even_days(supers: np.ndarray) -> np.ndarray:
     m = len(supers)
     # Slot 1 holds normal super-games; slots 2..m-3 differ only in the
-    # fixed super-team's left super-game, home on even slots.
-    slots = [_meeting_slots(supers, 1, m - 3)]
-    pairs, partner = _circle_pairs(m, m - 2)
-    matches = [(j, i) if _block_home(m - i, m - 2) else (i, j) for i, j in pairs + [(partner, m)]]
-    slots.append(_super_games("penultimate", supers, matches))
-    # The six-day slot m - 1.  Home side: u_1 or the even-indexed white;
-    # u_m is always away.
-    pairs, partner = _circle_pairs(m, m - 1)
-    matches = [(j, i) if i == 1 or i % 2 == 0 else (i, j) for i, j in pairs]
-    slots.append(_super_games("last", supers, matches + [(m, partner)]))
-    return np.concatenate(slots)
+    # fixed super-team's left super-game, home on even slots.  Slot m - 2
+    # is all penultimate super-games and the six-day slot m - 1 all last
+    # ones, on the same meetings.
+    return np.concatenate([
+        _meeting_slots(supers, 1, m - 3),
+        _games("penultimate", supers[_meetings(m, m - 2) - 1].reshape(-1, 4)),
+        _games("last", supers[_meetings(m, m - 1) - 1].reshape(-1, 4)),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # Packed construction (divide and conquer).
 # ---------------------------------------------------------------------------
+
+def _slot1_away(m: int, p: int) -> np.ndarray:
+    """Mask of the m super-teams, in groups of p, that start with away
+    games: every even group but the last, and group m/p - 1."""
+    group = np.arange(m) // p + 1
+    return (group % 2 == 0) ^ (group >= m // p - 1)
+
 
 def _packed_even_days(supers: np.ndarray, p: int, subchain: list[int]) -> np.ndarray:
     m = len(supers)
@@ -239,10 +234,8 @@ def _packed_even_days(supers: np.ndarray, p: int, subchain: list[int]) -> np.nda
     # Last group-slot: the sub-problem on 4p teams, one per meeting, built
     # once on labels 0..4p-1 and gathered from each meeting's teams.  Groups
     # ending the previous slot on a home game start away.
-    pairs, partner = _circle_pairs(g, g - 1)
-    meetings = np.array([(i, j) if i % 2 == 1 else (j, i) for i, j in pairs] + [(g, partner)]) - 1
-    away_pos = np.zeros(2 * p, dtype=bool)
-    away_pos[np.array(slot1_away_positions(2 * p, subchain)) - 1] = True
+    meetings = _meetings(g, g - 1) - 1
+    away_pos = _slot1_away(2 * p, subchain[0])
     sub_supers = np.empty_like(supers, shape=(len(meetings), 2 * p, 2))
     sub_supers[:, away_pos] = groups[meetings[:, 0]]
     sub_supers[:, ~away_pos] = groups[meetings[:, 1]]

@@ -8,9 +8,12 @@ rhythm and its second on HAAH throughout.  The remaining games
 (intra-pair, the leftover half of each adjacent pair's games, and L vs R)
 fill a final six-day block.
 
-Whites 1..m-2 sit on an odd cycle.  Every white meets L once; the slot of
-that meeting drives the same home/away block status as in the even
-construction (`_block_home`).  Within right super-games each white team
+Slots 1..m-2 are the even construction's circle (`even._meeting_slots`)
+on the whites 1..m-2 around L, so every white meets L once and the slot of
+that meeting drives the same home/away block status (`_block_home`).  Two
+edits follow: L's last meeting is a penultimate super-game, and R joins
+the circle's last pair, two cycle-adjacent whites, in a right super-game
+that replaces their normal one.  Within right super-games each white team
 has either both of its games against one R team or all four or none,
 which is what makes the leftover games land where the final block needs
 them.  The right super-games are six-role kinds of the shared pattern
@@ -25,27 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .even import _block_home, _dark_home_base, _games, _super_games
+from .even import _PATTERNS, _block_home, _circle, _games, _meeting_slots
 from .schedule import Schedule, games_to_schedule
-
-
-def _white_home(x: int, q: int, m: int) -> bool:
-    """Block status of white x in slot q; x meets L in slot m-1-x, white 1 in M."""
-    return _block_home(m - 2 if x == 1 else m - 1 - x, q)
-
-
-def _right_game(supers: np.ndarray, q: int, lo: int) -> np.ndarray:
-    """The right super-game of slot q on the cycle-adjacent pair (lo, lo mod M + 1)."""
-    m = len(supers)
-    M = m - 2
-    if lo == M:  # closing pair: white 1 hosts M, as M meets L in slot 1
-        roles = [supers[M - 1, ::-1], supers[0], supers[m - 1]]
-        return _games("right-closing", np.concatenate(roles)[None])
-    c, d = (lo, lo + 1) if lo % 2 == 0 else (lo + 1, lo)
-    clean = supers[c - 1] if c == lo else supers[c - 1, ::-1]
-    dirty = supers[d - 1] if d > lo or d == 1 else supers[d - 1, ::-1]
-    kind = "right-home" if _white_home(c, q, m) else "right-away"
-    return _games(kind, np.concatenate([clean, dirty, supers[m - 1]])[None])
 
 
 def _final_block(supers: np.ndarray) -> list[list[tuple[int, int]]]:
@@ -88,36 +72,28 @@ def build_odd_template(n: int) -> Schedule:
     m = n // 2
     M = m - 2  # number of whites on the cycle
     supers = np.arange(n).reshape(m, 2)
-    slots = []
+    q = np.arange(1, M + 1)
 
-    for q in range(1, m - 1):
-        lo = ((m - 3) // 2 - q) % M + 1
+    # Slots 1..M are the even circle on the whites and L, with L's meeting
+    # in slot M (it visits white 1) penultimate instead of left.
+    days = _meeting_slots(supers[:-1], 1, M).reshape(M, 4, -1, 2)
+    days[-1, :, :2] = _games("penultimate", supers[[m - 2, 0]].reshape(1, 4))
 
-        # L's super-game of the slot, against the white w meeting it in q.
-        w = 1 if q == M else m - 1 - q
-        if q == 1:
-            left = _super_games("normal", supers, [(w, m - 1)])
-        elif q == m - 2:
-            left = _super_games("penultimate", supers, [(m - 1, 1)])
-        elif _dark_home_base(q):
-            left = _super_games("left", supers, [(w, m - 1)])
-        else:
-            left = _super_games("left", supers, [(m - 1, w)])
+    # R joins the circle's last pair (lo, lo + 1), or (1, M) where it closes
+    # the cycle, in a right super-game that replaces the pair's normal one.
+    # White c takes the clean roles: the pair's even white, or M in the
+    # closing pair.  An odd lo mirrors both whites, but never white 1.
+    lo, hi = _circle(M, q)[1][:, -1].T
+    odd = lo % 2 == 1
+    c = np.where(odd, hi, lo)
+    clean, dirty = supers[c - 1], supers[lo + hi - c - 1]
+    clean[odd] = clean[odd, ::-1]
+    mirror = odd & (lo != 1)
+    dirty[mirror] = dirty[mirror, ::-1]
+    roles = np.hstack([clean, dirty, np.tile(supers[-1], (M, 1))])
+    kinds = np.stack([_PATTERNS[k] for k in ("right-away", "right-home", "right-closing")])
+    kind = np.where(hi - lo > 1, 2, _block_home(m - 1 - c, q))
+    right = roles[q[:, None, None, None] - 1, kinds[kind]]
 
-        # Normal super-games among the remaining whites, paired so their
-        # 0-based labels sum to the slot's class (the right pair is one of
-        # its pairs, the left partner its fixed point).
-        rest = [x for x in range(1, M + 1) if x not in (lo, lo % M + 1, w)]
-        matches = []
-        for x in rest:
-            y = (2 * lo - x) % M + 1
-            if y == x or y not in rest:
-                raise AssertionError("normal pairing failed")
-            if x < y:
-                matches.append((y, x) if _white_home(x, q, m) else (x, y))
-        slots.append(np.concatenate(
-            [_right_game(supers, q, lo), left, _super_games("normal", supers, matches)], axis=1
-        ))
-
-    slots.append(_final_block(supers))
-    return games_to_schedule(n, np.concatenate(slots))
+    slots = np.concatenate([days[..., :-2, :], right], axis=2).reshape(-1, m, 2)
+    return games_to_schedule(n, np.concatenate([slots, _final_block(supers)]))

@@ -1,8 +1,7 @@
 """Smoke test: the narrative demos run to completion.
 
-Demos 01-04 take about two seconds together.  Demo 05 (exact search for
-six teams) takes about ten seconds, so it is left out of this suite; run it
-by hand with `PYTHONPATH=src python demos/05_small_exact.py`.
+Demos 01-04 take about two seconds together and demo 05 (exact search for
+four and six teams) about five.
 """
 
 import os
@@ -13,7 +12,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ["01_lower_bound", "02_construct_and_validate", "03_derandomize", "04_local_search"]
+DEMOS = [
+    "01_lower_bound",
+    "02_construct_and_validate",
+    "03_derandomize",
+    "04_local_search",
+    "05_small_exact",
+]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -6,6 +6,7 @@ from ttp2.errors import DomainError
 from ttp2.even import (
     _L,
     _PATTERNS,
+    _circle,
     _valid_packing,
     build_even_template,
     compute_L,
@@ -98,6 +99,35 @@ def test_pattern_table_kinds_are_well_formed():
             opponent[d, day[:, 0]] = day[:, 1]
             opponent[d, day[:, 1]] = day[:, 0]
         assert not (opponent[1:] == opponent[:-1]).any(), kind  # no repeat next day
+
+
+def test_circle_pairs_every_white_once_per_slot_and_every_pair_once():
+    for mod in range(3, 100, 2):
+        met, fixed, slots = set(), [], []
+        for q in range(1, mod + 1):
+            f, pairs = _circle(mod, q)
+            slots.append(pairs)
+            f, pairs = int(f), [tuple(pair) for pair in pairs.tolist()]
+            assert f == (-q) % mod + 1
+            whites = [x for pair in pairs for x in pair]
+            assert sorted(whites + [f]) == list(range(1, mod + 1)), (mod, q)
+            for lo, hi in pairs:
+                assert lo < hi and (lo + hi - 2 * f) % mod == 0, (mod, q)
+            # Pair k is (f - k, f + k): the last one is two adjacent whites.
+            ks = range(1, len(pairs) + 1)
+            by_k = [tuple(sorted([(f - k - 1) % mod + 1, (f + k - 1) % mod + 1])) for k in ks]
+            assert pairs == by_k, (mod, q)
+            # The reference rule, one white at a time: white i meets j with
+            # i + j = 2 - 2q (mod mod), labels 1..mod.
+            partners = {i: (2 - 2 * q - i) % mod or mod for i in range(1, mod + 1) if i != f}
+            assert sorted(pairs) == sorted((i, j) for i, j in partners.items() if i < j), (mod, q)
+            met.update(pairs)
+            fixed.append(f)
+        assert len(met) == mod * (mod - 1) // 2, mod  # every pair meets once
+        assert sorted(fixed) == list(range(1, mod + 1)), mod
+        # An array of slots gives the same slots at once.
+        f_all, pairs_all = _circle(mod, np.arange(1, mod + 1))
+        assert f_all.tolist() == fixed and np.array_equal(pairs_all, np.stack(slots)), mod
 
 
 def test_feasibility_sweep_all_packings():
