@@ -17,8 +17,12 @@ team's k doubles.  Once the matching is perfect, the full slack of every
 pair of the complete graph is computed from the duals; the pairs of
 negative slack join the candidates and the graph is solved again.  When
 none is left, the duals certify the matching optimal on the complete graph.
-Each blossom solve starts from the pairs that are each other's heaviest
-edge, matched greedily, rather than from the empty matching.
+No blossom solve starts from the empty matching.  Each starts greedily from
+even vertex duals, each vertex's at its heaviest edge: in turn every single
+vertex lowers its dual as far as it stays feasible and matches along an
+edge that becomes tight.  A solve after a double-k or pricing round starts
+from the last one's mate and duals instead, raised where a new pair is
+short; the pairs still tight stay matched.
 
 By complementary slackness every optimal matching uses only the tight pairs,
 those of zero slack under that optimal dual.  The second solve runs on the
@@ -98,17 +102,20 @@ def _priced_slack(inst: Instance) -> np.ndarray:
     with its `NEAREST_TEAMS` nearest teams (see the module docstring).
     """
     n = inst.n
-    w, _ = inst.exact_weights
+    # int64 holds these weights exactly on float_exact instances.
+    w = inst.dist.astype(np.int64) if inst.float_exact else inst.exact_weights[0]
     gain = w.max() + 1 - w
     # nearest[i]: the other teams by distance from i, ties by index.
     order = np.argsort(inst.dist, axis=1, kind="stable")
     nearest = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
     k = np.full(n, min(NEAREST_TEAMS, n - 1))
     solved = np.zeros((n, n), dtype=bool)
+    start = None
     while True:
         solved[np.arange(n)[:, None], nearest] |= np.arange(n - 1) < k[:, None]
         solved |= solved.T
-        mate, dual, blossoms = _blossom_on(gain, solved)
+        mate, dual, blossoms = _blossom_on(gain, solved, start)
+        start = _warm_start(mate, dual, blossoms)
         single = np.array(mate) == -1
         if single.any():
             k[single] = np.minimum(2 * k[single], n - 1)
@@ -119,6 +126,22 @@ def _priced_slack(inst: Instance) -> np.ndarray:
         if not priced.any():
             return slack
         solved |= priced
+
+
+def _warm_start(mate, dual, blossoms):
+    """The start of the next solve on more pairs: the same mate, and each
+    blossom's dual added to its leaves' duals.
+
+    That dual needs no blossom and is still feasible on the solved pairs:
+    a pair inside a blossom gains its dual twice, as in the full slack, and
+    a pair leaving it once.  The matched pairs leaving a blossom of positive
+    dual are no longer tight, so the next solve unmatches them.
+    """
+    dual = list(dual)
+    for z, leaves in blossoms:
+        for v in leaves:
+            dual[v] += z
+    return mate, dual
 
 
 def independent_lower_bound(inst: Instance, m: Matching) -> LowerBound:
@@ -142,22 +165,29 @@ def _row_sums(inst: Instance, index) -> list:
     return np.cumsum(np.hstack([np.zeros((len(rows), 1)), rows]), axis=1)[:, -1].tolist()
 
 
-def _blossom_on(gain: np.ndarray, solved: np.ndarray):
+def _blossom_on(gain: np.ndarray, solved: np.ndarray, start=None):
     """`_blossom` on the pairs of the symmetric mask ``solved``, weighted by ``gain``."""
     i, j = (t.tolist() for t in np.nonzero(np.triu(solved, 1)))
-    return _blossom(len(gain), list(zip(i, j, gain[i, j].tolist())))
+    return _blossom(len(gain), list(zip(i, j, gain[i, j].tolist())), start)
 
 
-def _blossom(n: int, edges: list[tuple[int, int, int]]):
-    """Maximum-weight maximum-cardinality matching, with its optimal dual.
+def _blossom(n: int, edges: list[tuple[int, int, int]], start=None):
+    """Maximum-cardinality matching, of maximum weight if it is perfect, with its dual.
 
     A port of Van Rantwijk's primal-dual blossom algorithm (the one networkx
     runs; Galil 1986, "Efficient algorithms for finding maximum matching in
     graphs") to integer vertex ids 0..n-1, an edge list of (i, j, weight)
     with exact integer weights, and per-vertex lists of edge endpoints.
-    Unlike the original it does not start from the empty matching: the
-    pairs whose edge is the heaviest at both ends are matched greedily
-    first, which saves a stage per pair.
+    Unlike the original it does not start from the empty matching with one
+    dual for every vertex (see the start below), so the single vertices'
+    duals differ.  That keeps the cardinality maximum and a perfect
+    matching's dual a certificate, but a matching that is not perfect need
+    not have the largest weight of its cardinality.
+
+    ``start`` is None (cold) or (mate, dual) in the form returned here,
+    without blossoms (warm): for example an earlier solve on fewer edges,
+    with each blossom dual added to its leaves (`_warm_start`).  Any
+    matching and integer duals will do; the start repairs them.
 
     Returns (mate, dual, blossoms): the partner of each vertex (-1 if
     single), the doubled vertex duals, and each blossom of positive dual as
@@ -194,17 +224,42 @@ def _blossom(n: int, edges: list[tuple[int, int, int]]):
     bestedge = [-1] * (2 * n)
     blossombestedges = [None] * (2 * n)
     unusedblossoms = list(range(n, 2 * n))
-    # Jump start: each pair whose edge is the heaviest at both its ends is
-    # tight under the duals best[v], so these pairs are matched greedily.
-    best = [max((edges[p >> 1][2] for p in ps), default=0) for ps in neighbend]
-    for k, (i, j, x) in enumerate(edges):
-        if mate[i] == mate[j] == -1 and best[i] == best[j] == x:
+    # dualvar[v] = 2 u(v) for vertices, z(b) for blossoms.  The start, cold
+    # or warm: each vertex dual at v's heaviest edge (feasible on every
+    # edge) or at the one ``start`` gives, raised where an edge is short.
+    # The pairs of ``start`` that are still tight stay matched.
+    if start is None:
+        partner = [-1] * n
+        dualvar = [max((edges[p >> 1][2] for p in ps), default=0) for ps in neighbend]
+    else:
+        partner, dualvar = start[0], list(start[1])
+    for k in range(m):
+        short = twice_w[k] - dualvar[endpoint[2 * k]] - dualvar[endpoint[2 * k + 1]]
+        if short > 0:
+            dualvar[endpoint[2 * k]] += short
+    for k in range(m):
+        i, j = endpoint[2 * k], endpoint[2 * k + 1]
+        if partner[i] == j and dualvar[i] + dualvar[j] == twice_w[k]:
             mate[i], mate[j] = 2 * k + 1, 2 * k
-    # dualvar[v] = 2 u(v) for vertices, z(b) for blossoms.  A matched vertex
-    # starts at best[v] and a single one at the largest weight: every free
-    # vertex has the same dual, so the S-S slacks stay even (see delta 3).
-    maxweight = max([0] + best)
-    dualvar = [best[v] if mate[v] >= 0 else maxweight for v in range(n)] + [0] * n
+    # The invariant: every single vertex's dual starts even.  The single
+    # vertices are the roots of every stage and move together, so they keep
+    # one parity; each tree vertex is tight-linked to a root and shares it,
+    # so the S-S slacks stay even and delta 3 halves them exactly.  Greedily,
+    # each single vertex in turn lowers its dual to the least even feasible
+    # value and takes its first single neighbour whose edge that makes tight.
+    for v in range(n):
+        if mate[v] == -1:
+            dualvar[v] += dualvar[v] & 1
+    for v in range(n):
+        if mate[v] == -1 and neighbend[v]:
+            low = max(twice_w[p >> 1] - dualvar[endpoint[p]] for p in neighbend[v])
+            dualvar[v] = low + (low & 1)
+            for p in neighbend[v]:
+                w = endpoint[p]
+                if mate[w] == -1 and dualvar[v] + dualvar[w] == twice_w[p >> 1]:
+                    mate[v], mate[w] = p, p ^ 1
+                    break
+    dualvar += [0] * n
     allowedge = [False] * m
     queue = []
 
@@ -546,6 +601,8 @@ def _certified_slack(w, solved, mate, dual, blossoms, full=True) -> np.ndarray |
     none has negative slack, the certificate holds on the complete graph.
     With full=False only the pairs the certificate reads, those of
     ``solved`` and the matched ones, get a slack, and None is returned.
+    The slacks are int64 when w is and 2 (max|dual| + max held blossom dual
+    + max|w|) < 2**63 bounds them; otherwise they are Python ints.
     """
     n = len(w)
     if -1 in mate:
@@ -567,8 +624,11 @@ def _certified_slack(w, solved, mate, dual, blossoms, full=True) -> np.ndarray |
             raise AssertionError("the blossoms do not nest")
         held.append(held[outer] + z)
         inner[block] = len(held) - 1
-    u = np.array(dual, dtype=object)
-    held = np.array(held, dtype=object)
+    exact64 = w.dtype == np.int64 and (
+        2 * (max(map(abs, dual)) + max(held) + max(int(w.max()), -int(w.min()))) < 2**63
+    )
+    dtype = np.int64 if exact64 else object
+    u, held, w = np.array(dual, dtype=dtype), np.array(held, dtype=dtype), w.astype(dtype, copy=False)
 
     def slack_at(i, j):
         return u[i] + u[j] - 2 * w[i, j] + 2 * held[inner[i, j]]

@@ -120,8 +120,8 @@ def _candidate_solves(monkeypatch, inst):
     solves = []
     blossom_on = matching._blossom_on
 
-    def spy(gain, solved):
-        mate, dual, blossoms = blossom_on(gain, solved)
+    def spy(gain, solved, *rest):
+        mate, dual, blossoms = blossom_on(gain, solved, *rest)
         solves.append((gain, -1 in mate))
         return mate, dual, blossoms
 
@@ -160,6 +160,15 @@ def test_certificate_rejects_blossoms_that_do_not_nest():
         matching._certified_slack(w, solved, mate, dual, [(1, [0, 1, 2]), (1, [0, 1, 4])])
 
 
+def test_certificate_keeps_slacks_beyond_int64_exact():
+    # int64 weights whose slacks reach 2**63 take the exact-integer path.
+    mate, dual = [1, 0, 3, 2], [2**62] * 4
+    w, solved = np.zeros((4, 4), dtype=np.int64), ~np.eye(4, dtype=bool)
+    w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 2**62
+    slack = matching._certified_slack(w, solved, mate, dual, [])
+    assert slack[0, 1] == 0 and slack[0, 2] == 2**63
+
+
 def test_tie_break_certificate_checks_the_tight_pairs(monkeypatch):
     # The tie-break solve is certified on its tight and matched pairs only,
     # and a corrupted dual still fails that certificate.
@@ -176,3 +185,23 @@ def test_tie_break_certificate_checks_the_tight_pairs(monkeypatch):
     with pytest.raises(AssertionError, match="slack"):
         min_weight_perfect_matching(random_metric_instance(16, 1))
     assert calls[-1] is False and all(calls[:-1])
+
+
+def _clustered(n, seed):
+    """Ceil'd Euclidean distances of n points around five centres."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0, 1000, size=(5, 2))
+    pts = centres[rng.integers(0, 5, size=n)] + rng.normal(0, 40, size=(n, 2))
+    diff = pts[:, None] - pts[None]
+    return np.ceil(np.hypot(diff[..., 0], diff[..., 1])).astype(np.int64)
+
+
+@pytest.mark.parametrize("n,seed,step", [(40, 1, 1), (60, 0, 250), (60, 3, 250)])
+def test_warm_started_rounds_equal_reference(monkeypatch, n, seed, step):
+    # Clustered distances, and the same in steps of 250 (a few tied values).
+    # Each candidate round after the first starts from the last one's mate
+    # and duals.
+    inst = Instance(n=n, dist=_clustered(n, seed) // step)
+    m, singles = _candidate_solves(monkeypatch, inst)
+    assert len(singles) >= 2
+    assert m == ref.min_weight_perfect_matching(inst)

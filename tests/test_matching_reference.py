@@ -11,6 +11,7 @@ from ttp2.instance import Instance
 from ttp2.matching import (
     _blossom,
     _certified_slack,
+    _warm_start,
     independent_lower_bound,
     min_weight_perfect_matching,
 )
@@ -105,6 +106,93 @@ def test_blossom_on_sparse_graphs_equals_networkx():
         assert sum(weight[i, j] for i, j in enumerate(mate) if i < j) == sum(
             weight[min(e), max(e)] for e in expected
         )
+
+
+WEIGHTS = {
+    "odd": lambda rng: 2 * int(rng.integers(0, 50)) + 1,
+    "tied": lambda rng: int(rng.integers(1, 4)),
+    "wide": lambda rng: 2**64 * int(rng.integers(1, 4)) + int(rng.integers(0, 8)),
+}
+
+
+def _random_graph(rng, weight):
+    """A graph on 2 to 16 vertices of density 0.05 to 1, edges weighted by ``weight(rng)``."""
+    n = int(rng.integers(2, 17))
+    density = rng.uniform(0.05, 1.0)
+    return n, [(i, j, weight(rng)) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+
+
+def _agrees_with_networkx(n, edges, mate, dual, blossoms):
+    """Whether the matching is perfect, after checking it against networkx.
+
+    The cardinality must equal networkx's maximum.  A perfect matching must
+    also equal its weight and pass `_certified_slack` on the edges.
+    """
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_weighted_edges_from(edges)
+    expected = nx.max_weight_matching(graph, maxcardinality=True)
+    pairs = [(i, j) for i, j in enumerate(mate) if i < j]
+    assert len(pairs) == len(expected)
+    if 2 * len(pairs) < n:
+        return False
+    gain, solved = np.zeros((n, n), dtype=object), np.zeros((n, n), dtype=bool)
+    i, j, x = zip(*edges)
+    gain[i, j] = gain[j, i] = x
+    solved[i, j] = solved[j, i] = True
+    assert sum(gain[e] for e in pairs) == sum(gain[e] for e in expected)
+    _certified_slack(gain, solved, mate, dual, blossoms)
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTS))
+def test_blossom_equals_networkx_on_random_graphs(kind):
+    # Odd weights, ties and weights above 2**64 on sparse and dense graphs.
+    # Where no perfect matching exists the cardinality still must be the
+    # maximum: the candidate graph's k doubles for the single vertices.
+    rng = np.random.default_rng(sorted(WEIGHTS).index(kind))
+    graphs = [_random_graph(rng, WEIGHTS[kind]) for _ in range(150)]
+    perfect = sum(_agrees_with_networkx(n, edges, *_blossom(n, edges)) for n, edges in graphs)
+    assert 20 <= perfect <= 130
+
+
+def test_blossom_from_a_short_and_odd_start():
+    # A start whose duals are short on some edges and odd on matched
+    # vertices, and whose pairs need not be edges, still ends certified.
+    rng = np.random.default_rng(3)
+    perfect = short = 0
+    for _ in range(150):
+        n, edges = _random_graph(rng, WEIGHTS["odd"])
+        weight = {(i, j): x for i, j, x in edges}
+        perm = rng.permutation(n).tolist()
+        mate, dual = [-1] * n, rng.integers(-100, 200, size=n).tolist()
+        for a, b in zip(perm[::2], perm[1::2]):
+            mate[a], mate[b] = b, a
+            if (min(a, b), max(a, b)) in weight:
+                dual[a] = 2 * int(rng.integers(-50, 50)) + 1
+                dual[b] = 2 * weight[min(a, b), max(a, b)] - dual[a]
+        short += any(dual[i] + dual[j] < 2 * x for i, j, x in edges)
+        perfect += _agrees_with_networkx(n, edges, *_blossom(n, edges, (mate, dual)))
+    assert short >= 100 and perfect >= 20
+
+
+def test_warm_start_folds_the_blossoms_into_a_feasible_dual():
+    # A pair inside the same blossoms keeps its full slack; a pair leaving
+    # one gains that blossom's dual, so a matched pair leaving it is no
+    # longer tight.
+    inst = random_metric_instance(6, 0)
+    w, _ = inst.exact_weights
+    top = int(w.max()) + 1
+    edges = [(i, j, top - w[i, j]) for i in range(6) for j in range(i + 1, 6)]
+    mate, dual, blossoms = _blossom(6, edges)
+    assert blossoms  # this instance needs a blossom of positive dual
+    full = _certified_slack(top - w, ~np.eye(6, dtype=bool), mate, dual, blossoms)
+    start_mate, start_dual = _warm_start(mate, dual, blossoms)
+    assert start_mate == mate
+    for i, j, x in edges:
+        same = all((i in leaves) == (j in leaves) for _, leaves in blossoms)
+        slack = start_dual[i] + start_dual[j] - 2 * x
+        assert slack >= full[i, j] >= 0 and (slack == full[i, j]) == same
 
 
 def test_certificate_rejects_corrupted_duals():
