@@ -6,10 +6,11 @@ positions of two super-teams, and swapping the two teams inside one
 super-team.  Both keep the matching pairing intact.  Deltas come from the
 travel-count linear form: after every accepted move, the whole
 neighbourhood of the current rule is evaluated in float64 in one array
-pass.  This instance has small integer distances, so it is `float_exact`
-and every float64 delta is exact.  On other instances a move is taken
-when its float64 delta lies below a proven rounding bound, or, within
-that bound of zero, when its exact delta in Python integers is negative.
+pass.  A move is taken iff its exact delta is negative.  This instance
+has small integer distances, so it is `float_exact` and every float64
+delta is exact.  On other instances a move is taken when its float64
+delta lies below minus a proven rounding bound, or, within that bound of
+zero, when its exact delta in Python integers is negative.
 """
 
 from ttp2 import (

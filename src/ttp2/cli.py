@@ -165,9 +165,10 @@ def _load_baseline(path):
         cells = [c.strip() for c in line.split(",")]
         if not cells[0] or cells[0].startswith("#"):
             continue
-        if cells[0].lower() == "instance":
-            if "previous" in cells:
-                column = cells.index("previous")
+        headers = [c.lower() for c in cells]
+        if headers[0] == "instance":
+            if "previous" in headers:
+                column = headers.index("previous")
             continue
         try:
             baseline[cells[0]] = _total(cells[column])

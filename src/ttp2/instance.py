@@ -12,6 +12,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,11 +49,15 @@ class Instance:
     def float_exact(self) -> bool:
         """Whether float64 computes every total and swap delta exactly.
 
-        True for integer distances with travel_bound(n, max(d)) below 2**53:
-        every partial sum of a total or a swap kernel, for any template, is
-        then an integer float64 holds exactly, in whatever order it is added.
+        The one exactness rule: travel_bound(n, scale * max(d)) < 2**53, with
+        `scale` from `exact_weights` (1 for integers, a power of two for
+        floats).  Every partial sum of a total or a swap kernel, for any
+        template, is then an integer multiple of 1 / scale below 2**53 / scale
+        in magnitude, which float64 holds exactly, in whatever order it is
+        added.
         """
-        return self.integral and travel_bound(self.n, self.d_max) < 2**53
+        scale = 1 if self.integral else self.exact_weights[1]
+        return travel_bound(self.n, Fraction(self.d_max) * scale) < 2**53
 
     @functools.cached_property
     def float_dist(self) -> np.ndarray:
@@ -150,8 +155,9 @@ def parse_instance(text: str) -> Instance:
     """Parse a whitespace-separated distance matrix.
 
     Accepts either ``n`` followed by n*n entries, or exactly k*k entries for
-    some integer k.  When the first token is an even integer and the rest is
-    exactly first**2 entries, the leading-count form wins.
+    some integer k.  When the first token is a positive integer and the rest
+    is exactly first**2 entries, the leading-count form wins (1 + k*k tokens
+    are a perfect square only for k = 0), and `Instance` checks the count.
     """
     tokens = text.split()
     if not tokens:
@@ -183,7 +189,7 @@ def parse_instance(text: str) -> Instance:
     first = values[0]
     rest = len(values) - 1
     n = None
-    if isinstance(first, int) and first > 0 and first % 2 == 0 and rest == first * first:
+    if isinstance(first, int) and first > 0 and rest == first * first:
         n = first
         body = values[1:]
     else:

@@ -102,8 +102,9 @@ def _priced_slack(inst: Instance) -> np.ndarray:
     with its `NEAREST_TEAMS` nearest teams (see the module docstring).
     """
     n = inst.n
-    # int64 holds these weights exactly on float_exact instances.
-    w = inst.dist.astype(np.int64) if inst.float_exact else inst.exact_weights[0]
+    w = inst.exact_weights[0]
+    if inst.float_exact:  # int64 holds the scaled weights exactly
+        w = (inst.dist if inst.integral else w).astype(np.int64)
     gain = w.max() + 1 - w
     # nearest[i]: the other teams by distance from i, ties by index.
     order = np.argsort(inst.dist, axis=1, kind="stable")

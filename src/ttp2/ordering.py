@@ -35,12 +35,14 @@ passes and stops at the first pass, after the first, that finds no move:
 each pass ends at a local optimum of its own rule, so the vector is then a
 local optimum of both.
 
-A move is accepted only when its exact delta is proven negative.  The
-loop takes the moves with a negative float64 delta in sweep order and
-accepts the first whose delta lies below -slack, a proven bound on the
-rounding error, or whose exact delta, taken in Python ints on the touched
-rows, is negative.  `slack` is 0 on `Instance.float_exact` instances,
-where float64 is exact, and `_rounding_slack` otherwise.
+One acceptance rule defines the search: a move is taken iff its exact
+delta is negative.  The float64 delta lies within `slack` of the exact
+one, so the loop visits the moves whose float delta is below +slack in
+sweep order: one below -slack is taken at once, and one within slack of
+zero only if its exact delta, taken in Python ints on the touched rows, is
+negative.  `slack` is 0 on `Instance.float_exact` instances, where float64
+is exact, and `_rounding_slack` otherwise.  So the trajectory is that of
+an exact search on every machine, whatever order BLAS adds in.
 """
 
 from __future__ import annotations
@@ -403,23 +405,7 @@ def _exact_move_delta(coeffs: TravelCoefficients, inst: Instance, bind, src, dst
     return diff.sum() - diff[:, src].sum() // 2
 
 
-def _check_deltas(deltas, coeffs: TravelCoefficients, inst: Instance, bind, moves, slack) -> None:
-    """debug_check: each move's exact delta against an exact recomputation,
-    and its kernel delta within `slack` of it."""
-    W, scale = inst.exact_weights
-    c = coeffs.c.astype(object)
-    before = (c * W.take(bind, 0).take(bind, 1)).sum()
-    for q, (s, t) in enumerate(zip(*moves)):
-        new = bind.copy()
-        new[s] = bind[t]
-        after = (c * W.take(new, 0).take(new, 1)).sum()  # both totals count every travel twice
-        delta = _exact_move_delta(coeffs, inst, bind, s, t)
-        assert 2 * delta == after - before, "move delta disagrees with recomputation"
-        error = abs(Fraction(deltas[q].item()) - Fraction(delta, scale))
-        assert error <= slack, "kernel delta is further than slack from the exact delta"
-
-
-def _first_improvement(bind, coeffs, inst, kernel, moves, debug_check):
+def _first_improvement(bind, coeffs, inst, kernel, moves):
     """The first-improvement loop of both passes; returns (bind, improved).
 
     Move q gives labels src[q][r] the teams of labels dst[q][r], moves in
@@ -432,38 +418,32 @@ def _first_improvement(bind, coeffs, inst, kernel, moves, debug_check):
     that finds no move ends the pass if it began at move 0, and starts over
     from move 0 if not.
 
-    The moves with a negative kernel delta are visited in sweep order; the
-    first whose delta lies below -slack, or whose exact delta is negative,
-    is accepted.  So the exact total falls with every move and the search
-    cannot cycle.  The caller's vector is left as it was.
+    A move is accepted iff its exact delta is negative.  The moves whose
+    kernel delta lies below +slack are visited in sweep order; one below
+    -slack is accepted at once, one in [-slack, slack) if its exact delta
+    is negative.  With slack 0 that is the moves with a negative delta.  So
+    the exact total falls with every move and the search cannot cycle.  The
+    caller's vector is left as it was.
     """
     bind = np.array(bind)
     src, dst = moves
-    dist = inst.float_dist
-    P = dist.take(bind, 0).take(bind, 1)
+    P = inst.float_dist.take(bind, 0).take(bind, 1)
     slack = _slack(inst)
-
-    def evaluate():
-        deltas = kernel(coeffs.blocks, P)
-        if debug_check:
-            assert np.array_equal(P, dist.take(bind, 0).take(bind, 1)), "P is not dist[bind][:, bind]"
-            _check_deltas(deltas, coeffs, inst, bind, moves, slack)
-        return deltas
 
     def first_accepted(deltas, start):
         """The first move at or after `start` to accept; len(deltas) if none."""
-        negative = deltas < 0
+        candidate = deltas < slack
         q = start
         while q < len(deltas):
-            q += int(negative[q:].argmax())  # the next negative delta, or q if none is left
-            if not negative[q]:
+            q += int(candidate[q:].argmax())  # the next candidate, or q if none is left
+            if not candidate[q]:
                 break
             if deltas[q] < -slack or _exact_move_delta(coeffs, inst, bind, src[q], dst[q]) < 0:
                 return q
             q += 1
         return len(deltas)
 
-    deltas = evaluate()
+    deltas = kernel(coeffs.blocks, P)
     start, improved = 0, False
     while True:
         q = first_accepted(deltas, start)
@@ -476,22 +456,22 @@ def _first_improvement(bind, coeffs, inst, kernel, moves, debug_check):
         bind[s] = bind.take(t)
         P[s] = P.take(t, 0)
         P[:, s] = P.take(t, 1)
-        deltas = evaluate()
+        deltas = kernel(coeffs.blocks, P)
         start, improved = (q + 1) % len(deltas), True
 
 
-def swap_super_teams_pass(bind, coeffs: TravelCoefficients, inst: Instance, debug_check: bool = False):
+def swap_super_teams_pass(bind, coeffs: TravelCoefficients, inst: Instance):
     """One full first-improvement sweep over all slot pairs, repeated while
     a sweep improves; returns (bind, improved)."""
     moves = _pass_moves(len(bind) // 2)[0]
-    return _first_improvement(bind, coeffs, inst, _swap_deltas, moves, debug_check)
+    return _first_improvement(bind, coeffs, inst, _swap_deltas, moves)
 
 
-def swap_within_pass(bind, coeffs: TravelCoefficients, inst: Instance, debug_check: bool = False):
+def swap_within_pass(bind, coeffs: TravelCoefficients, inst: Instance):
     """First-improvement sweep flipping team order inside each super-team;
     returns (bind, improved)."""
     moves = _pass_moves(len(bind) // 2)[1]
-    return _first_improvement(bind, coeffs, inst, _flip_deltas, moves, debug_check)
+    return _first_improvement(bind, coeffs, inst, _flip_deltas, moves)
 
 
 def polish(bind, coeffs: TravelCoefficients, inst: Instance) -> np.ndarray:

@@ -23,6 +23,7 @@ from ttp2.ordering import (
     run_rounds,
 )
 from ttp2.schedule import total_distance, validate_schedule
+from test_matching_reference import _clustered
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "benchmarks"
 BASELINES = Path(__file__).resolve().parent.parent / "data" / "baselines.csv"
@@ -190,6 +191,15 @@ def _load_baselines():
     return rows
 
 
+def _criterion_09_solve(inst):
+    """Criterion 09's path: the LB, then the "auto" template polished over
+    50 rounds from seed 0; returns (LB, total)."""
+    matching = min_weight_perfect_matching(inst)
+    lb = independent_lower_bound(inst, matching).total
+    template = build_odd_template(inst.n) if inst.n % 4 else build_even_template(inst.n, "auto")
+    return lb, run_rounds(inst, template, matching, x=50, base_seed=0)[2].total
+
+
 def test_criterion_09_benchmark_regression():
     if not DATA_DIR.is_dir() or not any(DATA_DIR.iterdir()):
         pytest.skip("benchmark data not fetched (see scripts/fetch_benchmarks.py)")
@@ -200,16 +210,40 @@ def test_criterion_09_benchmark_regression():
         name = path.stem
         if name not in baselines:
             continue
-        inst = parse_instance(path.read_text())
-        matching = min_weight_perfect_matching(inst)
+        lb, total = _criterion_09_solve(parse_instance(path.read_text()))
         lb_row, prev, r50 = baselines[name]
-        lb = independent_lower_bound(inst, matching).total
-        template = build_odd_template(inst.n) if inst.n % 4 else build_even_template(inst.n, "auto")
-        _, sched, rep = run_rounds(inst, template, matching, x=50, base_seed=0)
-        if lb != lb_row or rep.total > prev or rep.total > 1.01 * r50:
-            misses.append((name, lb, rep.total))
+        if lb != lb_row or total > prev or total > 1.01 * r50:
+            misses.append((name, lb, total))
     elapsed = time.perf_counter() - t0
     _line(9, not misses and elapsed < 60.0, f"benchmarks beat prior totals in {elapsed:.1f}s {misses}")
+
+
+# (LB, total) of criterion 09's path on random_metric_instance(n, n) and
+# _clustered(n, n), n = 10, 12, ..., 40, pinned before the swap search took
+# every move whose exact delta is negative (both kinds are float_exact).
+OFFLINE_09 = {
+    "uniform": [
+        (63010, 73502), (93586, 99327), (98892, 111901), (147616, 154569),
+        (185436, 200908), (215850, 225844), (267376, 291747), (319236, 330531),
+        (366998, 390995), (498674, 516837), (493882, 524376), (590282, 602814),
+        (684172, 722403), (698286, 719823), (752552, 788099), (855418, 875767),
+    ],
+    "clustered": [
+        (56804, 69993), (57620, 62042), (59472, 68506), (151868, 157769),
+        (117962, 126794), (207716, 217027), (246774, 264888), (244670, 254173),
+        (301530, 320762), (438880, 455200), (436954, 463556), (482454, 495343),
+        (507842, 540859), (562562, 581478), (544786, 572184), (728622, 745818),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", OFFLINE_09)
+def test_criterion_09_path_offline(kind):
+    """Criterion 09's loop on generated instances, for when the benchmark
+    files are not at hand."""
+    make = {"uniform": random_metric_instance, "clustered": _clustered}[kind]
+    got = [_criterion_09_solve(make(n, n)) for n in range(10, 42, 2)]
+    assert got == OFFLINE_09[kind]
 
 
 def test_criterion_10_linear_form_fidelity():

@@ -269,6 +269,15 @@ def test_bench_baseline_reads_the_previous_column(tmp_path, capsys):
     assert payload[0]["improvement_ratio"] == pytest.approx(6.67)
 
 
+def test_bench_baseline_matches_the_header_in_any_case(tmp_path, capsys):
+    write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    baseline = tmp_path / "baselines.csv"
+    baseline.write_text("Instance,LB,Previous\ntight8,48,60\n")
+    code, payload = run(capsys, ["bench", str(tmp_path), "--rounds", "1", "--baseline", str(baseline)])
+    assert code == 0
+    assert payload[0]["previous"] == 60  # not the LB column
+
+
 def test_bench_baseline_accepts_real_totals(tmp_path, capsys):
     write_inst(tmp_path, "tight8.txt", tight_instance(8))
     baseline = tmp_path / "baselines.csv"

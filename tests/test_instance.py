@@ -49,6 +49,11 @@ def test_parse_prefers_leading_count_on_ambiguity():
     assert inst.n == 4
 
 
+def test_parse_odd_leading_count_is_an_odd_team_count():
+    with pytest.raises(ValidationError, match="team count must be even and >= 4, got 5"):
+        parse_instance("5 " + " ".join(["0"] * 25))
+
+
 def test_parse_bad_token_count():
     with pytest.raises(FormatError):
         parse_instance(" ".join(["0"] * 10))
@@ -139,9 +144,17 @@ def test_float_exact_below_two_to_the_53_only():
     n = 6
     unit = travel_bound(n, 1)
     d = 1 - np.eye(n, dtype=np.int64)
-    assert Instance(n=n, dist=d * ((2**53 - 1) // unit)).float_exact
-    assert not Instance(n=n, dist=d * (2**53 // unit + 1)).float_exact
-    assert not Instance(n=n, dist=d.astype(float)).float_exact  # real-valued
+    below, above = (2**53 - 1) // unit, 2**53 // unit + 1
+    assert Instance(n=n, dist=d * below).float_exact
+    assert not Instance(n=n, dist=d * above).float_exact
+    # Binary fractions are decided on their weights scaled to integers.
+    below -= 1 - below % 2  # odd, so that the scale is 2**10
+    above += 1 - above % 2
+    for k, exact in ((below, True), (above, False)):
+        inst = Instance(n=n, dist=d * (k / 2**10))
+        assert inst.exact_weights[1] == 2**10 and inst.float_exact == exact
+    assert Instance(n=n, dist=d.astype(float)).float_exact  # integers in float64
+    assert not Instance(n=n, dist=np.sqrt(random_metric_instance(n, 1).dist)).float_exact
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])

@@ -36,6 +36,7 @@ from ttp2.ordering import (
 )
 from ttp2.schedule import total_distance, validate_schedule
 from test_matching_reference import _clustered
+import search_reference
 
 
 def test_random_ordering_deterministic():
@@ -128,9 +129,9 @@ def test_swap_passes_monotone_and_verified():
     coeffs = extract_coefficients(template)
     b = binding_vector(matching, random_ordering(n // 2, 0))
     w0 = coefficient_total(coeffs, inst, b)
-    b1, _ = swap_super_teams_pass(b, coeffs, inst, debug_check=True)
+    b1, _ = _checked(swap_super_teams_pass, b, coeffs, inst)
     w1 = coefficient_total(coeffs, inst, b1)
-    b2, _ = swap_within_pass(b1, coeffs, inst, debug_check=True)
+    b2, _ = _checked(swap_within_pass, b1, coeffs, inst)
     w2 = coefficient_total(coeffs, inst, b2)
     assert w0 >= w1 >= w2
 
@@ -249,6 +250,41 @@ def _exact_form_total(coeffs, inst, bind):
     return sum(k * Fraction(x) for k, x in zip(coeffs.c.ravel().tolist(), d)) / 2
 
 
+def _checked(run, bind, coeffs, inst):
+    """run(bind, coeffs, inst), for a pass or `polish`, checked at every
+    evaluation against the same function of `search_reference`: the same
+    rule and vector, P equal to dist[bind][:, bind], every kernel delta
+    within slack of the exact delta, and every `_exact_move_delta` equal to
+    the full recomputation.  Returns run's result, equal to the reference's."""
+    expected = []
+    want = getattr(search_reference, run.__name__)(bind, coeffs, inst, lambda *e: expected.append(e))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for rule, name in (("swap", "_swap_deltas"), ("flip", "_flip_deltas")):
+
+            def spy(blocks, P, _rule=rule, _kernel=getattr(ordering, name)):
+                deltas = _kernel(blocks, P)
+                seen.append((_rule, P.copy(), deltas))
+                return deltas
+
+            mp.setattr(ordering, name, spy)
+        got = run(bind, coeffs, inst)
+    assert len(seen) == len(expected)
+    slack, scale = _slack(inst), inst.exact_weights[1]
+    for (rule, P, deltas), (want_rule, b, exact) in zip(seen, expected):
+        assert rule == want_rule
+        assert np.array_equal(P, inst.float_dist[np.ix_(b, b)]), "P is not dist[bind][:, bind]"
+        moves = search_reference.pass_moves(len(b) // 2, rule)
+        for value, (src, dst), doubled in zip(deltas.tolist(), moves, exact):
+            assert 2 * _exact_move_delta(coeffs, inst, np.array(b), np.array(src), np.array(dst)) == doubled
+            assert abs(Fraction(value) - Fraction(doubled, 2 * scale)) <= slack
+    if isinstance(got, tuple):
+        assert (got[0].tolist(), got[1]) == want
+    else:
+        assert got.tolist() == want
+    return got
+
+
 def test_coefficient_total_exact_above_two_to_the_53():
     # Distances scaled by 1e12 + 1 put the total near 1e18, far above 2**53,
     # where halving in floating point loses the last digits.
@@ -337,7 +373,7 @@ def test_coefficient_total_exact_past_int64():
 
 
 def test_polish_verified_on_distances_past_int64():
-    # The passes polish alternates, each checking every delta it evaluates.
+    # The passes polish alternates, each checked at every evaluation.
     n = 40
     inst = Instance(n=n, dist=random_metric_instance(n, 1).dist * 10**15)
     matching = min_weight_perfect_matching(inst)
@@ -347,8 +383,8 @@ def test_polish_verified_on_distances_past_int64():
     totals = [coefficient_total(coeffs, inst, b)]
     improved = True
     while improved:
-        b, x = swap_super_teams_pass(b, coeffs, inst, debug_check=True)
-        b, y = swap_within_pass(b, coeffs, inst, debug_check=True)
+        b, x = _checked(swap_super_teams_pass, b, coeffs, inst)
+        b, y = _checked(swap_within_pass, b, coeffs, inst)
         totals.append(coefficient_total(coeffs, inst, b))
         improved = x or y
     assert b.tolist() == polish(start, coeffs, inst).tolist()
@@ -363,8 +399,8 @@ def test_swap_passes_verified_on_real_valued(seed):
     matching = min_weight_perfect_matching(inst)
     _, coeffs = _template_and_coeffs(n)
     b0 = binding_vector(matching, random_ordering(n // 2, seed))
-    b1, _ = swap_super_teams_pass(b0, coeffs, inst, debug_check=True)
-    b2, _ = swap_within_pass(b1, coeffs, inst, debug_check=True)
+    b1, _ = _checked(swap_super_teams_pass, b0, coeffs, inst)
+    b2, _ = _checked(swap_within_pass, b1, coeffs, inst)
     exact = [_exact_form_total(coeffs, inst, b) for b in (b0, b1, b2)]
     assert exact[0] >= exact[1] >= exact[2]
 
@@ -402,19 +438,41 @@ def test_neighbourhood_deltas_equal_recomputation(n, seed, kind):
         assert abs(Fraction(value.item()) - truth) <= slack
 
 
-# Bands of the bound travel_bound(n, max(d)), each with whether the instance
-# is `float_exact`.  The middle band once ran the kernels on int64.
+# Arithmetic tiers, each with whether the instance is `float_exact`: three
+# bands of the bound travel_bound(n, max(d)) on integers (the middle one
+# once ran the kernels on int64), then real-valued kinds.
 TIERS = {
     "below-2**53": True,
     "below-2**63": False,
     "above-2**63": False,
     "real": False,
+    "all-0.5": True,
+    "same-point": False,
+    "near-tie": False,
+}
+BANDS = {
+    "below-2**53": (0.999999 * 2**53, 2**53),
+    "below-2**63": (2**53, 2**63),
+    "above-2**63": (2**63, 2**64),
 }
 
 
 def _tier_instance(n, seed, tier):
     """random_metric_instance(n, seed), scaled so that the bound
-    travel_bound(n, max(d)) lands in `tier`, or made real-valued."""
+    travel_bound(n, max(d)) lands in the band `tier`, or made real-valued:
+    its square roots, every distance 0.5, Euclidean distances of n/2 random
+    points with two teams on each (exact ties), or random distances 1 or 2
+    plus offsets below 1e-12 (ties broken far inside the rounding slack)."""
+    rng = np.random.default_rng(seed)
+    if tier == "all-0.5":
+        return Instance(n=n, dist=(1 - np.eye(n)) / 2)
+    if tier == "same-point":
+        pts = np.repeat(rng.uniform(0, 1000, size=(n // 2, 2)), 2, axis=0)
+        gap = pts[:, None] - pts[None]
+        return Instance(n=n, dist=np.hypot(gap[..., 0], gap[..., 1]))
+    if tier == "near-tie":
+        d = np.triu(rng.integers(1, 3, size=(n, n)) + rng.random((n, n)) * 1e-12, 1)
+        return Instance(n=n, dist=d + d.T)
     inst = random_metric_instance(n, seed)
     if tier == "real":
         return Instance(n=n, dist=np.sqrt(inst.dist), integral=False)
@@ -434,27 +492,28 @@ def test_swap_passes_verified_on_every_tier(n, tier):
     matching = min_weight_perfect_matching(inst)
     _, coeffs = _template_and_coeffs(n)
     assert inst.float_exact == (_slack(inst) == 0) == TIERS[tier]
-    if tier != "real":
-        bound = travel_bound(n, int(inst.dist.max()))
-        lo, hi = {
-            "below-2**53": (0.999999 * 2**53, 2**53),
-            "below-2**63": (2**53, 2**63),
-            "above-2**63": (2**63, 2**64),
-        }[tier]
-        assert lo < bound < hi
-    moves = 0
+    if tier in BANDS:
+        lo, hi = BANDS[tier]
+        assert lo < travel_bound(n, int(inst.dist.max())) < hi
+    moved = 0
     for seed in range(3):
         b = binding_vector(matching, random_ordering(n // 2, seed))
-        totals = [_exact_form_total(coeffs, inst, b)]
-        improved = True
-        while improved:  # polish, with P and every delta checked after each move
-            b, x = swap_super_teams_pass(b, coeffs, inst, debug_check=True)
-            b, y = swap_within_pass(b, coeffs, inst, debug_check=True)
-            totals.append(_exact_form_total(coeffs, inst, b))
-            improved = x or y
-            moves += improved
-        assert totals == sorted(totals, reverse=True)
-    assert moves > 0
+        polished = _checked(polish, b, coeffs, inst)
+        assert _exact_form_total(coeffs, inst, polished) <= _exact_form_total(coeffs, inst, b)
+        moved += polished.tolist() != b
+    assert (moved > 0) == (tier != "all-0.5")  # all 0.5: every delta is 0
+
+
+@pytest.mark.parametrize("n, seed", [(12, 3), (24, 0), (24, 1), (24, 2)])
+def test_polish_takes_the_exact_moves_on_near_ties(n, seed):
+    """Distances 1 or 2 plus offsets below 1e-12 give moves whose exact delta
+    is negative by less than the rounding slack, so their float64 delta may
+    be 0 or above; `polish` must take them as the exact search does."""
+    inst = _tier_instance(n, seed, "near-tie")
+    matching = min_weight_perfect_matching(inst)
+    _, coeffs = _template_and_coeffs(n)
+    for r in range(3):
+        _checked(polish, binding_vector(matching, random_ordering(n // 2, r)), coeffs, inst)
 
 
 def _inexact_instance(n, seed, kind):
@@ -526,12 +585,12 @@ def test_slack_filter_skips_exact_deltas_and_keeps_the_search(monkeypatch):
 
 def test_rejected_proposals_leave_the_search_unchanged(monkeypatch):
     """Kernel deltas lowered by half the slack turn every neutral move of an
-    instance with distances 1 and 2 into a proposal that its exact delta
-    rejects; the loop must go on to the next negative delta and take the
-    moves it took before."""
+    instance with distances 1/3 and 2/3 into a proposal that its exact delta
+    rejects; the loop must go on to the next candidate and take the moves it
+    took before."""
     n = 14
     d = np.triu(np.random.default_rng(n).integers(1, 3, size=(n, n)), 1)
-    inst = Instance(n=n, dist=(d + d.T).astype(float))  # not float_exact
+    inst = Instance(n=n, dist=(d + d.T) / 3)  # not float_exact
     matching = min_weight_perfect_matching(inst)
     _, coeffs = _template_and_coeffs(n)
     starts = [binding_vector(matching, random_ordering(n // 2, seed)) for seed in range(10)]
@@ -543,7 +602,7 @@ def test_rejected_proposals_leave_the_search_unchanged(monkeypatch):
     for name in ("_swap_deltas", "_flip_deltas"):
         monkeypatch.setattr(ordering, name, lambda *args, _k=getattr(ordering, name): _k(*args) - nudge)
     assert [polish(b, coeffs, inst).tolist() for b in starts] == polished
-    assert len(calls) > 20  # each one a rejected proposal: every true delta is -1 or below
+    assert len(calls) > 20  # each one a rejected proposal: every true delta is 0 or 1/3 away
 
 
 def _polish_by_rounds(bind, coeffs, inst):
@@ -611,7 +670,7 @@ def test_pass_accepts_the_last_move_of_a_sweep(rule, monkeypatch):
 
     evaluations = []
     monkeypatch.setattr(ordering, kernel.__name__, lambda *args: evaluations.append(1) or kernel(*args))
-    bind, improved = run(start.tolist(), coeffs, inst, debug_check=True)
+    bind, improved = _checked(run, start.tolist(), coeffs, inst)
     assert improved and bind.tolist() == best.tolist()
     assert len(evaluations) == 2  # before and after the one accepted move
 
