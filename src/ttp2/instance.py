@@ -51,7 +51,7 @@ class Instance:
 
         The one exactness rule: travel_bound(n, scale * max(d)) < 2**53, with
         `scale` from `exact_weights` (1 for integers, a power of two for
-        floats).  Every partial sum of a total or a swap kernel, for any
+        floats).  Every partial sum of a total or of either kernel, for any
         template, is then an integer multiple of 1 / scale below 2**53 / scale
         in magnitude, which float64 holds exactly, in whatever order it is
         added.
@@ -135,7 +135,9 @@ def travel_bound(n: int, d_max):
     A binding's total is sum(c * P) / 2 for the travel coefficients c and
     the bound distances P, and a swap delta is the difference of two such
     sums, so neither exceeds 4 * sum(c) * max(d); nor does any partial sum
-    of the swap kernels.  Any n-team template's coefficients add up to at
+    of the swap and flip kernels, in the matrix product or the sum of
+    gathered leaves, as each is a signed sum of leaf terms whose magnitudes
+    add up to at most that (see `ordering._rounding_slack`).  Any n-team template's coefficients add up to at
     most 2n(2n-1): each of the n walks has at most 2n-1 legs, each counted
     from both ends.  ``Instance`` keeps the bound below the float64
     maximum, and `Instance.float_exact` is decided by it.

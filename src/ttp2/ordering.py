@@ -23,10 +23,12 @@ The swap local search runs on the binding vector (label -> team) alone:
 each start's ordering becomes its vector once, the passes and `polish`
 take and return vectors, and `run_rounds` returns the winning vector.
 After every accepted move the search evaluates the whole neighbourhood of
-a pass in one array pass: all m(m-1)/2 slot swaps, or all m in-slot
-flips, from P = dist[bind][:, bind] and G = c @ P (as in
-quadratic-assignment local search), in float64 on BLAS.
-The kernels' c-derived blocks are built once per TravelCoefficients.
+a pass at once, in float64, from P = dist[bind][:, bind] (the c (x) P
+delta form of quadratic-assignment local search): all m(m-1)/2 slot swaps
+with one matrix product of P and c on BLAS plus one sum of ten gathered
+leaves per swap, or all m in-slot flips with one row-wise dot product.
+Each kernel is a fixed linear map of P whose tables are built once per
+TravelCoefficients.
 Each pass gathers P once and keeps it current in place: an accepted move
 permutes its touched rows and columns in O(n).  Both passes share one
 first-improvement loop that visits moves in the order of a pair-by-pair
@@ -79,17 +81,22 @@ class TravelCoefficients:
     def blocks(self) -> _KernelBlocks:
         """The float64 constants of the swap and flip kernels."""
         c = self.c.astype(np.float64)
-        m = self.n // 2
-        c01 = c[0::2, 1::2]
-        cw = c01.diagonal()
+        n, m = self.n, self.n // 2
+        cw = c[0::2, 1::2].diagonal()
         i, j = np.triu_indices(m, 1)
+        x, y, a = 2 * i, 2 * j, n * n  # At follows P in the gathered vector
+        K = cw[i] + cw[j] - c[x, y + 1] - c[y, x + 1]
+        one = np.ones_like(K)
+        flip = np.concatenate([c[1::2] - c[0::2], c[0::2] - c[1::2]], axis=1)
+        flip[np.arange(m), 2 * np.arange(m) + 1] += 2 * cw
         return _KernelBlocks(
             cols=np.concatenate([c[:, 0::2], c[:, 1::2]]),
-            same=(c[0::2, 0::2], c[1::2, 1::2]),
-            cross=cw[:, None] + cw - c01 - c01.T,
-            rows=c[0::2] - c[1::2],
-            own=2 * cw,
-            upper=i * m + j,
+            idx=np.stack([
+                a + i * m + j, a + j * m + i, a + i * m + i, a + j * m + j,  # At[i,j], At[j,i], At[i,i], At[j,j]
+                x * n + y, (x + 1) * n + y + 1, x * n + x + 1, y * n + y + 1, x * n + y + 1, y * n + x + 1,
+            ]),
+            coef=np.stack([one, one, -one, -one, 2 * c[x, y], 2 * c[x + 1, y + 1], K, K, -K, -K]),
+            flip=flip,
         )
 
 
@@ -298,21 +305,24 @@ def _pass_moves(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray
 
 @dataclass(frozen=True)
 class _KernelBlocks:
-    """The c-derived constants of the swap and flip kernels.
+    """The c-derived constants of the swap and flip kernels: each kernel is
+    a fixed linear map of P, built once per template.
 
-    `cols` stacks c[:, 0::2] on c[:, 1::2]; `same` holds c[0::2, 0::2]
-    and c[1::2, 1::2]; `cross` is K = cw_i + cw_j - c01 - c01^T, where
-    c01 = c[0::2, 1::2] and cw is its diagonal (each slot's own pair);
-    `rows` is c[0::2] - c[1::2] and `own` is 2 cw.  `upper` holds the flat
-    indices of the slot pairs (i, j), i < j, in sweep order.
+    `cols` stacks c[:, 0::2] on c[:, 1::2].  `idx` and `coef`, of shape
+    (10, m(m-1)/2), hold for every slot pair (i, j), i < j, in sweep order
+    the ten leaves of its swap delta, as flat indices into P followed by
+    At and the coefficients they are scaled by: At[i,j] + At[j,i] - At[i,i]
+    - At[j,j], then 2 c[2i,2j] P[2i,2j] + 2 c[2i+1,2j+1] P[2i+1,2j+1], then
+    K_ij (P[2i,2i+1] + P[2j,2j+1] - P[2i,2j+1] - P[2j,2i+1]) with K_ij =
+    cw_i + cw_j - c[2i,2j+1] - c[2j,2i+1], cw_i = c[2i,2i+1] (each slot's
+    own pair).  `flip` is [-rows | rows], rows = c[0::2] - c[1::2], with
+    2 cw_i added at column 2i+1 of row i.
     """
 
     cols: np.ndarray
-    same: tuple[np.ndarray, np.ndarray]
-    cross: np.ndarray
-    rows: np.ndarray
-    own: np.ndarray
-    upper: np.ndarray
+    idx: np.ndarray
+    coef: np.ndarray
+    flip: np.ndarray
 
 
 def _slack(inst: Instance) -> float:
@@ -330,26 +340,30 @@ def _rounding_slack(n: int, d_max) -> float:
     times one distance d.  In the swap of slots i and j the leaves read the
     c rows of the four labels 2i, 2i+1, 2j, 2j+1, whose sums R4 add up to at
     most sum(c): the four `At` entries give 2 R4 max(d) in magnitude, and
-    the `cross` and `same` terms, whose coefficients are the pairs inside
-    those labels, at most 2 R4 max(d).  A flip's leaves add up to at most
-    3 R2 max(d), R2 the row sums of its own two labels.  Both stay within
+    the six P leaves, whose coefficients are the pairs inside those labels,
+    at most 2 R4 max(d).  A flip's leaves add up to at most 3 R2 max(d), R2
+    the row sums of its own two labels.  Both stay within
     4 sum(c) max(d) <= travel_bound(n, max(d)), whatever the template.
 
-    Each swap leaf reaches the result through at most 2n + 6 roundings,
-    each a factor 1 + e with |e| <= u = 2**-53 (Higham, "Accuracy and
-    Stability of Numerical Algorithms", ch. 2-3): `astype(float64)`, which
-    rounds integer distances above 2**53; its product; at most 2n - 1
+    Each leaf reaches the result through at most 2n + 10 roundings, each a
+    factor 1 + e with |e| <= u = 2**-53 (Higham, "Accuracy and Stability of
+    Numerical Algorithms", ch. 2-3).  An `At` leaf takes `astype(float64)`,
+    which rounds integer distances above 2**53; its product; at most 2n - 1
     additions in the length-2n dot product of `At`, in whatever order BLAS
-    adds; the diagonal subtraction; the three `+=`; and H + H^T.  A flip
-    leaf takes at most n + 3.  A product of k such factors is 1 + t with
-    |t| <= gamma_k = k u / (1 - k u) (Higham, Lemma 3.1), so the error is
-    at most gamma_k * travel_bound.  k = 2n + 16 leaves ten to spare.
+    adds; and 9 additions in the sum of the ten gathered rows (its
+    coefficient is +-1, exact).  A P leaf takes the cast, its product with
+    `coef` and those 9 additions, 11 in all; a flip leaf the cast, its
+    product and at most 2n - 1 additions in its row's dot product, 2n + 1.
+    A product of k such factors is 1 + t with |t| <= gamma_k =
+    k u / (1 - k u) (Higham, Lemma 3.1), so the error is at most
+    gamma_k * travel_bound.  k = 2n + 16 leaves six to spare.
 
     That model breaks only where a product underflows: its error is then
     absolute, at most 2**-1075, and at most doubled by the later factors;
-    sums never underflow inexactly.  A delta has at most 8n + 6 products,
-    so (8n + 16) * 2**-1074 covers them.  The sum is rounded up to a float.
-    Cached, as the search asks for it once per pass.
+    sums never underflow inexactly.  A swap delta has at most 8n + 6
+    products that can round and a flip delta 2n, so (8n + 16) * 2**-1074
+    covers them.  The sum is rounded up to a float.  Cached, as the search
+    asks for it once per pass.
     """
     k = 2 * n + 16
     bound = Fraction(k, 2**53 - k) * travel_bound(n, Fraction(d_max)) + Fraction(8 * n + 16, 2**1074)
@@ -364,31 +378,23 @@ def _swap_deltas(k: _KernelBlocks, P):
     label b changes its row of the linear form by G[a, b] - G[a, a].  A
     swap moves the four labels 2i+r <-> 2j+r (r = 0, 1); their full rows
     also count the pairs inside those four labels, which are replaced by
-    half the change of the 4x4 block.  All m x m terms come from the
-    parity blocks of c and P, both symmetric with zero diagonals.
+    half the change of the 4x4 block.  Row j of P.reshape(m, 2n) is rows
+    2j and 2j+1 of P side by side, so by symmetry At[j, i] = G[2i, 2j] +
+    G[2i+1, 2j+1]; each delta is then the sum of ten leaves of P and At,
+    gathered by `idx` and scaled by `coef`.
     """
-    m = len(P) // 2
-    # Row j of P.reshape(m, 2n) is rows 2j and 2j+1 of P side by side, so
-    # by symmetry At[j, i] = G[2i, 2j] + G[2i+1, 2j+1].
-    At = P.reshape(m, -1) @ k.cols
-    p01 = P[0::2, 1::2]
-    # The m x m delta matrix is H + H^T: with K symmetric, each term of H
-    # and its transpose make up one symmetric term of the delta.
-    H = At - At.diagonal()[:, None]
-    H += k.cross * (p01.diagonal()[:, None] - p01)
-    H += k.same[0] * P[0::2, 0::2]
-    H += k.same[1] * P[1::2, 1::2]
-    return (H + H.T).take(k.upper)
+    At = P.reshape(len(P) // 2, -1) @ k.cols
+    return (np.concatenate((P.ravel(), At.ravel())).take(k.idx) * k.coef).sum(0)
 
 
 def _flip_deltas(k: _KernelBlocks, P):
     """Distance change of flipping the two teams inside each slot.
 
     For x = 2i, y = 2i+1 this is G[x,y] + G[y,x] - G[x,x] - G[y,y] +
-    2 c[x,y] P[x,y], with the G terms summed row by row in O(n^2).
+    2 c[x,y] P[x,y]: the dot product of rows x and y of P, side by side,
+    with row i of `flip`.
     """
-    rows = (k.rows * (P[1::2] - P[0::2])).sum(axis=1)
-    return rows + k.own * P[0::2, 1::2].diagonal()
+    return np.einsum("ik,ik->i", P.reshape(len(P) // 2, -1), k.flip)
 
 
 def _exact_move_delta(coeffs: TravelCoefficients, inst: Instance, bind, src, dst) -> int:
@@ -415,8 +421,8 @@ def _first_improvement(bind, coeffs, inst, kernel, moves):
     touched columns, in O(n).  The loop takes the first accepted move at or
     after the one after the last accepted move, applies it and evaluates
     again; after the last move of the sweep it goes on from move 0.  A scan
-    that finds no move ends the pass if it began at move 0, and starts over
-    from move 0 if not.
+    visits each move once, so one that wraps stops before the move it began
+    at, and a scan that finds no move ends the pass.
 
     A move is accepted iff its exact delta is negative.  The moves whose
     kernel delta lies below +slack are visited in sweep order; one below
@@ -431,33 +437,26 @@ def _first_improvement(bind, coeffs, inst, kernel, moves):
     slack = _slack(inst)
 
     def first_accepted(deltas, start):
-        """The first move at or after `start` to accept; len(deltas) if none."""
+        """The first move to accept from `start` on, wrapping; None if none."""
         candidate = deltas < slack
-        q = start
-        while q < len(deltas):
-            q += int(candidate[q:].argmax())  # the next candidate, or q if none is left
-            if not candidate[q]:
-                break
-            if deltas[q] < -slack or _exact_move_delta(coeffs, inst, bind, src[q], dst[q]) < 0:
-                return q
-            q += 1
-        return len(deltas)
+        for q, stop in ((start, len(deltas)), (0, start)):
+            while q < stop:
+                q += int(candidate[q:stop].argmax())  # the next candidate, or q if none is left
+                if not candidate[q]:
+                    break
+                if deltas[q] < -slack or _exact_move_delta(coeffs, inst, bind, src[q], dst[q]) < 0:
+                    return q
+                q += 1
+        return None
 
-    deltas = kernel(coeffs.blocks, P)
     start, improved = 0, False
-    while True:
-        q = first_accepted(deltas, start)
-        if q == len(deltas):
-            if start == 0:
-                return bind, improved
-            start = 0
-            continue
+    while (q := first_accepted(kernel(coeffs.blocks, P), start)) is not None:
         s, t = src[q], dst[q]
         bind[s] = bind.take(t)
         P[s] = P.take(t, 0)
         P[:, s] = P.take(t, 1)
-        deltas = kernel(coeffs.blocks, P)
-        start, improved = (q + 1) % len(deltas), True
+        start, improved = (q + 1) % len(src), True
+    return bind, improved
 
 
 def swap_super_teams_pass(bind, coeffs: TravelCoefficients, inst: Instance):
