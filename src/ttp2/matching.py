@@ -10,19 +10,16 @@ optimum with its duals, run twice.  The first solve finds an optimum of the
 plain exact weights on a sparse candidate graph and prices the complete
 graph with its duals (Derigs & Metz 1991, "Solving (large scale) matching
 problems combinatorially"; Applegate & Cook 1993, "Solving large-scale
-matching problems").  The candidates start as every team's
-`NEAREST_TEAMS` nearest teams.  While the blossom leaves a team single (a
-k-nearest graph of odd-sized clusters has no perfect matching), that
-team's k doubles.  Once the matching is perfect, the full slack of every
-pair of the complete graph is computed from the duals; the pairs of
-negative slack join the candidates and the graph is solved again.  When
-none is left, the duals certify the matching optimal on the complete graph.
-No blossom solve starts from the empty matching.  Each starts greedily from
-even vertex duals, each vertex's at its heaviest edge: in turn every single
-vertex lowers its dual as far as it stays feasible and matches along an
-edge that becomes tight.  A solve after a double-k or pricing round starts
-from the last one's mate and duals instead, raised where a new pair is
-short; the pairs still tight stay matched.
+matching problems").  The candidates are every team's `NEAREST_TEAMS`
+nearest teams plus the fixed pairs (0, 1), (2, 3), ..., (n-2, n-1), so the
+candidate graph holds a perfect matching and every solve on it is perfect.
+The full slack of every pair of the complete graph is then computed from
+the duals; the pairs of negative slack join the candidates and the graph is
+solved again, from scratch.  When none is left, the duals certify the
+matching optimal on the complete graph.  No blossom solve starts from the
+empty matching.  Each starts greedily from even vertex duals, each vertex's
+at its heaviest edge: in turn every single vertex lowers its dual as far as
+it stays feasible and matches along an edge that becomes tight.
 
 By complementary slackness every optimal matching uses only the tight pairs,
 those of zero slack under that optimal dual.  The second solve runs on the
@@ -43,7 +40,7 @@ import numpy as np
 
 from .instance import Instance
 
-# Each team's first candidate partners: its nearest teams, ties by index.
+# Each team's candidate partners: its nearest teams, ties by index.
 NEAREST_TEAMS = 8
 
 
@@ -98,51 +95,30 @@ def _priced_slack(inst: Instance) -> np.ndarray:
     """Full slack of every pair under a certified optimal dual of the plain weights.
 
     The blossom runs on the candidate graph only, with the complete graph's
-    weights top - w for top = max(w) + 1 over every pair; each vertex starts
-    with its `NEAREST_TEAMS` nearest teams (see the module docstring).
+    weights top - w for top = max(w) + 1 over every pair.  The candidates
+    are each team's `NEAREST_TEAMS` nearest teams and the pairs (2i, 2i+1),
+    plus the pairs each pricing round adds (see the module docstring).
     """
     n = inst.n
     w = inst.exact_weights[0]
     if inst.float_exact:  # int64 holds the scaled weights exactly
         w = (inst.dist if inst.integral else w).astype(np.int64)
     gain = w.max() + 1 - w
-    # nearest[i]: the other teams by distance from i, ties by index.
+    # nearest[i]: the `NEAREST_TEAMS` teams nearest to i, ties by index.
     order = np.argsort(inst.dist, axis=1, kind="stable")
-    nearest = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
-    k = np.full(n, min(NEAREST_TEAMS, n - 1))
+    nearest = order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :NEAREST_TEAMS]
     solved = np.zeros((n, n), dtype=bool)
-    start = None
+    solved[np.arange(n)[:, None], nearest] = True
+    solved[np.arange(0, n, 2), np.arange(1, n, 2)] = True
+    solved |= solved.T
     while True:
-        solved[np.arange(n)[:, None], nearest] |= np.arange(n - 1) < k[:, None]
-        solved |= solved.T
-        mate, dual, blossoms = _blossom_on(gain, solved, start)
-        start = _warm_start(mate, dual, blossoms)
-        single = np.array(mate) == -1
-        if single.any():
-            k[single] = np.minimum(2 * k[single], n - 1)
-            continue
+        mate, dual, blossoms = _blossom_on(gain, solved)
         slack = _certified_slack(gain, solved, mate, dual, blossoms)
         priced = slack < 0
         np.fill_diagonal(priced, False)
         if not priced.any():
             return slack
         solved |= priced
-
-
-def _warm_start(mate, dual, blossoms):
-    """The start of the next solve on more pairs: the same mate, and each
-    blossom's dual added to its leaves' duals.
-
-    That dual needs no blossom and is still feasible on the solved pairs:
-    a pair inside a blossom gains its dual twice, as in the full slack, and
-    a pair leaving it once.  The matched pairs leaving a blossom of positive
-    dual are no longer tight, so the next solve unmatches them.
-    """
-    dual = list(dual)
-    for z, leaves in blossoms:
-        for v in leaves:
-            dual[v] += z
-    return mate, dual
 
 
 def independent_lower_bound(inst: Instance, m: Matching) -> LowerBound:
@@ -166,13 +142,13 @@ def _row_sums(inst: Instance, index) -> list:
     return np.cumsum(np.hstack([np.zeros((len(rows), 1)), rows]), axis=1)[:, -1].tolist()
 
 
-def _blossom_on(gain: np.ndarray, solved: np.ndarray, start=None):
+def _blossom_on(gain: np.ndarray, solved: np.ndarray):
     """`_blossom` on the pairs of the symmetric mask ``solved``, weighted by ``gain``."""
     i, j = (t.tolist() for t in np.nonzero(np.triu(solved, 1)))
-    return _blossom(len(gain), list(zip(i, j, gain[i, j].tolist())), start)
+    return _blossom(len(gain), list(zip(i, j, gain[i, j].tolist())))
 
 
-def _blossom(n: int, edges: list[tuple[int, int, int]], start=None):
+def _blossom(n: int, edges: list[tuple[int, int, int]]):
     """Maximum-cardinality matching, of maximum weight if it is perfect, with its dual.
 
     A port of Van Rantwijk's primal-dual blossom algorithm (the one networkx
@@ -183,12 +159,10 @@ def _blossom(n: int, edges: list[tuple[int, int, int]], start=None):
     dual for every vertex (see the start below), so the single vertices'
     duals differ.  That keeps the cardinality maximum and a perfect
     matching's dual a certificate, but a matching that is not perfect need
-    not have the largest weight of its cardinality.
-
-    ``start`` is None (cold) or (mate, dual) in the form returned here,
-    without blossoms (warm): for example an earlier solve on fewer edges,
-    with each blossom dual added to its leaves (`_warm_start`).  Any
-    matching and integer duals will do; the start repairs them.
+    not have the largest weight of its cardinality.  The library calls it
+    only on graphs that hold a perfect matching (the candidate graph and the
+    tight pairs); the tests still check the maximum-cardinality contract on
+    graphs that hold none.
 
     Returns (mate, dual, blossoms): the partner of each vertex (-1 if
     single), the doubled vertex duals, and each blossom of positive dual as
@@ -225,32 +199,17 @@ def _blossom(n: int, edges: list[tuple[int, int, int]], start=None):
     bestedge = [-1] * (2 * n)
     blossombestedges = [None] * (2 * n)
     unusedblossoms = list(range(n, 2 * n))
-    # dualvar[v] = 2 u(v) for vertices, z(b) for blossoms.  The start, cold
-    # or warm: each vertex dual at v's heaviest edge (feasible on every
-    # edge) or at the one ``start`` gives, raised where an edge is short.
-    # The pairs of ``start`` that are still tight stay matched.
-    if start is None:
-        partner = [-1] * n
-        dualvar = [max((edges[p >> 1][2] for p in ps), default=0) for ps in neighbend]
-    else:
-        partner, dualvar = start[0], list(start[1])
-    for k in range(m):
-        short = twice_w[k] - dualvar[endpoint[2 * k]] - dualvar[endpoint[2 * k + 1]]
-        if short > 0:
-            dualvar[endpoint[2 * k]] += short
-    for k in range(m):
-        i, j = endpoint[2 * k], endpoint[2 * k + 1]
-        if partner[i] == j and dualvar[i] + dualvar[j] == twice_w[k]:
-            mate[i], mate[j] = 2 * k + 1, 2 * k
-    # The invariant: every single vertex's dual starts even.  The single
-    # vertices are the roots of every stage and move together, so they keep
-    # one parity; each tree vertex is tight-linked to a root and shares it,
-    # so the S-S slacks stay even and delta 3 halves them exactly.  Greedily,
-    # each single vertex in turn lowers its dual to the least even feasible
-    # value and takes its first single neighbour whose edge that makes tight.
-    for v in range(n):
-        if mate[v] == -1:
-            dualvar[v] += dualvar[v] & 1
+    # dualvar[v] = 2 u(v) for vertices, z(b) for blossoms.  The invariant:
+    # every single vertex's dual starts even.  The single vertices are the
+    # roots of every stage and move together, so they keep one parity; each
+    # tree vertex is tight-linked to a root and shares it, so the S-S slacks
+    # stay even and delta 3 halves them exactly.  Each vertex dual starts at
+    # v's heaviest edge, rounded up to even (feasible on every edge).  Then,
+    # greedily, each single vertex in turn lowers its dual to the least even
+    # feasible value and takes its first single neighbour whose edge that
+    # makes tight.
+    dualvar = [max((edges[p >> 1][2] for p in ps), default=0) for ps in neighbend]
+    dualvar = [d + (d & 1) for d in dualvar]
     for v in range(n):
         if mate[v] == -1 and neighbend[v]:
             low = max(twice_w[p >> 1] - dualvar[endpoint[p]] for p in neighbend[v])

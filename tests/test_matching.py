@@ -130,16 +130,17 @@ def _candidate_solves(monkeypatch, inst):
     return m, [single for gain, single in solves if gain is solves[0][0]]
 
 
-def test_odd_clusters_double_k_of_single_teams(monkeypatch):
+def test_odd_clusters_get_perfect_candidate_solves(monkeypatch):
     # Two far-apart clusters of 11: each team's 8 nearest teams lie in its own
-    # cluster, so the candidate graph has two odd components.
+    # cluster, so the k-nearest graph has two odd components.  The fixed pairs
+    # (2i, 2i+1) join them, and no candidate solve leaves a team single.
     rng = np.random.default_rng(0)
     pts = np.vstack([rng.normal(0, 10, size=(11, 2)), rng.normal(0, 10, size=(11, 2)) + 1000])
     diff = pts[:, None] - pts[None]
     inst = Instance(n=22, dist=np.ceil(np.hypot(diff[..., 0], diff[..., 1])).astype(np.int64))
     m, singles = _candidate_solves(monkeypatch, inst)
     assert m == ref.min_weight_perfect_matching(inst)
-    assert singles[0] and not singles[-1]
+    assert not any(singles)
 
 
 def test_pricing_adds_pairs_of_negative_slack(monkeypatch):
@@ -197,11 +198,11 @@ def _clustered(n, seed):
 
 
 @pytest.mark.parametrize("n,seed,step", [(40, 1, 1), (60, 0, 250), (60, 3, 250)])
-def test_warm_started_rounds_equal_reference(monkeypatch, n, seed, step):
+def test_clustered_candidate_solves_are_perfect(monkeypatch, n, seed, step):
     # Clustered distances, and the same in steps of 250 (a few tied values).
-    # Each candidate round after the first starts from the last one's mate
-    # and duals.
+    # The k-nearest graph has odd clusters; the fixed pairs make every
+    # candidate solve perfect.
     inst = Instance(n=n, dist=_clustered(n, seed) // step)
     m, singles = _candidate_solves(monkeypatch, inst)
-    assert len(singles) >= 2
+    assert not any(singles)
     assert m == ref.min_weight_perfect_matching(inst)
