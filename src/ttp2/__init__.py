@@ -11,7 +11,10 @@ matching that pairs teams into "super-teams".  It provides
   (:mod:`ttp2.even`, :mod:`ttp2.odd`),
 * randomized orderings, derandomization by conditional expectations and
   swap-based local search (:mod:`ttp2.ordering`),
-* a small CLI (:mod:`ttp2.cli`).
+* the whole solve pipeline as one call, :func:`solve` returning a
+  :class:`Solution`, and :func:`build_template`, the template for n
+  (:mod:`ttp2.pipeline`),
+* a small CLI over that pipeline (:mod:`ttp2.cli`).
 """
 
 from .instance import Instance, MetricReport, parse_instance, check_metric, write_instance
@@ -40,6 +43,7 @@ from .ordering import (
     run_rounds,
 )
 from .oracle import tight_instance, random_metric_instance, brute_force_optimal
+from .pipeline import Solution, build_template, solve
 from .errors import FormatError, ValidationError, DomainError
 
 __all__ = [
@@ -76,6 +80,9 @@ __all__ = [
     "tight_instance",
     "random_metric_instance",
     "brute_force_optimal",
+    "Solution",
+    "build_template",
+    "solve",
     "FormatError",
     "ValidationError",
     "DomainError",

@@ -1,5 +1,7 @@
 """Command-line surface: solve, validate, lb, oracle and bench.
 
+Argument parsing and I/O; solve, oracle and bench run `pipeline.solve`.
+
 Machine-readable JSON goes to stdout; --pretty switches to human tables.
 Exit codes: 0 ok, 1 infeasible/quality failure, 2 input error.
 """
@@ -14,12 +16,11 @@ import time
 from pathlib import Path
 
 from .errors import DomainError, FormatError, ValidationError
-from .even import build_even_template, packing_chain
 from .instance import parse_instance
 from .matching import independent_lower_bound, min_weight_perfect_matching
-from .odd import build_odd_template
-from .oracle import BRUTE_FORCE_LIMIT, brute_force_optimal
-from .ordering import run_rounds
+from .oracle import BRUTE_FORCE_LIMIT
+from .ordering import run_rounds  # noqa: F401  unused; perfbench/test_perfbench.py reads it as its patching canary
+from .pipeline import solve
 from .schedule import parse_schedule_csv, render_schedule, total_distance, validate_schedule
 
 
@@ -46,46 +47,23 @@ def _gap_percent(total, lb) -> float:
 
 
 def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing):
-    """Shared solve path of solve, oracle and bench; returns (report dict, schedule)."""
-    n = inst.n
-    if n % 4 == 0 and n > BRUTE_FORCE_LIMIT:
-        chain = packing_chain(n, packing)
-    elif packing != "auto":
-        raise DomainError(f"packing {packing} applies only for n = 0 (mod 4), n >= 8; got n={n}")
-    else:
-        chain = []
-
+    """`pipeline.solve` timed, as the JSON report of solve, oracle and bench; returns (report, schedule)."""
     start = time.perf_counter()
-    matching = min_weight_perfect_matching(inst)
-    lb = independent_lower_bound(inst, matching).total
-    if n <= BRUTE_FORCE_LIMIT:
-        schedule, total = brute_force_optimal(inst)
-        construction = "brute"
-    else:
-        if chain:
-            template = build_even_template(n, chain[0])
-            construction = "even" if chain == [1] else "even-dc"
-        else:
-            template = build_odd_template(n)
-            construction = "odd"
-        _, schedule, dist = run_rounds(
-            inst, template, matching, rounds, base_seed=seed, include_derandomized=derandomize_flag
-        )
-        total = dist.total
+    sol = solve(inst, rounds, seed, derandomize_flag, packing)
     elapsed = 1000 * (time.perf_counter() - start)
     report = {
         "instance": name,
-        "n": n,
-        "lb": lb,
-        "total": total,
-        "gap_percent": _gap_percent(total, lb),
+        "n": inst.n,
+        "lb": sol.lb,
+        "total": sol.total,
+        "gap_percent": _gap_percent(sol.total, sol.lb),
         "rounds": rounds,
         "seed": seed,
         "elapsed_ms": round(elapsed, 1),
-        "construction": construction,
-        "packing": chain,
+        "construction": sol.construction,
+        "packing": list(sol.packing),
     }
-    return report, schedule
+    return report, sol.schedule
 
 
 def cmd_solve(args) -> int:

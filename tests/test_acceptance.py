@@ -20,8 +20,8 @@ from ttp2.ordering import (
     derandomize,
     extract_coefficients,
     random_ordering,
-    run_rounds,
 )
+from ttp2.pipeline import solve
 from ttp2.schedule import total_distance, validate_schedule
 from test_matching_reference import _clustered
 
@@ -192,12 +192,10 @@ def _load_baselines():
 
 
 def _criterion_09_solve(inst):
-    """Criterion 09's path: the LB, then the "auto" template polished over
-    50 rounds from seed 0; returns (LB, total)."""
-    matching = min_weight_perfect_matching(inst)
-    lb = independent_lower_bound(inst, matching).total
-    template = build_odd_template(inst.n) if inst.n % 4 else build_even_template(inst.n, "auto")
-    return lb, run_rounds(inst, template, matching, x=50, base_seed=0)[2].total
+    """Criterion 09's path: the library pipeline over 50 rounds from seed 0;
+    returns (LB, total)."""
+    sol = solve(inst, rounds=50)
+    return sol.lb, sol.total
 
 
 def test_criterion_09_benchmark_regression():

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from ttp2.errors import ValidationError
-from ttp2.even import build_even_template
 from ttp2.instance import Instance
 from ttp2.matching import Matching
-from ttp2.odd import build_odd_template
 from ttp2.oracle import random_metric_instance
 from ttp2.ordering import (
     binding_vector,
@@ -20,6 +18,7 @@ from ttp2.ordering import (
     extract_coefficients,
     random_ordering,
 )
+from ttp2.pipeline import build_template
 from ttp2.schedule import Schedule, total_distance, validate_schedule
 
 SIZES = [8, 10, 12, 14, 40, 42]
@@ -27,7 +26,7 @@ SIZES = [8, 10, 12, 14, 40, 42]
 
 @functools.lru_cache(maxsize=None)
 def _template(n):
-    return build_odd_template(n) if n % 4 else build_even_template(n, "auto")
+    return build_template(n)[0]
 
 
 def _variant(inst, kind):

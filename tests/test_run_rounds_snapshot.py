@@ -16,12 +16,11 @@ for the kernel to run on BLAS).
 import numpy as np
 import pytest
 
-from ttp2.even import build_even_template
 from ttp2.instance import Instance
 from ttp2.matching import min_weight_perfect_matching
-from ttp2.odd import build_odd_template
 from ttp2.oracle import random_metric_instance
 from ttp2.ordering import TeamOrdering, binding_vector, extract_coefficients, run_rounds
+from ttp2.pipeline import build_template
 
 RUN_ROUNDS_SNAPSHOT = [
     (18, (8, 0, 6, 1, 5, 2, 4, 7, 3), (1, 0, 0, 0, 0, 1, 0, 1, 0), 201978),
@@ -40,7 +39,7 @@ RUN_ROUNDS_SNAPSHOT = [
 def test_run_rounds_snapshot(n, sigma, pi, total):
     inst = random_metric_instance(n, n)
     matching = min_weight_perfect_matching(inst)
-    template = build_odd_template(n) if n % 4 else build_even_template(n, "auto")
+    template = build_template(n)[0]
     bind, _, report = run_rounds(inst, template, matching, x=5, base_seed=0)
     assert bind == binding_vector(matching, TeamOrdering(sigma=sigma, pi=pi))
     assert report.total == total
@@ -89,7 +88,7 @@ def test_run_rounds_wide_snapshot(n, kind, x, derandomized, sigma, pi, total):
     if kind == "sqrt":  # real-valued and not a multiple of an integer instance
         inst = Instance(n=n, dist=np.sqrt(inst.dist), integral=False)
     matching = min_weight_perfect_matching(inst)
-    template = build_odd_template(n) if n % 4 else build_even_template(n, "auto")
+    template = build_template(n)[0]
     bind, _, report = run_rounds(
         inst, template, matching, x=x, base_seed=0, include_derandomized=derandomized
     )
@@ -143,7 +142,7 @@ _BANDS = {"below-2**53": (0, 2**53), "2**53-2**63": (2**53, 2**63), "above-2**63
 @pytest.mark.parametrize("n, tier, sigma, pi, total", RUN_ROUNDS_TIER_SNAPSHOT)
 def test_run_rounds_tier_snapshot(n, tier, sigma, pi, total):
     inst = random_metric_instance(n, n)
-    template = build_odd_template(n) if n % 4 else build_even_template(n, "auto")
+    template = build_template(n)[0]
     if tier == "real":
         inst = Instance(n=n, dist=np.sqrt(inst.dist), integral=False)
     else:
