@@ -17,7 +17,7 @@ matching that pairs teams into "super-teams".  It provides
 * a small CLI over that pipeline (:mod:`ttp2.cli`).
 """
 
-from .instance import Instance, MetricReport, parse_instance, check_metric, write_instance
+from .instance import Instance, parse_instance, check_metric, write_instance
 from .matching import Matching, LowerBound, min_weight_perfect_matching, independent_lower_bound
 from .schedule import (
     Schedule,
@@ -48,7 +48,6 @@ from .errors import FormatError, ValidationError, DomainError
 
 __all__ = [
     "Instance",
-    "MetricReport",
     "parse_instance",
     "check_metric",
     "write_instance",

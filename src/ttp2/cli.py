@@ -1,6 +1,6 @@
-"""Command-line surface: solve, validate, lb, oracle and bench.
+"""Command-line surface: solve, validate, lb and bench.
 
-Argument parsing and I/O; solve, oracle and bench run `pipeline.solve`.
+Argument parsing and I/O; solve and bench run `pipeline.solve`.
 
 Machine-readable JSON goes to stdout; --pretty switches to human tables.
 Exit codes: 0 ok, 1 infeasible/quality failure, 2 input error.
@@ -18,7 +18,6 @@ from pathlib import Path
 from .errors import DomainError, FormatError, ValidationError
 from .instance import parse_instance
 from .matching import independent_lower_bound, min_weight_perfect_matching
-from .oracle import BRUTE_FORCE_LIMIT
 from .ordering import run_rounds  # noqa: F401  unused; perfbench/test_perfbench.py reads it as its patching canary
 from .pipeline import solve
 from .schedule import parse_schedule_csv, render_schedule, total_distance, validate_schedule
@@ -46,10 +45,10 @@ def _gap_percent(total, lb) -> float:
     return round(100.0 * (total - lb) / lb, 2) if lb else 0.0
 
 
-def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing):
-    """`pipeline.solve` timed, as the JSON report of solve, oracle and bench; returns (report, schedule)."""
+def _solve_instance(inst, name, rounds, seed, derandomize_flag):
+    """`pipeline.solve` timed, as the JSON report of solve and bench; returns (report, schedule)."""
     start = time.perf_counter()
-    sol = solve(inst, rounds, seed, derandomize_flag, packing)
+    sol = solve(inst, rounds, seed, derandomize_flag)
     elapsed = 1000 * (time.perf_counter() - start)
     report = {
         "instance": name,
@@ -69,7 +68,7 @@ def _solve_instance(inst, name, rounds, seed, derandomize_flag, packing):
 def cmd_solve(args) -> int:
     path = Path(args.instance)
     inst = _read(parse_instance, path)
-    report, schedule = _solve_instance(inst, path.stem, args.rounds, args.seed, args.derandomize, args.packing)
+    report, schedule = _solve_instance(inst, path.stem, args.rounds, args.seed, args.derandomize)
     if report["construction"] == "brute":
         print(f"note: n={inst.n} is solved exactly by brute force", file=sys.stderr)
     out = path.with_suffix(".schedule.csv")
@@ -119,16 +118,6 @@ def cmd_lb(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    path = Path(args.instance)
-    inst = _read(parse_instance, path)
-    if inst.n > BRUTE_FORCE_LIMIT:
-        raise DomainError(f"oracle needs n <= {BRUTE_FORCE_LIMIT}, got n={inst.n}")
-    report, schedule = _solve_instance(inst, path.stem, 1, 0, False, "auto")
-    _emit(report, args.pretty)
-    return 0 if validate_schedule(schedule).feasible else 1
-
-
 def _load_baseline(path):
     """Instance name -> previous total, from a baseline CSV.
 
@@ -176,7 +165,7 @@ def cmd_bench(args) -> int:
     results = []
     any_infeasible = False
     for name, inst in instances:
-        report, schedule = _solve_instance(inst, name, args.rounds, args.seed, False, "auto")
+        report, schedule = _solve_instance(inst, name, args.rounds, args.seed, False)
         results.append(report)
         any_infeasible |= not validate_schedule(schedule).feasible
 
@@ -206,15 +195,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _packing(text: str):
-    if text == "auto":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"packing must be 'auto' or an integer, got {text!r}") from None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ttp2", description="TTP-2 schedule construction")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -224,7 +204,6 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--derandomize", action="store_true")
-    p.add_argument("--packing", type=_packing, default="auto", help="'auto' or an integer p")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -239,11 +218,6 @@ def main(argv=None) -> int:
     p.add_argument("instance")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_lb)
-
-    p = sub.add_parser("oracle", help="exact brute-force optimum (n <= 6)")
-    p.add_argument("instance")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="solve every instance file in a directory")
     p.add_argument("directory")

@@ -124,11 +124,10 @@ def test_small_real_valued_instance_reports_one_total(tmp_path, capsys, n, seed)
     inst = _real_instance(n, seed)
     path = write_inst(tmp_path, "real.txt", inst)
     csv_path = tmp_path / "real.schedule.csv"
-    _, (oracle,) = run(capsys, ["oracle", str(path)])
     _, (solved,) = run(capsys, ["solve", str(path)])
     _, (checked,) = run(capsys, ["validate", str(csv_path), str(path)])
     walk = total_distance(parse_schedule_csv(csv_path.read_text()), inst).total
-    assert oracle["total"] == solved["total"] == checked["total"] == walk
+    assert solved["total"] == checked["total"] == walk
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -208,19 +207,6 @@ def test_lb_command(tmp_path, capsys):
     assert code == 0
     assert payload[0]["lb"] == 80
     assert payload[0]["d_m"] == 0
-
-
-def test_oracle_command(tmp_path, capsys):
-    path = write_inst(tmp_path, "tight4.txt", tight_instance(4))
-    code, payload = run(capsys, ["oracle", str(path)])
-    assert code == 0
-    assert payload[0]["total"] == 10
-    assert payload[0]["construction"] == "brute"
-
-
-def test_oracle_guard(tmp_path, capsys):
-    path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
-    assert main(["oracle", str(path)]) == 2
 
 
 def test_bench_empty_dir(tmp_path, capsys):
@@ -310,7 +296,7 @@ def test_bench_rejects_unparsable_file_before_solving(tmp_path, capsys):
     assert "error:" in captured.err and "b_bad.txt" in captured.err
 
 
-@pytest.mark.parametrize("flags", [["--packing", "abc"], ["--rounds", "0"]], ids=["packing-abc", "rounds-0"])
+@pytest.mark.parametrize("flags", [["--rounds", "0"]], ids=["rounds-0"])
 def test_solve_rejects_bad_flags(tmp_path, capsys, flags):
     path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
     with pytest.raises(SystemExit) as exc:
@@ -318,22 +304,6 @@ def test_solve_rejects_bad_flags(tmp_path, capsys, flags):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "tight8.schedule.csv").exists()
-
-
-@pytest.mark.parametrize(
-    "n, packing",
-    [(16, "0"), (16, "1000000000"), (6, "1"), (10, "1")],
-    ids=["n16-p0", "n16-p1e9", "n6-brute", "n10-odd"],
-)
-def test_solve_rejects_packing_below_one(tmp_path, capsys, n, packing):
-    # 1e9 must be rejected at once, not after a descent linear in p; n = 6
-    # and n = 10 build no even template, so any explicit packing is an error.
-    path = write_inst(tmp_path, f"tight{n}.txt", tight_instance(n))
-    assert main(["solve", str(path), "--packing", packing]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: packing" in captured.err
-    assert not (tmp_path / f"tight{n}.schedule.csv").exists()
 
 
 def test_solve_with_derandomize_flag(tmp_path, capsys):
@@ -354,12 +324,3 @@ def test_solve_real_valued_with_derandomize(tmp_path, capsys):
     sched = parse_schedule_csv((tmp_path / "real12.schedule.csv").read_text())
     assert validate_schedule(sched).feasible
     assert payload[0]["total"] == pytest.approx(total_distance(sched, inst).total)
-
-
-def test_solve_explicit_packing(tmp_path, capsys):
-    path = write_inst(tmp_path, "tight16.txt", tight_instance(16))
-    code, payload = run(capsys, ["solve", str(path), "--packing", "2"])
-    assert code == 0
-    assert payload[0]["construction"] == "even-dc"
-    assert payload[0]["packing"] == [2, 1]
-    assert payload[0]["total"] == 16 * 14 + 4 * 2 + 16

@@ -67,6 +67,8 @@ def test_packing_chain_rejects_invalid():
         packing_chain(20, 2)  # 20 % 8 != 0
     with pytest.raises(DomainError):
         packing_chain(40, 0)
+    with pytest.raises(DomainError):
+        packing_chain(16, 10**9)  # at once, not after a descent linear in p
 
 
 def _reference_descent(p):

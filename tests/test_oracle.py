@@ -138,7 +138,7 @@ def test_bruteforce_exact_below_the_lower_bound_on_non_metric_input():
 
 
 @pytest.mark.parametrize("case", sorted(NON_METRIC))
-@pytest.mark.parametrize("command", ["oracle", "solve"])
+@pytest.mark.parametrize("command", ["solve"])
 def test_cli_reports_the_optimum_below_the_lower_bound(tmp_path, capsys, command, case):
     dist, optimum, lb = NON_METRIC[case]
     path = tmp_path / f"{case}.txt"

@@ -1,39 +1,51 @@
-"""ttp2.pipeline: the construction each n gets, and its exact tight totals."""
+"""ttp2.pipeline: the construction each n gets, its exact tight totals and the stage order."""
 
 import pytest
 
 import ttp2.pipeline
-from ttp2.errors import DomainError
 from ttp2.oracle import tight_instance
 from ttp2.pipeline import build_template, solve
 from ttp2.schedule import validate_schedule
 
 
 @pytest.mark.parametrize(
-    "n, packing, construction, chain, extra",
+    "n, construction, chain, extra",
     [
-        (4, "auto", "brute", (), 2),  # the optimum, 10 against LB 8
-        (8, "auto", "even", (1,), 3 * 8 - 16),
-        (10, "auto", "odd", (), 5 * 10 - 20),
-        (16, "auto", "even-dc", (2, 1), 4 * 2 + 16),  # L(16) = 2: total 248
-        (16, 1, "even", (1,), 3 * 16 - 16),
+        (4, "brute", (), 2),  # the optimum, 10 against LB 8
+        (8, "even", (1,), 3 * 8 - 16),
+        (10, "odd", (), 5 * 10 - 20),
+        (16, "even-dc", (2, 1), 4 * 2 + 16),  # L(16) = 2: total 248
     ],
 )
-def test_solve_tight_totals(n, packing, construction, chain, extra):
-    sol = solve(tight_instance(n), packing=packing)
+def test_solve_tight_totals(n, construction, chain, extra):
+    sol = solve(tight_instance(n))
     assert (sol.construction, sol.packing) == (construction, chain)
     assert sol.lb == n * (n - 2)
     assert sol.total == sol.lb + extra
     assert validate_schedule(sol.schedule).feasible
 
 
-@pytest.mark.parametrize("n", [6, 10])
-def test_packing_rejected_before_the_matching(monkeypatch, n):
+BRUTE = ["min_weight_perfect_matching", "independent_lower_bound", "brute_force_optimal"]
+TEMPLATE = ["min_weight_perfect_matching", "independent_lower_bound", "build_template", "run_rounds"]
+
+
+@pytest.mark.parametrize(
+    "n, order", [(4, BRUTE), (6, BRUTE), (8, TEMPLATE), (10, TEMPLATE)], ids=["n4", "n6", "n8", "n10"]
+)
+def test_solve_runs_the_stages_in_order(monkeypatch, n, order):
     calls = []
-    monkeypatch.setattr(ttp2.pipeline, "min_weight_perfect_matching", lambda inst: calls.append(inst))
-    with pytest.raises(DomainError, match=f"packing 1 applies only for n = 0 \\(mod 4\\), n >= 8; got n={n}"):
-        solve(tight_instance(n), packing=1)
-    assert calls == []
+
+    def spy(name, stage):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return stage(*args, **kwargs)
+
+        return wrapper
+
+    for name in {*BRUTE, *TEMPLATE}:
+        monkeypatch.setattr(ttp2.pipeline, name, spy(name, getattr(ttp2.pipeline, name)))
+    solve(tight_instance(n))
+    assert calls == order
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -42,7 +54,7 @@ def test_zero_rounds_rejected_on_every_path(n):
         solve(tight_instance(n), rounds=0)
 
 
-@pytest.mark.parametrize("n, packing, chain", [(16, "auto", (2, 1)), (16, 1, (1,)), (18, "auto", ())])
-def test_build_template_chain(n, packing, chain):
-    template, got = build_template(n, packing)
+@pytest.mark.parametrize("n, chain", [(8, (1,)), (16, (2, 1)), (18, ())])
+def test_build_template_chain(n, chain):
+    template, got = build_template(n)
     assert (template.n, got) == (n, chain)
