@@ -4,11 +4,13 @@ A round draws a random super-team order and team orientations, then
 alternates two first-improvement sweeps until neither helps: swapping the
 positions of two super-teams, and swapping the two teams inside one
 super-team.  Both keep the matching pairing intact.  Deltas come from the
-travel-count linear form: after every accepted move, the whole
-neighbourhood of the current rule is evaluated in float64 by one fixed
-linear map of the bound distances.  A move is taken iff its exact delta
-is negative.  This instance has small integer distances, so it is
-`float_exact` and every float64 delta is exact.  On other instances a
+travel-count linear form: after every accepted move, the moves the scan
+goes on to read are evaluated at once in float64 by a fixed linear map of
+the bound distances: every flip, or the swaps in row windows of the sweep
+from the cursor on (here, with 21 swaps, always the whole sweep).  A
+move is taken iff its exact delta is negative.  This instance has small
+integer distances, so it is `float_exact` and every float64 delta is
+exact.  On other instances a
 move is taken when its float64 delta lies below minus a proven rounding
 bound, or, within that bound of zero, when its exact delta in Python
 integers is negative.

@@ -145,7 +145,10 @@ def _load_baseline(path):
 
 
 def _total(text: str):
-    """A positive integer or finite real total; raises ValueError otherwise."""
+    """A positive integer or finite real total, written as `parse_instance`
+    reads numbers (ASCII, without '_'); raises ValueError otherwise."""
+    if not text.isascii() or "_" in text:  # int() and float() read both
+        raise ValueError(text)
     try:
         value = int(text)
     except ValueError:

@@ -22,13 +22,17 @@ as each edge leaves, rather than summing them again every step.
 The swap local search runs on the binding vector (label -> team) alone:
 each start's ordering becomes its vector once, the passes and `polish`
 take and return vectors, and `run_rounds` returns the winning vector.
-After every accepted move the search evaluates the whole neighbourhood of
-a pass at once, in float64, from P = dist[bind][:, bind] (the c (x) P
-delta form of quadratic-assignment local search): all m(m-1)/2 slot swaps
-with one matrix product of P and c on BLAS plus one sum of ten gathered
-leaves per swap, or all m in-slot flips with one row-wise dot product.
-Each kernel is a fixed linear map of P whose tables are built once per
-TravelCoefficients.
+After every accepted move the search evaluates the moves it goes on to
+scan, many at once, in float64, from P = dist[bind][:, bind] (the c (x) P
+delta form of quadratic-assignment local search): all m in-slot flips
+with one row-wise dot product, or the slot swaps with matrix products of
+P and c on BLAS plus one sum of ten gathered leaves per swap.  The swaps
+are evaluated in row windows of the sweep from the cursor on, each at
+least FIRST_WINDOW moves and twice the one before, until a window holds
+an accepted move; a window that reaches the sweep's end is the whole
+sweep, so sweeps of up to FIRST_WINDOW moves (n <= 46) are always
+evaluated whole.  Each kernel is a fixed linear map of P whose tables are
+built once per TravelCoefficients.
 Each pass gathers P once and keeps it current in place: an accepted move
 permutes its touched rows and columns in O(n).  Both passes share one
 first-improvement loop that visits moves in the order of a pair-by-pair
@@ -49,6 +53,7 @@ an exact search on every machine, whatever order BLAS adds in.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -89,8 +94,10 @@ class TravelCoefficients:
         one = np.ones_like(K)
         flip = np.concatenate([c[1::2] - c[0::2], c[0::2] - c[1::2]], axis=1)
         flip[np.arange(m), 2 * np.arange(m) + 1] += 2 * cw
+        cols = np.concatenate([c[:, 0::2], c[:, 1::2]])
         return _KernelBlocks(
-            cols=np.concatenate([c[:, 0::2], c[:, 1::2]]),
+            cols=cols,
+            cols_t=np.ascontiguousarray(cols.T)[:, :, None],
             idx=np.stack([
                 a + i * m + j, a + j * m + i, a + i * m + i, a + j * m + j,  # At[i,j], At[j,i], At[i,i], At[j,j]
                 x * n + y, (x + 1) * n + y + 1, x * n + x + 1, y * n + y + 1, x * n + y + 1, y * n + x + 1,
@@ -285,6 +292,12 @@ def derandomize(coeffs: TravelCoefficients, inst: Instance, matching: Matching):
 # Swap local search.
 # ---------------------------------------------------------------------------
 
+# The fewest swaps a scan evaluates at once (see `_swap_windows`).  Every
+# sweep of up to this many moves, n <= 46, is evaluated whole; at least 190
+# keeps n = 40 whole, and smaller windows there cost more than they save.
+FIRST_WINDOW = 256
+
+
 @functools.lru_cache(maxsize=16)
 def _pass_moves(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The labels each move of a pass moves, one row per move in sweep order.
@@ -308,7 +321,8 @@ class _KernelBlocks:
     """The c-derived constants of the swap and flip kernels: each kernel is
     a fixed linear map of P, built once per template.
 
-    `cols` stacks c[:, 0::2] on c[:, 1::2].  `idx` and `coef`, of shape
+    `cols` stacks c[:, 0::2] on c[:, 1::2]; `cols_t` holds its columns, one
+    (2n, 1) matrix per slot.  `idx` and `coef`, of shape
     (10, m(m-1)/2), hold for every slot pair (i, j), i < j, in sweep order
     the ten leaves of its swap delta, as flat indices into P followed by
     At and the coefficients they are scaled by: At[i,j] + At[j,i] - At[i,i]
@@ -320,6 +334,7 @@ class _KernelBlocks:
     """
 
     cols: np.ndarray
+    cols_t: np.ndarray
     idx: np.ndarray
     coef: np.ndarray
     flip: np.ndarray
@@ -354,6 +369,10 @@ def _rounding_slack(n: int, d_max) -> float:
     coefficient is +-1, exact).  A P leaf takes the cast, its product with
     `coef` and those 9 additions, 11 in all; a flip leaf the cast, its
     product and at most 2n - 1 additions in its row's dot product, 2n + 1.
+    A window of the swap sweep (`_window_deltas`) forms each `At` entry it
+    reads as the same length-2n dot product, in a product of row and column
+    blocks or as a row of At's diagonal, in whatever order, and sums the
+    same ten leaves per swap, so the count holds for it too.
     A product of k such factors is 1 + t with |t| <= gamma_k =
     k u / (1 - k u) (Higham, Lemma 3.1), so the error is at most
     gamma_k * travel_bound.  k = 2n + 16 leaves six to spare.
@@ -411,7 +430,51 @@ def _exact_move_delta(coeffs: TravelCoefficients, inst: Instance, bind, src, dst
     return diff.sum() - diff[:, src].sum() // 2
 
 
-def _first_improvement(bind, coeffs, inst, kernel, moves):
+def _window_deltas(k: _KernelBlocks, buf, rows, moves):
+    """`_swap_deltas` of the swaps in rows [r0, r1) of the sweep, moves [lo, hi).
+
+    buf = [P.ravel() | At.ravel()].  The window's leaves read At[i, j] and
+    At[j, i] for its rows i and every j > i, and At[j, j] for every j: rows
+    r0..r1-1 of At from column r0 on, columns r0..r1-1 below row r1, and the
+    diagonal below row r1.  Only those are written; the rest of At is stale.
+    """
+    (r0, r1), (lo, hi) = rows, moves
+    m = k.cols.shape[1]
+    P2 = buf[: 4 * m * m].reshape(m, -1)
+    At = buf[4 * m * m :].reshape(m, m)
+    At[r0:r1, r0:] = P2[r0:r1] @ k.cols[:, r0:]
+    At[r1:, r0:r1] = P2[r1:] @ k.cols[:, r0:r1]
+    At.reshape(-1)[r1 * (m + 1) :: m + 1] = (P2[r1:, None] @ k.cols_t[r1:]).ravel()
+    return (buf.take(k.idx[:, lo:hi]) * k.coef[:, lo:hi]).sum(0)
+
+
+@functools.lru_cache(maxsize=16)
+def _swap_windows(m: int, first: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    """The row windows of the swap sweep: (row_start, ends), or None for a
+    sweep of at most `first` moves, which is evaluated whole.
+
+    Row i holds the swaps (i, j), j > i, moves row_start[i]..row_start[i+1]-1.
+    A scan from row a evaluates the rows a..ends[a][0]-1, then on to
+    ends[a][1], and so on: the first window holds at least `first` moves and
+    each later one at least twice as many as the one before.  The last end
+    is m, a window that reaches the sweep's end.
+    """
+    if m * (m - 1) // 2 <= first:
+        return None
+    row_start = tuple(i * (m - 1) - i * (i - 1) // 2 for i in range(m + 1))
+    ends = []
+    for a in range(m):
+        row, b, size = [], a, first
+        while b < m:
+            b = bisect.bisect_left(row_start, row_start[b] + size)
+            b = m if b >= m - 1 else b  # row m-1 holds no move
+            row.append(b)
+            size *= 2
+        ends.append(tuple(row))
+    return row_start, tuple(ends)
+
+
+def _first_improvement(bind, coeffs, inst, kernel, moves, windows=None):
     """The first-improvement loop of both passes; returns (bind, improved).
 
     Move q gives labels src[q][r] the teams of labels dst[q][r], moves in
@@ -424,6 +487,13 @@ def _first_improvement(bind, coeffs, inst, kernel, moves):
     visits each move once, so one that wraps stops before the move it began
     at, and a scan that finds no move ends the pass.
 
+    With `windows` (see `_swap_windows`) a scan evaluates only as far as it
+    reads: the rows of its windows from the cursor's row on, with
+    `_window_deltas`, one window at a time until one holds an accepted move.
+    A window that reaches the sweep's end is the whole sweep, `kernel`, and
+    the same deltas serve the wrap to the cursor.  The moves scanned and
+    their order are those of a whole-sweep scan.
+
     A move is accepted iff its exact delta is negative.  The moves whose
     kernel delta lies below +slack are visited in sweep order; one below
     -slack is accepted at once, one in [-slack, slack) if its exact delta
@@ -433,37 +503,59 @@ def _first_improvement(bind, coeffs, inst, kernel, moves):
     """
     bind = np.array(bind)
     src, dst = moves
+    n, last = len(bind), len(src)
     P = inst.float_dist.take(bind, 0).take(bind, 1)
+    if windows is not None:
+        buf = np.empty(n * n + (n // 2) ** 2)  # [P | At], see `_window_deltas`
+        buf[: n * n] = P.ravel()
+        P = buf[: n * n].reshape(n, n)
     slack = _slack(inst)
 
-    def first_accepted(deltas, start):
-        """The first move to accept from `start` on, wrapping; None if none."""
+    def first_accepted(deltas, spans, lo=0):
+        """The first move to accept in the spans [q, stop) of `deltas`, in
+        turn, as a move index: deltas[q] is move lo + q's.  None if none."""
         candidate = deltas < slack
-        for q, stop in ((start, len(deltas)), (0, start)):
+        for q, stop in spans:
             while q < stop:
                 q += int(candidate[q:stop].argmax())  # the next candidate, or q if none is left
                 if not candidate[q]:
                     break
-                if deltas[q] < -slack or _exact_move_delta(coeffs, inst, bind, src[q], dst[q]) < 0:
-                    return q
+                if deltas[q] < -slack or _exact_move_delta(coeffs, inst, bind, src[lo + q], dst[lo + q]) < 0:
+                    return lo + q
                 q += 1
         return None
 
+    def next_move(start):
+        """The first move to accept from `start` on, wrapping; None if none."""
+        if windows is None:
+            return first_accepted(kernel(coeffs.blocks, P), ((start, last), (0, start)))
+        row_start, ends = windows
+        a = bisect.bisect_right(row_start, start) - 1
+        for b in ends[a]:
+            lo = row_start[a]
+            if b == len(ends):  # the sweep's end
+                return first_accepted(kernel(coeffs.blocks, P), ((max(start, lo), last), (0, start)))
+            deltas = _window_deltas(coeffs.blocks, buf, (a, b), (lo, row_start[b]))
+            if (q := first_accepted(deltas, ((max(start - lo, 0), len(deltas)),), lo)) is not None:
+                return q
+            a = b
+
     start, improved = 0, False
-    while (q := first_accepted(kernel(coeffs.blocks, P), start)) is not None:
+    while (q := next_move(start)) is not None:
         s, t = src[q], dst[q]
         bind[s] = bind.take(t)
         P[s] = P.take(t, 0)
         P[:, s] = P.take(t, 1)
-        start, improved = (q + 1) % len(src), True
+        start, improved = (q + 1) % last, True
     return bind, improved
 
 
 def swap_super_teams_pass(bind, coeffs: TravelCoefficients, inst: Instance):
     """One full first-improvement sweep over all slot pairs, repeated while
     a sweep improves; returns (bind, improved)."""
-    moves = _pass_moves(len(bind) // 2)[0]
-    return _first_improvement(bind, coeffs, inst, _swap_deltas, moves)
+    m = len(bind) // 2
+    windows = _swap_windows(m, FIRST_WINDOW)
+    return _first_improvement(bind, coeffs, inst, _swap_deltas, _pass_moves(m)[0], windows)
 
 
 def swap_within_pass(bind, coeffs: TravelCoefficients, inst: Instance):

@@ -275,7 +275,9 @@ def test_bench_baseline_accepts_real_totals(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["tight8", "tight8,nan", "tight8,0", "tight8,-60"], ids=["no-comma", "nan", "zero", "negative"]
+    "line",
+    ["tight8", "tight8,nan", "tight8,0", "tight8,-60", "tight8,\u0664\u0664\u0664\u0664\u0664", "tight8,9_999"],
+    ids=["no-comma", "nan", "zero", "negative", "arabic-indic-digits", "underscore"],
 )
 def test_bench_baseline_rejects_malformed_line(tmp_path, capsys, line):
     write_inst(tmp_path, "tight8.txt", tight_instance(8))

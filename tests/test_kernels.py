@@ -1,6 +1,7 @@
 """The swap and flip kernels as fixed linear maps of P, and the scan that
-feeds them: exact deltas where float64 is exact, and no move checked twice
-on one vector."""
+feeds them: exact deltas where float64 is exact, no move checked twice on
+one vector, and row windows of the swap sweep that give the deltas and the
+search of whole sweeps."""
 
 import functools
 from fractions import Fraction
@@ -11,10 +12,14 @@ import pytest
 from ttp2 import ordering
 from ttp2.oracle import brute_force_optimal, random_metric_instance
 from ttp2.ordering import (
+    FIRST_WINDOW,
     _exact_move_delta,
     _flip_deltas,
     _pass_moves,
+    _slack,
     _swap_deltas,
+    _swap_windows,
+    _window_deltas,
     extract_coefficients,
     polish,
 )
@@ -75,3 +80,111 @@ def test_no_move_is_exact_checked_twice_on_one_vector(monkeypatch):
         assert len(set(checked)) == len(checked)
         total += len(checked)
     assert total > 80
+
+
+def _windows(m):
+    """Row windows of an m-slot sweep: each window of the scans from rows 0,
+    m/3 and m/2 up to the end, and a few more that start at row 0, mid-sweep
+    or on the last row with moves."""
+    row_start, ends = _swap_windows(m, FIRST_WINDOW)
+    windows = {(0, 1), (1, 3), (m // 2, m // 2 + 2), (m - 2, m), (0, m)}
+    for a in (0, m // 3, m // 2):
+        for b in ends[a]:
+            windows.add((a, b))
+            a = b
+    return row_start, sorted(windows)
+
+
+@pytest.mark.parametrize("m", [20, 23, 24, 25, 40, 61, 120])
+def test_swap_windows_grow_from_every_row_to_the_sweeps_end(m):
+    """A sweep of at most FIRST_WINDOW moves has no windows (m <= 23).
+    Otherwise the scan from each row runs through windows of at least
+    FIRST_WINDOW, 2 FIRST_WINDOW, ... moves, and the first that leaves no
+    move after it ends at m, the whole sweep."""
+    windows = _swap_windows(m, FIRST_WINDOW)
+    last = m * (m - 1) // 2
+    assert (windows is None) == (last <= FIRST_WINDOW)
+    if windows is None:
+        return
+    row_start, ends = windows
+    assert row_start[0] == 0 and row_start[-2:] == (last, last)
+    assert all(row_start[i + 1] - row_start[i] == m - 1 - i for i in range(m))
+    for a, row in enumerate(ends):
+        assert row[-1] == m
+        size = FIRST_WINDOW
+        for b in row[:-1]:
+            assert size <= row_start[b] - row_start[a] and row_start[b] < last
+            a, size = b, 2 * size
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("n", [48, 80, 122])
+def test_window_deltas_equal_the_sweep(n, tier):
+    """Every window's deltas are those of `_swap_deltas` on its moves: bit
+    for bit where float64 is exact, within slack of the exact delta
+    elsewhere.  At is filled with NaN before each window, so a leaf read from
+    an entry the window did not write shows."""
+    inst = _tier_instance(n, 3, tier)
+    coeffs, m = _coeffs(n), n // 2
+    row_start, windows = _windows(m)
+    assert any(b < m for _, b in windows) and any(a > 0 for a, _ in windows)
+    src, dst = _pass_moves(m)[0]
+    bind = np.random.default_rng(n).permutation(n)
+    buf = np.empty(n * n + m * m)
+    P = buf[: n * n].reshape(n, n)
+    P[:] = inst.float_dist[np.ix_(bind, bind)]
+    whole = _swap_deltas(coeffs.blocks, P)
+    slack, scale = _slack(inst), inst.exact_weights[1]
+    exact = {}
+    for a, b in windows:
+        buf[n * n :] = np.nan
+        lo, hi = row_start[a], row_start[min(b, m)]
+        deltas = _window_deltas(coeffs.blocks, buf, (a, b), (lo, hi))
+        assert len(deltas) == hi - lo
+        if TIERS[tier]:
+            assert np.array_equal(deltas, whole[lo:hi])
+            continue
+        for q, value in zip(range(lo, hi), deltas.tolist()):
+            if q not in exact:
+                exact[q] = Fraction(_exact_move_delta(coeffs, inst, bind, src[q], dst[q]), scale)
+            assert abs(Fraction(value) - exact[q]) <= slack
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("n", [48, 50, 80, 122])
+def test_windowed_search_takes_the_moves_of_whole_sweeps(n, tier, monkeypatch):
+    """`polish` with windows returns the vectors it returns when every scan
+    evaluates the whole sweep (a first window of m(m-1)/2 moves), after as
+    many exact checks (none where float64 is exact; elsewhere, one per
+    visited move whose delta lies within slack of zero).  First windows of
+    16 moves also put the cursor inside many short windows that start in
+    row 0, which must not wrap before the sweep's end."""
+    inst = _tier_instance(n, 5, tier)
+    coeffs = _coeffs(n)
+    starts = [np.random.default_rng(seed).permutation(n).tolist() for seed in range(3)]
+    counts = dict.fromkeys(("_exact_move_delta", "_window_deltas"), 0)
+
+    def counted(name):
+        spied = getattr(ordering, name)
+
+        def spy(*args):
+            counts[name] += 1
+            return spied(*args)
+
+        return spy
+
+    for name in counts:
+        monkeypatch.setattr(ordering, name, counted(name))
+
+    def run(first):
+        monkeypatch.setattr(ordering, "FIRST_WINDOW", first)
+        counts.update(dict.fromkeys(counts, 0))
+        return [polish(b, coeffs, inst).tolist() for b in starts], dict(counts)
+
+    whole, whole_counts = run(n // 2 * (n // 2 - 1) // 2)
+    assert whole_counts["_window_deltas"] == 0
+    for first in (FIRST_WINDOW, 16):
+        vectors, counts_of_windows = run(first)
+        assert vectors == whole
+        assert counts_of_windows["_window_deltas"] > 0
+        assert counts_of_windows["_exact_move_delta"] == whole_counts["_exact_move_delta"]
