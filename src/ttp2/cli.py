@@ -144,11 +144,17 @@ def _load_baseline(path):
     return baseline
 
 
-def _total(text: str):
-    """A positive integer or finite real total, written as `parse_instance`
-    reads numbers (ASCII, without '_'); raises ValueError otherwise."""
-    if not text.isascii() or "_" in text:  # int() and float() read both
+def _ascii(text: str) -> str:
+    """`text` if ASCII without '_', as `parse_instance` reads numbers (int()
+    and float() read both); raises ValueError otherwise."""
+    if not text.isascii() or "_" in text:
         raise ValueError(text)
+    return text
+
+
+def _total(text: str):
+    """A positive integer or finite real total; raises ValueError otherwise."""
+    text = _ascii(text)
     try:
         value = int(text)
     except ValueError:
@@ -188,11 +194,15 @@ def cmd_bench(args) -> int:
     return 1 if any_infeasible else 0
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(_ascii(text))
     except ValueError:
-        value = 0
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
@@ -205,7 +215,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="construct a schedule for an instance file")
     p.add_argument("instance")
     p.add_argument("--rounds", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--derandomize", action="store_true")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_solve)
@@ -225,7 +235,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("bench", help="solve every instance file in a directory")
     p.add_argument("directory")
     p.add_argument("--rounds", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--baseline", default=None, help="CSV of instance totals in a column headed 'previous'")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_bench)

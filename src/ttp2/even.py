@@ -10,15 +10,17 @@ the best packing.
 
 Every super-game kind of both builders is one table of day patterns over
 team roles: the four kinds here over (a1, a2, h1, h2) of an away and a
-home super-team, and odd.py's three right super-game shapes over six
-roles.  All slots of a circle but the closing ones are a single gather
-from that table over every (slot, round, meeting, super-team) into a
-(days, games, 2) array of (visitor, host) games; the fixed super-team's or
-group's left super-games are then written over its normal ones.  The
-penultimate and last base slots are one gather each, and the last group
-slot gathers the 4p-team sub-template, built once, from each meeting's
-teams.  The slots stack into the (2n-2, n/2, 2) array that
-games_to_schedule scatters into the table.
+home super-team, odd.py's three right super-game shapes over six roles,
+and its L-R final days over four.  Every block of both builders, the
+final ones included, is a gather from a role table.  All slots of a
+circle but the closing ones are a single gather from that table over
+every (slot, round, meeting, super-team) into a (days, games, 2) array of
+(visitor, host) games; the fixed super-team's or group's left super-games
+are then written over its normal ones.  The penultimate and last base
+slots are one gather each, and the last group slot gathers the 4p-team
+sub-template, built once, from each meeting's teams; the sub-template's
+first day sets which group starts away.  The slots stack into the
+(2n-2, n/2, 2) array that games_to_schedule scatters into the table.
 
 Both builders share one circle: `_circle` pairs the whites of any slots
 at once, and `_meetings` orients every meeting by one block-status rule.
@@ -126,6 +128,11 @@ _PATTERNS = {
             [(0, 2), (4, 3), (1, 5)], [(1, 3), (5, 2), (0, 4)],
             [(2, 0), (3, 4), (5, 1)], [(3, 1), (2, 5), (4, 0)],
         ],
+        # L (l1, l2) meets R (r1, r2) in odd.py's final block.
+        "final-lr": [
+            [(0, 1), (3, 2)], [(2, 0), (1, 3)], [(0, 3), (1, 2)],
+            [(0, 2), (3, 1)], [(3, 0), (2, 1)], [(1, 0), (2, 3)],
+        ],
     }.items()
 }
 
@@ -218,13 +225,6 @@ def _base_even_days(supers: np.ndarray) -> np.ndarray:
 # Packed construction (divide and conquer).
 # ---------------------------------------------------------------------------
 
-def _slot1_away(m: int, p: int) -> np.ndarray:
-    """Mask of the m super-teams, in groups of p, that start with away
-    games: every even group but the last, and group m/p - 1."""
-    group = np.arange(m) // p + 1
-    return (group % 2 == 0) ^ (group >= m // p - 1)
-
-
 def _packed_even_days(supers: np.ndarray, p: int, subchain: list[int]) -> np.ndarray:
     m = len(supers)
     g = m // p
@@ -233,13 +233,15 @@ def _packed_even_days(supers: np.ndarray, p: int, subchain: list[int]) -> np.nda
 
     # Last group-slot: the sub-problem on 4p teams, one per meeting, built
     # once on labels 0..4p-1 and gathered from each meeting's teams.  Groups
-    # ending the previous slot on a home game start away.
+    # ending the previous slot on a home game start away, so the away group
+    # takes the super-teams that visit on the sub-problem's first day.
+    sub_days = _build_even_days(np.arange(4 * p).reshape(-1, 2), subchain)
+    away_pos = np.zeros(2 * p, bool)
+    away_pos[sub_days[0, :, 0] // 2] = True
     meetings = _meetings(g, g - 1) - 1
-    away_pos = _slot1_away(2 * p, subchain[0])
     sub_supers = np.empty_like(supers, shape=(len(meetings), 2 * p, 2))
     sub_supers[:, away_pos] = groups[meetings[:, 0]]
     sub_supers[:, ~away_pos] = groups[meetings[:, 1]]
-    sub_days = _build_even_days(np.arange(4 * p).reshape(-1, 2), subchain)
     last = sub_supers.reshape(len(meetings), -1)[:, sub_days].swapaxes(0, 1)
     slots.append(last.reshape(len(sub_days), -1, 2))
     return np.concatenate(slots)

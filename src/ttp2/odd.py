@@ -20,7 +20,9 @@ them.  The right super-games are six-role kinds of the shared pattern
 table over (clean white, dirty white, R): one side's road trips stay
 optimal ("clean", the even white) while the other pays two direct cross
 travels, with the clean white at home or away; or, in the single slot
-whose pair closes the odd cycle, both sides pay.
+whose pair closes the odd cycle, both sides pay.  Each slot's pair is a
+different adjacent pair, so the final block is gathered from the right
+super-games' pair roles too, and L meets R in the "final-lr" kind.
 """
 
 from __future__ import annotations
@@ -32,37 +34,15 @@ from .even import _PATTERNS, _block_home, _circle, _games, _meeting_slots
 from .schedule import Schedule, games_to_schedule
 
 
-def _final_block(supers: np.ndarray) -> list[list[tuple[int, int]]]:
-    """Days [A1, self, A2, rev A1, rev A2, rev self] for the whites; L and R
-    play self first (their A games are the L-R games)."""
-    teams = supers.tolist()
-    m = len(teams)
-    M = m - 2
-    a1_games, a2_games, self_games = [], [], []
-    for x in range(1, M + 1):
-        (x1, x2), (y1, y2) = teams[x - 1], teams[x % M]
-        if x == M:  # cycle-closing edge, both ends dirty
-            a1_games.append((x2, y2))
-            a2_games.append((y1, x1))
-        elif x % 2 == 0:  # clean left of dirty
-            a1_games.append((y1, x2))
-            a2_games.append((y2, x2))
-        else:  # dirty left of clean; white 1 is mirrored
-            first, other = (x1, x2) if x == 1 else (x2, x1)
-            a1_games.append((first, y1))
-            a2_games.append((y1, other))
-        self_games.append((x2, x1) if x % 2 == 0 or x == 1 else (x1, x2))
-
-    (l1, l2), (r1, r2) = teams[m - 2], teams[m - 1]
-    rev = lambda games: [(h, a) for a, h in games]
-    return [
-        a1_games + [(l1, l2), (r2, r1)],
-        self_games + [(r1, l1), (l2, r2)],
-        a2_games + [(l1, r2), (l2, r1)],
-        rev(a1_games) + [(l1, r1), (r2, l2)],
-        rev(a2_games) + [(r2, l1), (r1, l2)],
-        rev(self_games) + [(l2, l1), (r1, r2)],
-    ]
+# The final block's days [A1, self, A2, rev A1, rev A2, rev self] of a pair
+# over its right super-game's (c1, c2, d1, d2): its two leftover cross games
+# and its left white's intra-pair game, each in both orders.  Rows: clean
+# white on the left (lo even), dirty (lo odd), and the closing pair (1, M).
+_FINAL = np.array([
+    [(2, 1), (1, 0), (3, 1), (1, 2), (1, 3), (0, 1)],
+    [(2, 1), (3, 2), (1, 3), (1, 2), (3, 1), (2, 3)],
+    [(0, 3), (1, 0), (2, 1), (3, 0), (1, 2), (0, 1)],
+])
 
 
 def build_odd_template(n: int) -> Schedule:
@@ -92,8 +72,13 @@ def build_odd_template(n: int) -> Schedule:
     dirty[mirror] = dirty[mirror, ::-1]
     roles = np.hstack([clean, dirty, np.tile(supers[-1], (M, 1))])
     kinds = np.stack([_PATTERNS[k] for k in ("right-away", "right-home", "right-closing")])
-    kind = np.where(hi - lo > 1, 2, _block_home(m - 1 - c, q))
+    closing = hi - lo > 1
+    kind = np.where(closing, 2, _block_home(m - 1 - c, q))
     right = roles[q[:, None, None, None] - 1, kinds[kind]]
 
+    # The final block: each slot's pair settles its leftover games.
+    final = roles[q[:, None, None] - 1, _FINAL[np.where(closing, 2, odd)]]
+    final = np.concatenate([final.swapaxes(0, 1), _games("final-lr", supers[-2:].reshape(1, 4))], axis=1)
+
     slots = np.concatenate([days[..., :-2, :], right], axis=2).reshape(-1, m, 2)
-    return games_to_schedule(n, np.concatenate([slots, _final_block(supers)]))
+    return games_to_schedule(n, np.concatenate([slots, final]))

@@ -326,3 +326,29 @@ def test_solve_real_valued_with_derandomize(tmp_path, capsys):
     sched = parse_schedule_csv((tmp_path / "real12.schedule.csv").read_text())
     assert validate_schedule(sched).feasible
     assert payload[0]["total"] == pytest.approx(total_distance(sched, inst).total)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-digit"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("solve", "--rounds"), ("solve", "--seed"), ("validate", "--k"), ("bench", "--rounds"), ("bench", "--seed")],
+)
+def test_integer_options_are_ascii_without_underscores(tmp_path, capsys, golden_n8, command, flag, text):
+    # int() reads both forms; instance numbers and baseline totals reject them.
+    path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    csv_path = tmp_path / "golden8.schedule.csv"
+    csv_path.write_text(render_schedule(golden_n8))
+    operands = {"solve": [path], "validate": [csv_path, path], "bench": [tmp_path]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *map(str, operands), flag, text])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_solve_takes_a_negative_seed(tmp_path, capsys):
+    path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    code, payload = run(capsys, ["solve", str(path), "--rounds", "2", "--seed", "-3"])
+    assert code == 0
+    assert payload[0]["seed"] == -3
