@@ -8,7 +8,10 @@ and itineraries use 0-based team indices.
 Its one array form is the venue matrix: row i is team i's walk, its home,
 the host of each day and its home again (n x 2n, 0-based).  Validation,
 distances and the travel coefficients are whole-array operations on the
-table and this matrix.
+table and this matrix.  Validation makes a fixed number of passes for any
+run bound k: it finds each run's start and flags day k + 1 of every run
+longer than k.  Rendering gathers one fixed-width byte slot per cell, the
+label's text padded with NULs and a comma, and drops the NULs.
 """
 
 from __future__ import annotations
@@ -107,36 +110,49 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
     Direct-traveling is a convention of the distance model and is not a
     table property, so it is not checked here.  Raises ValueError for
     k < 1.
+
+    Each property takes a few whole-table passes.  Bounded-by-k works on
+    run starts: a run that starts at flat cell p and holds more than k days
+    (the next start lies beyond p + k) reaches k + 1 at p + k.  Day 0 of
+    every row starts a run, so no run crosses a row end and the cost does
+    not grow with k.
     """
     if k < 1:
         raise ValueError(f"run bound k must be >= 1, got {k}")
-    n, t = s.n, s.table
-    teams = np.arange(n)[:, None]
-    a = np.abs(t)
+    n, t, days = s.n, s.table, s.days
+    k = min(k, days)  # no run is longer than a row; keeps k within int64
+    teams = np.arange(1, n + 1)[:, None]  # 1-based, as in the table
+    away = t > 0
+    # x - 1 read unsigned is below n exactly for x in 1..n.  So a cell of 0
+    # names no team, and neither does -2**63, whose np.abs stays negative.
+    opp = np.abs(t) - 1
+    no_team = opp.view(np.uint64) >= n
 
     # Shape / mirror consistency ("fixed-game-time"): a real opponent whose
     # cell on the same day names this team with the opposite sign.  A self
     # game fails the mirror test, as its mirror is the cell itself.
-    mirror = t[np.clip(a - 1, 0, n - 1), np.arange(s.days)]
-    bad_time = (a == 0) | (a > n) | (mirror != -np.sign(t) * (teams + 1))
+    mirror = t.ravel().take(opp.clip(0, n - 1) * days + np.arange(days))
+    bad_time = no_team | (mirror != np.where(away, -teams, teams))
 
-    # Each ordered pair appears exactly once as an away game ("fixed-game-value").
-    away = (t > 0) & (t <= n)
-    aways = np.bincount((teams * n + t - 1)[away], minlength=n * n).reshape(n, n)
-    bad_value = aways != 1
+    # Each ordered pair appears exactly once as an away game ("fixed-game-value"):
+    # the away cells in 1..n, row-major, as flat (team, host) indices.
+    played = (t - 1).view(np.uint64) < n
+    pairs = t[played] - 1
+    pairs += np.repeat(np.arange(0, n * n, n), np.count_nonzero(played, axis=1))
+    bad_value = np.bincount(pairs, minlength=n * n).reshape(n, n) != 1
     np.fill_diagonal(bad_value, False)
 
     # No two consecutive days against the same opponent ("no-repeat").
-    repeat = np.zeros_like(bad_time)
-    repeat[:, 1:] = a[:, 1:] == a[:, :-1]
+    repeat = np.zeros_like(away)
+    np.equal(opp[:, 1:], opp[:, :-1], out=repeat[:, 1:])
 
     # At most k consecutive home or away games ("bounded-by-k"): flag the day
     # a run reaches k + 1.  A cell of 0 counts as home.
-    days = np.arange(s.days)
-    starts = np.ones_like(bad_time)
-    starts[:, 1:] = (t[:, 1:] > 0) != (t[:, :-1] > 0)
-    run_start = np.maximum.accumulate(np.where(starts, days, 0), axis=1)
-    long_run = days - run_start == k
+    starts = np.ones_like(away)
+    np.not_equal(away[:, 1:], away[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    long_run = np.zeros_like(away)
+    long_run.ravel()[first[np.diff(first, append=t.size) > k] + k] = True
 
     checks = (
         ("fixed-game-time", bad_time),
@@ -145,7 +161,10 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
         ("bounded-by-k", long_run),
     )
     violations = tuple(
-        (name, i, j) for name, mask in checks for i, j in np.argwhere(mask).tolist()
+        (name, i, j)
+        for name, mask in checks
+        if mask.any()
+        for i, j in np.argwhere(mask).tolist()
     )
     return FeasibilityReport(feasible=not violations, violations=violations)
 
@@ -158,6 +177,8 @@ def total_distance(s: Schedule, inst: Instance) -> DistanceReport:
     the one rule for a schedule's total: every command reports it.
     """
     v = s.venues
+    # A 2-D gather, not a flat take: an away venue past the last team must
+    # raise IndexError, where a flat index would read another row's cell.
     legs = inst.sum_dist[v[:, :-1], v[:, 1:]]
     per_team = tuple(np.cumsum(legs, axis=1)[:, -1].tolist())
     return DistanceReport(total=sum(per_team), per_team=per_team)
@@ -181,15 +202,27 @@ def itinerary_of(s: Schedule, team: int) -> list[list[int]]:
 def render_schedule(s: Schedule) -> str:
     """CSV with one row per team and cells +j / -j (1-based opponents).
 
-    Cells in -n..n, a cell of 0 included, take their text from one table
-    of the 2n+1 labels; a cell outside that range is formatted on its own.
+    Every cell takes a slot of the same width: the text of its label in
+    -n..n, 0 included, padded with NULs and then a comma.  The slots of a
+    row end in a newline instead, and the NULs are dropped.  A cell outside
+    -n..n takes a marker slot, replaced afterwards by the cell's own text.
     """
     n, t = s.n, s.table
-    labels = np.array([_cell_text(v) for v in range(-n, n + 1)], dtype=object)
-    text = labels[np.clip(t, -n, n) + n]
-    for r, c in np.argwhere((t < -n) | (t > n)).tolist():
-        text[r, c] = _cell_text(int(t[r, c]))
-    return "\n".join(map(",".join, text.tolist())) + "\n"
+    if not s.days:
+        return "\n" * n
+    # The 2n + 1 label slots, then a marker slot: cells below -n clip to
+    # slot -1 and cells above n to slot 2n + 1.  No label holds the marker.
+    width = len(str(-n)) + 1
+    labels = [_cell_text(v) for v in range(-n, n + 1)] + ["\x01"]
+    slots = b"".join(label.encode().ljust(width - 1, b"\0") + b"," for label in labels)
+    cells = np.frombuffer(slots, dtype=f"V{width}").take(np.clip(t, -n - 1, n + 1) + n)
+    cells = cells.view(np.uint8)
+    cells[:, -1] = ord("\n")
+    text = cells.tobytes().translate(None, b"\0").decode()
+    if "\x01" not in text:
+        return text
+    own = [_cell_text(v) for v in t[(t < -n) | (t > n)].tolist()] + [""]
+    return "".join(part + cell for part, cell in zip(text.split("\x01"), own))
 
 
 def _cell_text(v: int) -> str:

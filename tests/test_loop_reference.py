@@ -19,7 +19,7 @@ from ttp2.ordering import (
     random_ordering,
 )
 from ttp2.pipeline import build_template
-from ttp2.schedule import Schedule, total_distance, validate_schedule
+from ttp2.schedule import Schedule, _cell_text, render_schedule, total_distance, validate_schedule
 
 SIZES = [8, 10, 12, 14, 40, 42]
 
@@ -94,6 +94,44 @@ def test_schedule_layer_matches_loops(n, seed, edits, k, kind):
     assert type(got.total) is type(want.total)
     for table in (_template(n), bound, s):
         assert np.array_equal(extract_coefficients(table).c, ref.extract_coefficients(table))
+
+
+# Cells near int64's edges; np.abs(-2**63) overflows to -2**63.
+_EXTREMES = [2**63 - 1, -(2**63), 2**62]
+
+
+@st.composite
+def _any_tables(draw):
+    """Tables of n = 1..12 with cells in +-(2n+1), up to three int64 extremes among them."""
+    n = draw(st.integers(1, 12))
+    size = n * (2 * n - 2)
+    cells = draw(st.lists(st.integers(-2 * n - 1, 2 * n + 1), min_size=size, max_size=size))
+    if size:
+        for at in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+            cells[at] = draw(st.sampled_from(_EXTREMES))
+    return Schedule(n=n, table=np.array(cells, dtype=np.int64).reshape(n, 2 * n - 2))
+
+
+@st.composite
+def _tables_and_bounds(draw):
+    """A table of _any_tables and a run bound k: small, around its day count, or past int64."""
+    s = draw(_any_tables())
+    k = draw(st.sampled_from([1, 2, 3, 5, s.days - 1, s.days, s.days + 3, 2**64]))
+    return s, max(k, 1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_tables_and_bounds())
+def test_validate_matches_loop_on_any_table(case):
+    s, k = case
+    assert validate_schedule(s, k=k).violations == ref.validate_schedule(s, k=k).violations
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(s=_any_tables())
+def test_render_joins_each_cell_text(s):
+    want = "".join(",".join(_cell_text(int(v)) for v in row) + "\n" for row in s.table)
+    assert render_schedule(s) == want
 
 
 def _error(fn, *args):

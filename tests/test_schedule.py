@@ -240,6 +240,16 @@ def test_render_formats_zero_and_cells_beyond_n():
     assert render_schedule(Schedule(n=1, table=np.zeros((1, 0), dtype=np.int64))) == "\n"
 
 
+def test_validate_flags_a_cell_of_int64_min():
+    # np.abs(-2**63) is -2**63: the cell must still read as naming no team.
+    table = np.array(HAND_N4)
+    table[0, 2] = -(2**63)
+    assert validate_schedule(Schedule(n=4, table=table)).violations == (
+        ("fixed-game-time", 0, 2),
+        ("fixed-game-time", 3, 2),
+    )
+
+
 # sha256 of the rendered CSV of every digest template, in the order of
 # tests/test_template_digest.py.
 RENDERED_TEMPLATES_SHA256 = "ae2874404c30d1a2d552896142094996f2a4d6ee7e0f6800c0260236223851fb"
