@@ -23,7 +23,10 @@ from .errors import FormatError, ValidationError
 class Instance:
     """A TTP instance: team count and the distance matrix.
 
-    `integral` follows the dtype of `dist`: True for integer distances.
+    `dist` is kept as an int64 copy of integer distances or a float64 copy
+    of real ones; any other dtype, or an unsigned value past int64, raises
+    ValidationError.  `integral` follows the dtype of `dist`: True for
+    integer distances.
     Passing a value that contradicts the dtype raises ValidationError.
     `d_max` is the largest distance, a Python int or float, kept from
     validation.  There is no per-cell accessor: loops read one
@@ -61,7 +64,7 @@ class Instance:
 
     @functools.cached_property
     def float_dist(self) -> np.ndarray:
-        """`dist` in float64, read-only; other dtypes are converted once."""
+        """`dist` in float64, read-only; integer distances are converted once."""
         if self.dist.dtype == np.float64:
             return self.dist
         d = self.dist.astype(np.float64)
@@ -98,9 +101,25 @@ class Instance:
 
 
 def _frozen(dist: np.ndarray) -> np.ndarray:
-    a = np.array(dist, copy=True)
+    """A read-only copy of dist: int64 for integer dtypes, float64 for
+    real ones; ValidationError for any other dtype."""
+    a = np.asarray(dist)
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"distances of dtype {a.dtype}: expected integers or reals")
+    a = a.astype(np.float64) if a.dtype.kind == "f" else _int64_copy(a, ValidationError, "distances")
     a.setflags(write=False)
     return a
+
+
+def _int64_copy(values, error: type[Exception], what: str) -> np.ndarray:
+    """values as a new int64 array; error, naming the dtype, unless they are
+    of an integer dtype, and unless every unsigned value fits in int64."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        raise error(f"{what} of dtype {a.dtype}: expected integers")
+    if a.dtype.kind == "u" and a.size and a.max() > np.iinfo(np.int64).max:
+        raise error(f"{what} of dtype {a.dtype}: {a.max()} does not fit in int64")
+    return a.astype(np.int64)
 
 
 def _validate(n: int, dist: np.ndarray):

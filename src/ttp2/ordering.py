@@ -33,8 +33,10 @@ an accepted move; a window that reaches the sweep's end is the whole
 sweep, so sweeps of up to FIRST_WINDOW moves (n <= 46) are always
 evaluated whole.  Each kernel is a fixed linear map of P whose tables are
 built once per TravelCoefficients.
-Each pass gathers P once and keeps it current in place: an accepted move
-permutes its touched rows and columns in O(n).  Both passes share one
+`polish` builds one search state, a copy of the vector and a buffer
+[P | At] whose At the swap kernels write, and both passes read it and
+keep it current in place: an accepted move permutes P's touched rows and
+columns in O(n), so P is gathered once per `polish`.  Both passes share one
 first-improvement loop that visits moves in the order of a pair-by-pair
 sweep, so the trajectory is that of the sweep.  `polish` alternates the
 passes and stops at the first pass, after the first, that finds no move:
@@ -89,7 +91,7 @@ class TravelCoefficients:
         n, m = self.n, self.n // 2
         cw = c[0::2, 1::2].diagonal()
         i, j = np.triu_indices(m, 1)
-        x, y, a = 2 * i, 2 * j, n * n  # At follows P in the gathered vector
+        x, y, a = 2 * i, 2 * j, n * n  # At follows P in the search buffer
         K = cw[i] + cw[j] - c[x, y + 1] - c[y, x + 1]
         one = np.ones_like(K)
         flip = np.concatenate([c[1::2] - c[0::2], c[0::2] - c[1::2]], axis=1)
@@ -324,13 +326,14 @@ class _KernelBlocks:
     `cols` stacks c[:, 0::2] on c[:, 1::2]; `cols_t` holds its columns, one
     (2n, 1) matrix per slot.  `idx` and `coef`, of shape
     (10, m(m-1)/2), hold for every slot pair (i, j), i < j, in sweep order
-    the ten leaves of its swap delta, as flat indices into P followed by
-    At and the coefficients they are scaled by: At[i,j] + At[j,i] - At[i,i]
-    - At[j,j], then 2 c[2i,2j] P[2i,2j] + 2 c[2i+1,2j+1] P[2i+1,2j+1], then
-    K_ij (P[2i,2i+1] + P[2j,2j+1] - P[2i,2j+1] - P[2j,2i+1]) with K_ij =
-    cw_i + cw_j - c[2i,2j+1] - c[2j,2i+1], cw_i = c[2i,2i+1] (each slot's
-    own pair).  `flip` is [-rows | rows], rows = c[0::2] - c[1::2], with
-    2 cw_i added at column 2i+1 of row i.
+    the ten leaves of its swap delta, as flat indices into the search
+    buffer [P | At] (At follows P) and the coefficients they are scaled
+    by: At[i,j] + At[j,i] - At[i,i] - At[j,j], then 2 c[2i,2j] P[2i,2j] +
+    2 c[2i+1,2j+1] P[2i+1,2j+1], then K_ij (P[2i,2i+1] + P[2j,2j+1] -
+    P[2i,2j+1] - P[2j,2i+1]) with K_ij = cw_i + cw_j - c[2i,2j+1] -
+    c[2j,2i+1], cw_i = c[2i,2i+1] (each slot's own pair).  `flip` is
+    [-rows | rows], rows = c[0::2] - c[1::2], with 2 cw_i added at column
+    2i+1 of row i.
     """
 
     cols: np.ndarray
@@ -390,30 +393,34 @@ def _rounding_slack(n: int, d_max) -> float:
     return slack if slack >= bound else math.nextafter(slack, math.inf)
 
 
-def _swap_deltas(k: _KernelBlocks, P):
+def _swap_deltas(k: _KernelBlocks, buf):
     """Distance change of every slot swap (i, j), i < j, in sweep order.
 
-    P = dist[bind][:, bind] and G = c @ P: moving label a to the team of
+    buf is the search buffer [P | At] (see `_search_state`), P =
+    dist[bind][:, bind], and G = c @ P: moving label a to the team of
     label b changes its row of the linear form by G[a, b] - G[a, a].  A
     swap moves the four labels 2i+r <-> 2j+r (r = 0, 1); their full rows
     also count the pairs inside those four labels, which are replaced by
     half the change of the 4x4 block.  Row j of P.reshape(m, 2n) is rows
     2j and 2j+1 of P side by side, so by symmetry At[j, i] = G[2i, 2j] +
-    G[2i+1, 2j+1]; each delta is then the sum of ten leaves of P and At,
-    gathered by `idx` and scaled by `coef`.
+    G[2i+1, 2j+1].  All of At is written into buf; each delta is then the
+    sum of ten leaves of P and At, gathered from buf by `idx` and scaled by
+    `coef`.
     """
-    At = P.reshape(len(P) // 2, -1) @ k.cols
-    return (np.concatenate((P.ravel(), At.ravel())).take(k.idx) * k.coef).sum(0)
+    P2 = buf[: k.cols.size].reshape(-1, len(k.cols))
+    np.matmul(P2, k.cols, out=buf[k.cols.size :].reshape(len(P2), -1))
+    return (buf.take(k.idx) * k.coef).sum(0)
 
 
-def _flip_deltas(k: _KernelBlocks, P):
-    """Distance change of flipping the two teams inside each slot.
+def _flip_deltas(k: _KernelBlocks, buf):
+    """Distance change of flipping the two teams inside each slot, read
+    from the P of the search buffer `buf`.
 
     For x = 2i, y = 2i+1 this is G[x,y] + G[y,x] - G[x,x] - G[y,y] +
     2 c[x,y] P[x,y]: the dot product of rows x and y of P, side by side,
     with row i of `flip`.
     """
-    return np.einsum("ik,ik->i", P.reshape(len(P) // 2, -1), k.flip)
+    return np.einsum("ik,ik->i", buf[: k.flip.size].reshape(k.flip.shape), k.flip)
 
 
 def _exact_move_delta(coeffs: TravelCoefficients, inst: Instance, bind, src, dst) -> int:
@@ -433,7 +440,7 @@ def _exact_move_delta(coeffs: TravelCoefficients, inst: Instance, bind, src, dst
 def _window_deltas(k: _KernelBlocks, buf, rows, moves):
     """`_swap_deltas` of the swaps in rows [r0, r1) of the sweep, moves [lo, hi).
 
-    buf = [P.ravel() | At.ravel()].  The window's leaves read At[i, j] and
+    buf is the search buffer [P | At].  The window's leaves read At[i, j] and
     At[j, i] for its rows i and every j > i, and At[j, j] for every j: rows
     r0..r1-1 of At from column r0 on, columns r0..r1-1 below row r1, and the
     diagonal below row r1.  Only those are written; the rest of At is stale.
@@ -474,18 +481,19 @@ def _swap_windows(m: int, first: int) -> tuple[tuple[int, ...], tuple[tuple[int,
     return row_start, tuple(ends)
 
 
-def _first_improvement(bind, coeffs, inst, kernel, moves, windows=None):
+def _first_improvement(bind, buf, coeffs, inst, kernel, moves, windows=None):
     """The first-improvement loop of both passes; returns (bind, improved).
 
     Move q gives labels src[q][r] the teams of labels dst[q][r], moves in
-    sweep order.  `kernel` evaluates every move on the current
-    P = dist[bind][:, bind] at once.  P is gathered once per pass and kept
-    current in place: an accepted move permutes its touched rows, then its
-    touched columns, in O(n).  The loop takes the first accepted move at or
-    after the one after the last accepted move, applies it and evaluates
-    again; after the last move of the sweep it goes on from move 0.  A scan
-    visits each move once, so one that wraps stops before the move it began
-    at, and a scan that finds no move ends the pass.
+    sweep order.  `kernel` evaluates every move at once on the search
+    buffer `buf`, whose P = dist[bind][:, bind] (see `_search_state`).  The
+    loop keeps bind and P current in place: an accepted move permutes P's
+    touched rows, then its touched columns, in O(n).  The loop takes the
+    first accepted move at or after the one after the last accepted move,
+    applies it and evaluates again; after the last move of the sweep it
+    goes on from move 0.  A scan visits each move once, so one that wraps
+    stops before the move it began at, and a scan that finds no move ends
+    the pass.
 
     With `windows` (see `_swap_windows`) a scan evaluates only as far as it
     reads: the rows of its windows from the cursor's row on, with
@@ -498,17 +506,11 @@ def _first_improvement(bind, coeffs, inst, kernel, moves, windows=None):
     kernel delta lies below +slack are visited in sweep order; one below
     -slack is accepted at once, one in [-slack, slack) if its exact delta
     is negative.  With slack 0 that is the moves with a negative delta.  So
-    the exact total falls with every move and the search cannot cycle.  The
-    caller's vector is left as it was.
+    the exact total falls with every move and the search cannot cycle.
     """
-    bind = np.array(bind)
     src, dst = moves
     n, last = len(bind), len(src)
-    P = inst.float_dist.take(bind, 0).take(bind, 1)
-    if windows is not None:
-        buf = np.empty(n * n + (n // 2) ** 2)  # [P | At], see `_window_deltas`
-        buf[: n * n] = P.ravel()
-        P = buf[: n * n].reshape(n, n)
+    P = buf[: n * n].reshape(n, n)
     slack = _slack(inst)
 
     def first_accepted(deltas, spans, lo=0):
@@ -528,13 +530,13 @@ def _first_improvement(bind, coeffs, inst, kernel, moves, windows=None):
     def next_move(start):
         """The first move to accept from `start` on, wrapping; None if none."""
         if windows is None:
-            return first_accepted(kernel(coeffs.blocks, P), ((start, last), (0, start)))
+            return first_accepted(kernel(coeffs.blocks, buf), ((start, last), (0, start)))
         row_start, ends = windows
         a = bisect.bisect_right(row_start, start) - 1
         for b in ends[a]:
             lo = row_start[a]
             if b == len(ends):  # the sweep's end
-                return first_accepted(kernel(coeffs.blocks, P), ((max(start, lo), last), (0, start)))
+                return first_accepted(kernel(coeffs.blocks, buf), ((max(start, lo), last), (0, start)))
             deltas = _window_deltas(coeffs.blocks, buf, (a, b), (lo, row_start[b]))
             if (q := first_accepted(deltas, ((max(start - lo, 0), len(deltas)),), lo)) is not None:
                 return q
@@ -550,31 +552,44 @@ def _first_improvement(bind, coeffs, inst, kernel, moves, windows=None):
     return bind, improved
 
 
-def swap_super_teams_pass(bind, coeffs: TravelCoefficients, inst: Instance):
+def _search_state(bind, inst: Instance):
+    """The state of one `polish`: a copy of the vector as an array and its
+    search buffer [P | At], P = dist[bind][:, bind] in float64 followed by
+    room for the swap kernels' At (see `_KernelBlocks`)."""
+    bind, n = np.array(bind), len(bind)
+    buf = np.empty(n * n + (n // 2) ** 2)
+    inst.float_dist.take(bind, 0).take(bind, 1, out=buf[: n * n].reshape(n, n))
+    return bind, buf
+
+
+def swap_super_teams_pass(bind, buf, coeffs: TravelCoefficients, inst: Instance):
     """One full first-improvement sweep over all slot pairs, repeated while
-    a sweep improves; returns (bind, improved)."""
+    a sweep improves, on the state (bind, buf) of `_search_state`, which it
+    updates in place; returns (bind, improved)."""
     m = len(bind) // 2
-    windows = _swap_windows(m, FIRST_WINDOW)
-    return _first_improvement(bind, coeffs, inst, _swap_deltas, _pass_moves(m)[0], windows)
+    return _first_improvement(bind, buf, coeffs, inst, _swap_deltas, _pass_moves(m)[0], _swap_windows(m, FIRST_WINDOW))
 
 
-def swap_within_pass(bind, coeffs: TravelCoefficients, inst: Instance):
-    """First-improvement sweep flipping team order inside each super-team;
+def swap_within_pass(bind, buf, coeffs: TravelCoefficients, inst: Instance):
+    """First-improvement sweep flipping team order inside each super-team,
+    on the state (bind, buf) of `_search_state`, which it updates in place;
     returns (bind, improved)."""
-    moves = _pass_moves(len(bind) // 2)[1]
-    return _first_improvement(bind, coeffs, inst, _flip_deltas, moves)
+    return _first_improvement(bind, buf, coeffs, inst, _flip_deltas, _pass_moves(len(bind) // 2)[1])
 
 
 def polish(bind, coeffs: TravelCoefficients, inst: Instance) -> np.ndarray:
     """Alternate the two swapping rules, starting with slot swaps; stops at
     the first pass, after the first, that finds no move.
 
-    A pass ends at a local optimum of its own rule and an idle pass leaves
-    the vector as it was, so the vector is then a local optimum of both.
+    Both passes run on one search state, built once here; the caller's
+    vector is left as it was.  A pass ends at a local optimum of its own
+    rule and an idle pass leaves the vector as it was, so the vector is
+    then a local optimum of both.
     """
-    bind, _ = swap_super_teams_pass(bind, coeffs, inst)
+    bind, buf = _search_state(bind, inst)
+    bind, _ = swap_super_teams_pass(bind, buf, coeffs, inst)
     for rule in itertools.cycle((swap_within_pass, swap_super_teams_pass)):
-        bind, improved = rule(bind, coeffs, inst)
+        bind, improved = rule(bind, buf, coeffs, inst)
         if not improved:
             return bind
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .instance import Instance
+from .instance import Instance, _int64_copy
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class Schedule:
     table: np.ndarray  # shape (n, 2n-2), signed 1-based opponents
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=np.int64)
+        t = _int64_copy(self.table, FormatError, "table")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
         if t.shape != (self.n, 2 * self.n - 2):

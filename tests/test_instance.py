@@ -167,6 +167,30 @@ def test_d_max_and_float_dist_are_kept_on_the_instance(dtype):
     assert (f is inst.dist) == (dtype is np.float64)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.float32, np.float16])
+def test_distances_are_kept_as_int64_or_float64(dtype):
+    """Totals, bounds and kernels run in the library's two dtypes, so a
+    float32 matrix is not summed in float32."""
+    d = random_metric_instance(8, 1).dist.astype(dtype)
+    inst = Instance(n=8, dist=d)
+    assert inst.dist.dtype == (np.float64 if d.dtype.kind == "f" else np.int64)
+    assert np.array_equal(inst.dist, d) and inst.integral == (d.dtype.kind != "f")
+
+
+@pytest.mark.parametrize("dtype", [object, np.complex128, np.bool_])
+def test_distances_of_other_dtypes_are_rejected(dtype):
+    d = random_metric_instance(8, 1).dist.astype(dtype)
+    with pytest.raises(ValidationError, match=f"distances of dtype {np.dtype(dtype)}"):
+        Instance(n=8, dist=d)
+
+
+def test_unsigned_distances_past_int64_are_rejected():
+    d = np.zeros((4, 4), dtype=np.uint64)
+    d[0, 1] = d[1, 0] = 2**63  # parse_instance rejects such a token too
+    with pytest.raises(ValidationError, match="does not fit in int64"):
+        Instance(n=4, dist=d)
+
+
 def test_distances_whose_totals_overflow_float64_are_rejected():
     d = random_metric_instance(12, 3).dist.astype(float)
     limit = sys.float_info.max / (8 * 12 * 23)  # 8n(2n-1) max(d) must stay below it

@@ -1,7 +1,7 @@
 """The swap and flip kernels as fixed linear maps of P, and the scan that
 feeds them: exact deltas where float64 is exact, no move checked twice on
-one vector, and row windows of the swap sweep that give the deltas and the
-search of whole sweeps."""
+one vector, row windows of the swap sweep that give the deltas and the
+search of whole sweeps, and one search buffer per `polish`."""
 
 import functools
 from fractions import Fraction
@@ -16,6 +16,7 @@ from ttp2.ordering import (
     _exact_move_delta,
     _flip_deltas,
     _pass_moves,
+    _search_state,
     _slack,
     _swap_deltas,
     _swap_windows,
@@ -47,9 +48,9 @@ def test_kernel_deltas_are_exact_on_float_exact_tiers(n, tier):
     swaps, flips = _pass_moves(n // 2)
     for seed in range(3):
         bind = np.random.default_rng(seed).permutation(n)
-        P = inst.float_dist[np.ix_(bind, bind)]
+        buf = _search_state(bind, inst)[1]
         for kernel, (src, dst) in ((_swap_deltas, swaps), (_flip_deltas, flips)):
-            deltas = kernel(coeffs.blocks, P)
+            deltas = kernel(coeffs.blocks, buf)
             exact = [Fraction(_exact_move_delta(coeffs, inst, bind, s, t), scale) for s, t in zip(src, dst)]
             assert [Fraction(value) for value in deltas.tolist()] == exact
 
@@ -123,24 +124,28 @@ def test_window_deltas_equal_the_sweep(n, tier):
     """Every window's deltas are those of `_swap_deltas` on its moves: bit
     for bit where float64 is exact, within slack of the exact delta
     elsewhere.  At is filled with NaN before each window, so a leaf read from
-    an entry the window did not write shows."""
+    an entry the window did not write shows.  The whole sweep, `_swap_deltas`
+    itself on a NaN-filled At (window None), is checked the same way."""
     inst = _tier_instance(n, 3, tier)
     coeffs, m = _coeffs(n), n // 2
     row_start, windows = _windows(m)
     assert any(b < m for _, b in windows) and any(a > 0 for a, _ in windows)
     src, dst = _pass_moves(m)[0]
     bind = np.random.default_rng(n).permutation(n)
-    buf = np.empty(n * n + m * m)
-    P = buf[: n * n].reshape(n, n)
-    P[:] = inst.float_dist[np.ix_(bind, bind)]
-    whole = _swap_deltas(coeffs.blocks, P)
+    buf = _search_state(bind, inst)[1]
+    whole = _swap_deltas(coeffs.blocks, buf)
     slack, scale = _slack(inst), inst.exact_weights[1]
     exact = {}
-    for a, b in windows:
+    for window in windows + [None]:
         buf[n * n :] = np.nan
-        lo, hi = row_start[a], row_start[min(b, m)]
-        deltas = _window_deltas(coeffs.blocks, buf, (a, b), (lo, hi))
-        assert len(deltas) == hi - lo
+        if window is None:
+            lo, hi = 0, len(whole)
+            deltas = _swap_deltas(coeffs.blocks, buf)
+        else:
+            a, b = window
+            lo, hi = row_start[a], row_start[min(b, m)]
+            deltas = _window_deltas(coeffs.blocks, buf, (a, b), (lo, hi))
+        assert len(deltas) == hi - lo and not np.isnan(deltas).any()
         if TIERS[tier]:
             assert np.array_equal(deltas, whole[lo:hi])
             continue
@@ -188,3 +193,23 @@ def test_windowed_search_takes_the_moves_of_whole_sweeps(n, tier, monkeypatch):
         assert vectors == whole
         assert counts_of_windows["_window_deltas"] > 0
         assert counts_of_windows["_exact_move_delta"] == whole_counts["_exact_move_delta"]
+
+
+@pytest.mark.parametrize("n", [12, 80])
+def test_one_polish_reads_one_search_buffer(n, monkeypatch):
+    """Every swap, window and flip evaluation of one `polish` reads the same
+    search buffer: P is gathered once per `polish`, not once per pass.
+    n = 12 evaluates whole sweeps, n = 80 row windows."""
+    buffers, kernels = [], set()
+    for name in ("_swap_deltas", "_window_deltas", "_flip_deltas"):
+
+        def spy(blocks, buf, *rest, _kernel=getattr(ordering, name), _name=name):
+            buffers.append(buf)  # kept alive, so no two buffers share an id
+            kernels.add(_name)
+            return _kernel(blocks, buf, *rest)
+
+        monkeypatch.setattr(ordering, name, spy)
+    inst = random_metric_instance(n, 1)
+    polish(np.random.default_rng(n).permutation(n).tolist(), _coeffs(n), inst)
+    assert "_flip_deltas" in kernels and ("_window_deltas" in kernels) == (n == 80)
+    assert len({id(buf) for buf in buffers}) == 1

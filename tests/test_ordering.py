@@ -21,6 +21,7 @@ from ttp2.ordering import (
     _exact_move_delta,
     _flip_deltas,
     _pass_moves,
+    _search_state,
     _slack,
     _swap_deltas,
     bind_template,
@@ -143,8 +144,8 @@ def test_swap_passes_noop_on_tight():
     template = build_even_template(n)
     coeffs = extract_coefficients(template)
     b = binding_vector(matching, random_ordering(n // 2, 1))
-    b1, improved1 = swap_super_teams_pass(b, coeffs, inst=ti)
-    b2, improved2 = swap_within_pass(b, coeffs, inst=ti)
+    b1, improved1 = swap_super_teams_pass(*_search_state(b, ti), coeffs, inst=ti)
+    b2, improved2 = swap_within_pass(*_search_state(b, ti), coeffs, inst=ti)
     assert not improved1 and not improved2
     assert b1.tolist() == b and b2.tolist() == b
 
@@ -169,7 +170,7 @@ def test_super_swap_improves_two_cluster_instance():
     for seed in range(6):
         b = binding_vector(matching, random_ordering(n // 2, seed))
         w0 = coefficient_total(coeffs, inst, b)
-        b1, improved = swap_super_teams_pass(b, coeffs, inst)
+        b1, improved = swap_super_teams_pass(*_search_state(b, inst), coeffs, inst)
         w1 = coefficient_total(coeffs, inst, b1)
         assert w1 <= w0
         improved_somewhere |= improved
@@ -187,7 +188,7 @@ def test_within_swap_improves_hand_instance():
     improved_somewhere = False
     for seed in range(8):
         b = binding_vector(matching, random_ordering(n // 2, seed))
-        _, improved = swap_within_pass(b, coeffs, inst)
+        _, improved = swap_within_pass(*_search_state(b, inst), coeffs, inst)
         improved_somewhere |= improved
     assert improved_somewhere
 
@@ -251,24 +252,26 @@ def _exact_form_total(coeffs, inst, bind):
 
 
 def _checked(run, bind, coeffs, inst):
-    """run(bind, coeffs, inst), for a pass or `polish`, checked at every
-    evaluation against the same function of `search_reference`: the same
-    rule and vector, P equal to dist[bind][:, bind], every kernel delta
-    within slack of the exact delta, and every `_exact_move_delta` equal to
-    the full recomputation.  Returns run's result, equal to the reference's."""
+    """`polish` or a pass run on bind, a pass on the state `_search_state`
+    builds from it, checked at every evaluation against the same function
+    of `search_reference`: the same rule and vector, P equal to
+    dist[bind][:, bind], every kernel delta within slack of the exact
+    delta, and every `_exact_move_delta` equal to the full recomputation.
+    Returns run's result, equal to the reference's."""
     expected = []
     want = getattr(search_reference, run.__name__)(bind, coeffs, inst, lambda *e: expected.append(e))
     seen = []
+    n = len(bind)
     with pytest.MonkeyPatch.context() as mp:
         for rule, name in (("swap", "_swap_deltas"), ("flip", "_flip_deltas")):
 
-            def spy(blocks, P, _rule=rule, _kernel=getattr(ordering, name)):
-                deltas = _kernel(blocks, P)
-                seen.append((_rule, P.copy(), deltas))
+            def spy(blocks, buf, _rule=rule, _kernel=getattr(ordering, name)):
+                deltas = _kernel(blocks, buf)
+                seen.append((_rule, buf[: n * n].reshape(n, n).copy(), deltas))  # P as evaluated; buf moves on
                 return deltas
 
             mp.setattr(ordering, name, spy)
-        got = run(bind, coeffs, inst)
+        got = run(bind, coeffs, inst) if run is polish else run(*_search_state(bind, inst), coeffs, inst)
     assert len(seen) == len(expected)
     slack, scale = _slack(inst), inst.exact_weights[1]
     for (rule, P, deltas), (want_rule, b, exact) in zip(seen, expected):
@@ -426,8 +429,8 @@ def test_neighbourhood_deltas_equal_recomputation(n, seed, kind):
     pairs = [(i, j) for i in range(n // 2) for j in range(i + 1, n // 2)]
     moves = [((2 * i, 2 * i + 1, 2 * j, 2 * j + 1), (2 * j, 2 * j + 1, 2 * i, 2 * i + 1)) for i, j in pairs]
     moves += [((2 * i, 2 * i + 1), (2 * i + 1, 2 * i)) for i in range(n // 2)]
-    P = inst.dist[np.ix_(bind, bind)].astype(np.float64)
-    deltas = np.concatenate([_swap_deltas(coeffs.blocks, P), _flip_deltas(coeffs.blocks, P)])
+    buf = _search_state(bind, inst)[1]
+    deltas = np.concatenate([_swap_deltas(coeffs.blocks, buf), _flip_deltas(coeffs.blocks, buf)])
     assert len(deltas) == len(moves)
     for value, (src, dst) in zip(deltas, moves):
         after = bind.copy()
@@ -546,11 +549,11 @@ def test_kernel_deltas_within_rounding_slack(n, seed, kind):
     if kind == "tiny":
         assert 0 < inst.dist[inst.dist > 0].min() < sys.float_info.min  # subnormal entries
     bind = np.random.default_rng(seed).permutation(n)
-    P = inst.dist[np.ix_(bind, bind)].astype(np.float64)
+    buf = _search_state(bind, inst)[1]
     scale = inst.exact_weights[1]
     swaps, flips = _pass_moves(n // 2)
     for kernel, (src, dst) in ((_swap_deltas, swaps), (_flip_deltas, flips)):
-        deltas = kernel(coeffs.blocks, P)
+        deltas = kernel(coeffs.blocks, buf)
         assert len(deltas) == len(src)
         for value, s, t in zip(deltas.tolist(), src, dst):
             exact = Fraction(_exact_move_delta(coeffs, inst, bind, s, t), scale)
@@ -607,10 +610,11 @@ def test_rejected_proposals_leave_the_search_unchanged(monkeypatch):
 
 def _polish_by_rounds(bind, coeffs, inst):
     """The reference stop rule: alternate whole swap-then-flip rounds until
-    a round in which neither pass improves."""
+    a round in which neither pass improves.  Each pass starts from a state
+    gathered afresh, so `polish`'s carried state is compared with it."""
     while True:
-        bind, a = swap_super_teams_pass(bind, coeffs, inst)
-        bind, b = swap_within_pass(bind, coeffs, inst)
+        bind, a = swap_super_teams_pass(*_search_state(bind, inst), coeffs, inst)
+        bind, b = swap_within_pass(*_search_state(bind, inst), coeffs, inst)
         if not (a or b):
             return bind
 
@@ -665,7 +669,7 @@ def test_pass_accepts_the_last_move_of_a_sweep(rule, monkeypatch):
         kernel, run, src, dst = _flip_deltas, swap_within_pass, [8, 9], [9, 8]
     start = best.copy()
     start[src] = best[dst]  # one step from `best`, by the last move
-    deltas = kernel(coeffs.blocks, inst.dist[np.ix_(start, start)].astype(np.float64))
+    deltas = kernel(coeffs.blocks, _search_state(start, inst)[1])
     assert np.flatnonzero(deltas < 0).tolist() == [len(deltas) - 1]
 
     evaluations = []

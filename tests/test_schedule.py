@@ -250,6 +250,21 @@ def test_validate_flags_a_cell_of_int64_min():
     )
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (np.where(HAND_N4 == -2, -2.5, HAND_N4), "dtype float64"),  # once truncated to -2
+        (np.where(HAND_N4 == 4, 2.0**70, HAND_N4), "dtype float64"),  # once -2**63, with a warning
+        (HAND_N4 > 0, "dtype bool"),  # once 0/1
+        (np.full((4, 6), 2**63, dtype=np.uint64), "dtype uint64: 9223372036854775808 does not fit in int64"),
+    ],
+    ids=["-2.5", "2**70", "bool", "uint64-2**63"],
+)
+def test_schedule_rejects_a_table_that_int64_does_not_hold(table, message):
+    with pytest.raises(FormatError, match=message):
+        Schedule(n=4, table=table)
+
+
 # sha256 of the rendered CSV of every digest template, in the order of
 # tests/test_template_digest.py.
 RENDERED_TEMPLATES_SHA256 = "ae2874404c30d1a2d552896142094996f2a4d6ee7e0f6800c0260236223851fb"
