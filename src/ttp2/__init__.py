@@ -38,8 +38,6 @@ from .ordering import (
     extract_coefficients,
     bind_template,
     derandomize,
-    swap_super_teams_pass,
-    swap_within_pass,
     run_rounds,
 )
 from .oracle import tight_instance, random_metric_instance, brute_force_optimal
@@ -73,8 +71,6 @@ __all__ = [
     "extract_coefficients",
     "bind_template",
     "derandomize",
-    "swap_super_teams_pass",
-    "swap_within_pass",
     "run_rounds",
     "tight_instance",
     "random_metric_instance",

@@ -1,6 +1,8 @@
 """Command-line surface: solve, validate, lb and bench.
 
-Argument parsing and I/O; solve and bench run `pipeline.solve`.
+Argument parsing, formatting and I/O; solve and bench run `pipeline.solve`,
+which validates the schedule it returns, and exit 1 when its `feasible` is
+false.  validate checks a schedule file.
 
 Machine-readable JSON goes to stdout; --pretty switches to human tables.
 Exit codes: 0 ok, 1 infeasible/quality failure, 2 input error.
@@ -46,7 +48,7 @@ def _gap_percent(total, lb) -> float:
 
 
 def _solve_instance(inst, name, rounds, seed, derandomize_flag):
-    """`pipeline.solve` timed, as the JSON report of solve and bench; returns (report, schedule)."""
+    """`pipeline.solve` timed, as the JSON report of solve and bench; returns (report, solution)."""
     start = time.perf_counter()
     sol = solve(inst, rounds, seed, derandomize_flag)
     elapsed = 1000 * (time.perf_counter() - start)
@@ -62,31 +64,29 @@ def _solve_instance(inst, name, rounds, seed, derandomize_flag):
         "construction": sol.construction,
         "packing": list(sol.packing),
     }
-    return report, sol.schedule
+    return report, sol
 
 
 def cmd_solve(args) -> int:
     path = Path(args.instance)
     inst = _read(parse_instance, path)
-    report, schedule = _solve_instance(inst, path.stem, args.rounds, args.seed, args.derandomize)
+    report, sol = _solve_instance(inst, path.stem, args.rounds, args.seed, args.derandomize)
     if report["construction"] == "brute":
         print(f"note: n={inst.n} is solved exactly by brute force", file=sys.stderr)
     out = path.with_suffix(".schedule.csv")
-    out.write_text(render_schedule(schedule))
+    out.write_text(render_schedule(sol.schedule))
     report["schedule_csv"] = str(out)
     _emit(report, args.pretty)
-    return 0 if validate_schedule(schedule).feasible else 1
+    return 0 if sol.feasible else 1
 
 
 def cmd_validate(args) -> int:
     schedule = _read(parse_schedule_csv, args.schedule)
     inst = _read(parse_instance, args.instance)
-    if schedule.n != inst.n:
-        raise ValidationError(f"schedule has {schedule.n} teams, instance has {inst.n}")
+    dist = total_distance(schedule, inst)  # first: it rejects a team-count mismatch
     feas = validate_schedule(schedule, k=args.k)
     matching = min_weight_perfect_matching(inst)
     lb = independent_lower_bound(inst, matching).total
-    dist = total_distance(schedule, inst)
     _emit(
         {
             "feasible": feas.feasible,
@@ -174,9 +174,9 @@ def cmd_bench(args) -> int:
     results = []
     any_infeasible = False
     for name, inst in instances:
-        report, schedule = _solve_instance(inst, name, args.rounds, args.seed, False)
+        report, sol = _solve_instance(inst, name, args.rounds, args.seed, False)
         results.append(report)
-        any_infeasible |= not validate_schedule(schedule).feasible
+        any_infeasible |= not sol.feasible
 
     ratios = []
     for report in results:

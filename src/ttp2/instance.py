@@ -238,9 +238,10 @@ def check_metric(inst: Instance) -> MetricReport:
     """Exhaustive O(n^3) scan for triangle violations; never raises.
 
     Symmetry and the zero diagonal need no scan: `Instance` rejects any
-    other matrix.
+    other matrix.  Every excess lies within 2 * d_max of zero, so the scan
+    runs in int64 below that bound and in exact Python ints past it.
     """
-    d = inst.dist
+    d = inst.exact_weights[0] if inst.integral and 2 * inst.d_max >= 2**63 else inst.dist
     n = inst.n
     violations = 0
     worst = 0
@@ -253,5 +254,5 @@ def check_metric(inst: Instance) -> MetricReport:
         bad[i, :] = bad[:, i] = False
         violations += int(np.count_nonzero(bad))
         if bad.any():
-            worst = max(worst, excess[bad].max().item())
+            worst = max(worst, excess[bad].max(keepdims=True).item())
     return MetricReport(triangle_violations=violations, max_violation=worst)

@@ -110,8 +110,13 @@ class TravelCoefficients:
 
 
 def random_ordering(m: int, seed: int) -> TeamOrdering:
-    """Uniform permutation and orientation bits from a seeded generator."""
-    rng = random.Random(seed)
+    """Uniform permutation and orientation bits from a seeded generator.
+
+    CPython seeds with |seed|, so a negative seed is seeded from its text
+    instead (hashed with SHA-512, the same in every process): it draws its
+    own ordering, not that of -seed.
+    """
+    rng = random.Random(seed if seed >= 0 else str(seed))
     sigma = list(range(m))
     rng.shuffle(sigma)
     pi = tuple(rng.randrange(2) for _ in range(m))

@@ -2,6 +2,9 @@
 
 Matching and lower bound, then the n/2-even or n/2-odd template polished
 over random restarts; n <= 6 is solved exactly by brute force instead.
+Either way the schedule it returns is validated once, here, and
+`Solution.feasible` carries the result; the CLI's solve and bench exit 1
+when it is false.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from .matching import independent_lower_bound, min_weight_perfect_matching
 from .odd import build_odd_template
 from .oracle import BRUTE_FORCE_LIMIT, brute_force_optimal
 from .ordering import run_rounds
-from .schedule import Schedule
+from .schedule import Schedule, validate_schedule
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,8 @@ class Solution:
 
     `construction` is "brute", "even" (the base template), "even-dc"
     (a packed template) or "odd"; `packing` is the even template's packing
-    chain, empty for the others.
+    chain, empty for the others.  `feasible` is `validate_schedule`'s
+    verdict on the schedule.
     """
 
     schedule: Schedule
@@ -31,6 +35,7 @@ class Solution:
     lb: object
     construction: str
     packing: tuple[int, ...]
+    feasible: bool
 
 
 def build_template(n: int) -> tuple[Schedule, tuple[int, ...]]:
@@ -55,8 +60,10 @@ def solve(inst: Instance, rounds: int = 1, seed: int = 0, derandomize: bool = Fa
     lb = independent_lower_bound(inst, matching).total
     if inst.n <= BRUTE_FORCE_LIMIT:
         schedule, total = brute_force_optimal(inst)
-        return Solution(schedule, total, lb, "brute", ())
-    template, chain = build_template(inst.n)
-    _, schedule, dist = run_rounds(inst, template, matching, rounds, base_seed=seed, include_derandomized=derandomize)
-    construction = "odd" if not chain else "even" if chain == (1,) else "even-dc"
-    return Solution(schedule, dist.total, lb, construction, chain)
+        construction, chain = "brute", ()
+    else:
+        template, chain = build_template(inst.n)
+        _, schedule, dist = run_rounds(inst, template, matching, rounds, base_seed=seed, include_derandomized=derandomize)
+        total = dist.total
+        construction = "odd" if not chain else "even" if chain == (1,) else "even-dc"
+    return Solution(schedule, total, lb, construction, chain, validate_schedule(schedule).feasible)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .instance import Instance, _int64_copy
 
 
@@ -175,7 +175,10 @@ def total_distance(s: Schedule, inst: Instance) -> DistanceReport:
     Legs of `Instance.sum_dist` are added in walking order, so integer
     totals are exact and real-valued totals are those of a walk.  This is
     the one rule for a schedule's total: every command reports it.
+    Raises ValidationError when the team counts differ.
     """
+    if s.n != inst.n:
+        raise ValidationError(f"schedule has {s.n} teams, instance has {inst.n}")
     v = s.venues
     # A 2-D gather, not a flat take: an away venue past the last team must
     # raise IndexError, where a flat index would read another row's cell.

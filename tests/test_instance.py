@@ -221,6 +221,32 @@ def test_check_metric_reports_violation():
     assert rep.max_violation == 8
 
 
+def test_check_metric_exact_past_int64_sums():
+    # 2**53 * max(d) is below 2**63, but the sum of two such distances is not.
+    inst = random_metric_instance(8, 1)
+    scaled = Instance(n=8, dist=inst.dist * 2**53)
+    assert 2 * scaled.d_max >= 2**63
+    assert check_metric(inst) == check_metric(scaled) == type(check_metric(inst))(0, 0)
+
+
+def test_check_metric_big_non_metric_matches_python_ints():
+    rng = np.random.default_rng(7)
+    d = np.triu(rng.integers(0, 2**63 - 1, size=(8, 8), dtype=np.int64), 1)
+    inst = Instance(n=8, dist=d + d.T)
+    w = inst.dist.tolist()
+    excess = [
+        w[i][j] - (w[i][h] + w[h][j])
+        for i in range(8)
+        for j in range(8)
+        for h in range(8)
+        if len({i, j, h}) == 3
+    ]
+    bad = [e for e in excess if e > 0]
+    rep = check_metric(inst)
+    assert bad and rep.triangle_violations == len(bad)
+    assert rep.max_violation == max(bad) and type(rep.max_violation) is int
+
+
 def test_check_metric_is_pure():
     inst = random_metric_instance(6, 2)
     assert check_metric(inst) == check_metric(inst)

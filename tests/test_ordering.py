@@ -43,6 +43,8 @@ import search_reference
 def test_random_ordering_deterministic():
     assert random_ordering(6, 42) == random_ordering(6, 42)
     assert random_ordering(6, 42) != random_ordering(6, 43)
+    # A negative seed draws its own ordering, not that of its absolute value.
+    assert len({random_ordering(20, seed) for seed in range(-50, 51)}) == 101
 
 
 def test_random_ordering_uniform_first_slot():

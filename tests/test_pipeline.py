@@ -1,11 +1,15 @@
 """ttp2.pipeline: the construction each n gets, its exact tight totals and the stage order."""
 
+import json
+
 import pytest
 
 import ttp2.pipeline
+from ttp2.cli import main
+from ttp2.instance import write_instance
 from ttp2.oracle import tight_instance
 from ttp2.pipeline import build_template, solve
-from ttp2.schedule import validate_schedule
+from ttp2.schedule import FeasibilityReport, validate_schedule
 
 
 @pytest.mark.parametrize(
@@ -23,10 +27,11 @@ def test_solve_tight_totals(n, construction, chain, extra):
     assert sol.lb == n * (n - 2)
     assert sol.total == sol.lb + extra
     assert validate_schedule(sol.schedule).feasible
+    assert sol.feasible
 
 
-BRUTE = ["min_weight_perfect_matching", "independent_lower_bound", "brute_force_optimal"]
-TEMPLATE = ["min_weight_perfect_matching", "independent_lower_bound", "build_template", "run_rounds"]
+BRUTE = ["min_weight_perfect_matching", "independent_lower_bound", "brute_force_optimal", "validate_schedule"]
+TEMPLATE = ["min_weight_perfect_matching", "independent_lower_bound", "build_template", "run_rounds", "validate_schedule"]
 
 
 @pytest.mark.parametrize(
@@ -46,6 +51,25 @@ def test_solve_runs_the_stages_in_order(monkeypatch, n, order):
         monkeypatch.setattr(ttp2.pipeline, name, spy(name, getattr(ttp2.pipeline, name)))
     solve(tight_instance(n))
     assert calls == order
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_infeasible_solution_exits_1_with_the_usual_report(monkeypatch, tmp_path, capsys, command, n):
+    path = tmp_path / f"tight{n}.txt"
+    path.write_text(write_instance(tight_instance(n)))
+    argv = [command, str(path if command == "solve" else tmp_path), "--rounds", "1"]
+
+    def reports(code):
+        assert main(argv) == code
+        out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        for report in out:
+            report.pop("elapsed_ms", None)
+        return out
+
+    feasible = reports(0)
+    monkeypatch.setattr(ttp2.pipeline, "validate_schedule", lambda s: FeasibilityReport(False, (("no-repeat", 0, 1),)))
+    assert reports(1) == feasible
 
 
 @pytest.mark.parametrize("n", [4, 8])

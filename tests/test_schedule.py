@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttp2.errors import FormatError
+from ttp2.errors import FormatError, ValidationError
 from ttp2.instance import Instance
-from ttp2.oracle import tight_instance
+from ttp2.oracle import random_metric_instance, tight_instance
 from ttp2.schedule import (
     games_to_schedule,
     itinerary_of,
@@ -72,6 +72,16 @@ def test_total_distance_golden_on_tight(golden_n8):
     rep = total_distance(golden_n8, ti)
     assert rep.total == 56  # lower bound 48 plus extra 3n-16 = 8
     assert rep.total == sum(rep.per_team)
+
+
+@pytest.mark.parametrize("teams, inst_teams", [(8, 10), (10, 8)])
+def test_total_distance_rejects_a_team_count_mismatch(teams, inst_teams):
+    from ttp2.even import build_even_template
+    from ttp2.odd import build_odd_template
+
+    s = build_even_template(8) if teams == 8 else build_odd_template(10)
+    with pytest.raises(ValidationError, match=f"schedule has {teams} teams, instance has {inst_teams}"):
+        total_distance(s, random_metric_instance(inst_teams, 1))
 
 
 HAND_N4 = np.array(
