@@ -112,14 +112,16 @@ def _frozen(dist: np.ndarray) -> np.ndarray:
 
 
 def _int64_copy(values, error: type[Exception], what: str) -> np.ndarray:
-    """values as a new int64 array; error, naming the dtype, unless they are
-    of an integer dtype, and unless every unsigned value fits in int64."""
+    """values as a new int64 array in C order, whatever the layout of
+    values (`validate_schedule` writes through ravel views); error, naming
+    the dtype, unless they are of an integer dtype, and unless every
+    unsigned value fits in int64."""
     a = np.asarray(values)
     if a.dtype.kind not in "iu":
         raise error(f"{what} of dtype {a.dtype}: expected integers")
     if a.dtype.kind == "u" and a.size and a.max() > np.iinfo(np.int64).max:
         raise error(f"{what} of dtype {a.dtype}: {a.max()} does not fit in int64")
-    return a.astype(np.int64)
+    return a.astype(np.int64, order="C")
 
 
 def _validate(n: int, dist: np.ndarray):

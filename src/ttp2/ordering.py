@@ -35,8 +35,12 @@ evaluated whole.  Each kernel is a fixed linear map of P whose tables are
 built once per TravelCoefficients.
 `polish` builds one search state, a copy of the vector and a buffer
 [P | At] whose At the swap kernels write, and both passes read it and
-keep it current in place: an accepted move permutes P's touched rows and
-columns in O(n), so P is gathered once per `polish`.  Both passes share one
+keep it current in place: an accepted move rewrites P's touched rows and
+columns in O(n), so P is gathered once per `polish`.  Where the sweep is
+evaluated whole (n <= 46), both passes apply a move with one gather and
+one put between flat cells of P listed once per size (`_move_cells`);
+above that, where those lists would grow as m^2 n, with a gather and an
+assignment for the rows and again for the columns.  Both passes share one
 first-improvement loop that visits moves in the order of a pair-by-pair
 sweep, so the trajectory is that of the sweep.  `polish` alternates the
 passes and stops at the first pass, after the first, that finds no move:
@@ -323,6 +327,37 @@ def _pass_moves(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray
     return moves
 
 
+@functools.lru_cache(maxsize=32)  # both passes of the 16 sizes `_pass_moves` keeps
+def _move_cells(m: int, flips: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The flat cells of P that each move of a pass rewrites, and the cells
+    their new values come from: (to, fr), one row per move in sweep order.
+
+    Move q maps labels src[q][r] to dst[q][r] by a permutation pi that fixes
+    every other label, and P becomes P[pi][:, pi]: only the moved rows
+    s*n + b and the moved columns a*n + s change, to the cells
+    pi(s)*n + pi(b) and pi(a)*n + pi(s).  A cell in both a moved row and a
+    moved column is listed twice with the same source, so
+    `Pf[to[q]] = Pf.take(fr[q])` on the flat P applies the move.  Tables of
+    m(m-1)/2 swaps grow as m^2 n, so the search reads them only for sweeps
+    evaluated whole.  intp, which `take` reads without a cast; read-only.
+    """
+    src, dst = _pass_moves(m)[flips]
+    k, n, ar = len(src), 2 * m, np.arange(2 * m)
+    pi = np.broadcast_to(ar, (k, n)).copy()
+    np.put_along_axis(pi, src, dst, axis=1)
+    to = np.concatenate([
+        (src[:, :, None] * n + ar).reshape(k, -1),  # the moved rows s*n + b
+        (ar[:, None] * n + src[:, None, :]).reshape(k, -1),  # the moved columns a*n + s
+    ], axis=1)
+    fr = np.concatenate([
+        (dst[:, :, None] * n + pi[:, None, :]).reshape(k, -1),
+        (pi[:, :, None] * n + dst[:, None, :]).reshape(k, -1),
+    ], axis=1)
+    to.setflags(write=False)
+    fr.setflags(write=False)
+    return to, fr
+
+
 @dataclass(frozen=True)
 class _KernelBlocks:
     """The c-derived constants of the swap and flip kernels: each kernel is
@@ -486,17 +521,19 @@ def _swap_windows(m: int, first: int) -> tuple[tuple[int, ...], tuple[tuple[int,
     return row_start, tuple(ends)
 
 
-def _first_improvement(bind, buf, coeffs, inst, kernel, moves, windows=None):
+def _first_improvement(bind, buf, coeffs, inst, kernel, moves, windows=None, cells=None):
     """The first-improvement loop of both passes; returns (bind, improved).
 
     Move q gives labels src[q][r] the teams of labels dst[q][r], moves in
     sweep order.  `kernel` evaluates every move at once on the search
     buffer `buf`, whose P = dist[bind][:, bind] (see `_search_state`).  The
-    loop keeps bind and P current in place: an accepted move permutes P's
-    touched rows, then its touched columns, in O(n).  The loop takes the
-    first accepted move at or after the one after the last accepted move,
-    applies it and evaluates again; after the last move of the sweep it
-    goes on from move 0.  A scan visits each move once, so one that wraps
+    loop keeps bind and P current in place, in O(n) per accepted move q:
+    with `cells`, the (to, fr) of `_move_cells` that the passes give
+    exactly where the sweep is evaluated whole, as one gather of the flat
+    P at fr[q] put at to[q]; without, by permuting P's touched rows, then
+    its touched columns.  The loop takes the first accepted move at or
+    after the one after the last accepted move, applies it and evaluates
+    again; after the last move of the sweep it goes on from move 0.  A scan visits each move once, so one that wraps
     stops before the move it began at, and a scan that finds no move ends
     the pass.
 
@@ -515,7 +552,9 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, moves, windows=None):
     """
     src, dst = moves
     n, last = len(bind), len(src)
-    P = buf[: n * n].reshape(n, n)
+    Pf = buf[: n * n]
+    P = Pf.reshape(n, n)
+    to, fr = cells or (None, None)
     slack = _slack(inst)
 
     def first_accepted(deltas, spans, lo=0):
@@ -551,8 +590,11 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, moves, windows=None):
     while (q := next_move(start)) is not None:
         s, t = src[q], dst[q]
         bind[s] = bind.take(t)
-        P[s] = P.take(t, 0)
-        P[:, s] = P.take(t, 1)
+        if to is None:
+            P[s] = P.take(t, 0)
+            P[:, s] = P.take(t, 1)
+        else:
+            Pf[to[q]] = Pf.take(fr[q])
         start, improved = (q + 1) % last, True
     return bind, improved
 
@@ -572,14 +614,18 @@ def swap_super_teams_pass(bind, buf, coeffs: TravelCoefficients, inst: Instance)
     a sweep improves, on the state (bind, buf) of `_search_state`, which it
     updates in place; returns (bind, improved)."""
     m = len(bind) // 2
-    return _first_improvement(bind, buf, coeffs, inst, _swap_deltas, _pass_moves(m)[0], _swap_windows(m, FIRST_WINDOW))
+    windows = _swap_windows(m, FIRST_WINDOW)
+    cells = _move_cells(m, False) if windows is None else None
+    return _first_improvement(bind, buf, coeffs, inst, _swap_deltas, _pass_moves(m)[0], windows, cells)
 
 
 def swap_within_pass(bind, buf, coeffs: TravelCoefficients, inst: Instance):
     """First-improvement sweep flipping team order inside each super-team,
     on the state (bind, buf) of `_search_state`, which it updates in place;
     returns (bind, improved)."""
-    return _first_improvement(bind, buf, coeffs, inst, _flip_deltas, _pass_moves(len(bind) // 2)[1])
+    m = len(bind) // 2
+    cells = _move_cells(m, True) if _swap_windows(m, FIRST_WINDOW) is None else None
+    return _first_improvement(bind, buf, coeffs, inst, _flip_deltas, _pass_moves(m)[1], cells=cells)
 
 
 def polish(bind, coeffs: TravelCoefficients, inst: Instance) -> np.ndarray:

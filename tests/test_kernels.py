@@ -1,7 +1,8 @@
 """The swap and flip kernels as fixed linear maps of P, and the scan that
 feeds them: exact deltas where float64 is exact, no move checked twice on
 one vector, row windows of the swap sweep that give the deltas and the
-search of whole sweeps, and one search buffer per `polish`."""
+search of whole sweeps, one search buffer per `polish`, and the cell
+tables that apply a move to P."""
 
 import functools
 from fractions import Fraction
@@ -15,6 +16,7 @@ from ttp2.ordering import (
     FIRST_WINDOW,
     _exact_move_delta,
     _flip_deltas,
+    _move_cells,
     _pass_moves,
     _search_state,
     _slack,
@@ -53,6 +55,27 @@ def test_kernel_deltas_are_exact_on_float_exact_tiers(n, tier):
             deltas = kernel(coeffs.blocks, buf)
             exact = [Fraction(_exact_move_delta(coeffs, inst, bind, s, t), scale) for s, t in zip(src, dst)]
             assert [Fraction(value) for value in deltas.tolist()] == exact
+
+
+@pytest.mark.parametrize("flips", [False, True], ids=["swaps", "flips"])
+def test_move_cells_apply_each_move_to_p(flips):
+    """For every move of a pass at m = 2..23 (every sweep evaluated whole),
+    one take from the `fr` cells into the `to` cells of the flat P gives
+    P[pi][:, pi], pi the move's label permutation."""
+    rng = np.random.default_rng(7)
+    for m in range(2, 24):
+        n = 2 * m
+        src, dst = _pass_moves(m)[flips]
+        to, fr = _move_cells(m, flips)
+        assert to.dtype == fr.dtype == np.intp and to.shape == fr.shape == (len(src), 2 * n * src.shape[1])
+        for q in range(len(src)):
+            P = rng.random((n, n))
+            P += P.T
+            pi = np.arange(n)
+            pi[src[q]] = dst[q]
+            Pf = P.ravel().copy()
+            Pf[to[q]] = Pf.take(fr[q])
+            assert np.array_equal(Pf.reshape(n, n), P[pi][:, pi])
 
 
 def test_no_move_is_exact_checked_twice_on_one_vector(monkeypatch):

@@ -35,6 +35,20 @@ def test_bounded_by_k_violation_detected(golden_n8):
     assert any(v[0] == "bounded-by-k" and v[1] == 2 for v in rep.violations)
 
 
+@pytest.mark.parametrize("layout", ["fortran", "transposed-view"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_validate_reads_a_table_of_any_layout(golden_n8, layout, k):
+    """A Fortran-ordered table, or a days x teams array passed as its
+    transpose, gives the violations of the same table in C order."""
+    t = np.array(golden_n8.table)
+    t[0, 2:4] = -3, -4  # team 1 away five days running
+    t[2, 2] = t[3, 3] = 1
+    other = np.asfortranarray(t) if layout == "fortran" else np.ascontiguousarray(t.T).T
+    expected = validate_schedule(Schedule(n=8, table=t), k=k).violations
+    assert any(v[0] == "bounded-by-k" for v in expected)
+    assert validate_schedule(Schedule(n=8, table=other), k=k).violations == expected
+
+
 def test_validate_rejects_k_below_one(golden_n8):
     for k in (0, -1):
         with pytest.raises(ValueError):
@@ -185,6 +199,10 @@ def _n4_csv(third_row=None, sep="\n"):
         pytest.param(_n4_csv().replace(",", " , ").replace("\n", " \n"), id="spaces-around-cells"),
         pytest.param(_n4_csv().replace(",", "\t,"), id="tabs-around-cells"),
         pytest.param(_n4_csv().replace("+", ""), id="unsigned-positive-cells"),
+        # Whitespace around a cell, though str.splitlines breaks lines there.
+        pytest.param(_n4_csv().replace(",", ",\v"), id="vt-before-cells"),
+        pytest.param(_n4_csv().replace(",", "\f,"), id="ff-after-cells"),
+        pytest.param(_n4_csv().replace(",", ",\x1c\x85\u2028 "), id="unicode-space-before-cells"),
     ],
 )
 def test_parse_schedule_accepts(text):
@@ -228,6 +246,12 @@ def test_parse_schedule_keeps_a_zero_cell_for_validation():
         pytest.param(_n4_csv(",+1,-2,-1,+2,-4"), "line 3, column 1", id="empty-cell"),
         pytest.param(_n4_csv("++4,+1,-2,-1,+2,-4"), "'++4'", id="double-sign"),
         pytest.param(_n4_csv().replace(",", ";"), "line 1", id="semicolons"),
+        # Only LF, CRLF and CR end a line: with any other separator the text
+        # is one row of a one-team schedule.
+        *(
+            pytest.param(_n4_csv(sep=sep), "line 1", id=f"sep-{ord(sep):#x}")
+            for sep in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+        ),
     ],
 )
 def test_parse_schedule_rejects(text, message):
