@@ -73,8 +73,9 @@ class Instance:
 
     @functools.cached_property
     def sum_dist(self) -> np.ndarray:
-        """The distances that totals are summed over: `dist`, or the exact
-        Python-int weights of an integer instance that is not `float_exact`.
+        """The distances that totals and the triangle scan sum over: `dist`,
+        or the exact Python-int weights of an integer instance that is not
+        `float_exact`.
 
         int64 sums of `dist` are exact when `float_exact` holds, whose bound
         keeps every total far inside int64; real-valued totals sum in float64.
@@ -240,10 +241,12 @@ def check_metric(inst: Instance) -> MetricReport:
     """Exhaustive O(n^3) scan for triangle violations; never raises.
 
     Symmetry and the zero diagonal need no scan: `Instance` rejects any
-    other matrix.  Every excess lies within 2 * d_max of zero, so the scan
-    runs in int64 below that bound and in exact Python ints past it.
+    other matrix.  The scan reads `Instance.sum_dist`, so `float_exact` is
+    the one rule choosing int64 or exact Python ints here as for every
+    total: where it holds, every excess, within 2 * d_max of zero, lies far
+    inside int64.  Real-valued instances scan in float64.
     """
-    d = inst.exact_weights[0] if inst.integral and 2 * inst.d_max >= 2**63 else inst.dist
+    d = inst.sum_dist
     n = inst.n
     violations = 0
     worst = 0

@@ -1,4 +1,8 @@
-"""Ground-truth generators and the exhaustive solver for tiny team counts."""
+"""Ground-truth generators and the exhaustive solver for tiny team counts.
+
+The generators build each matrix as a whole array; the exhaustive solver
+backtracks game by game over Python lists, for n <= BRUTE_FORCE_LIMIT only.
+"""
 
 from __future__ import annotations
 
@@ -22,8 +26,8 @@ def tight_instance(n: int) -> Instance:
         raise DomainError(f"n must be even >= 4, got {n}")
     dist = np.ones((n, n), dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    for k in range(0, n, 2):
-        dist[k, k + 1] = dist[k + 1, k] = 0
+    ar = np.arange(n)
+    dist[ar, ar ^ 1] = 0
     return Instance(n=n, dist=dist)
 
 
@@ -31,18 +35,19 @@ def random_metric_instance(n: int, seed: int) -> Instance:
     """Integer distances from random points in the plane.
 
     Euclidean distances are rounded up; the ceiling preserves the triangle
-    inequality exactly, so the result is always metric.
+    inequality exactly, so the result is always metric.  The coordinate
+    differences of every ordered pair are taken at once; each length is
+    CPython's `math.hypot`, not `np.hypot`, which calls the platform's libm,
+    so every machine builds the same matrix.  A pair's differences in
+    either order differ only in sign, so the matrix is symmetric.
     """
     if n < 4 or n % 2:
         raise DomainError(f"n must be even >= 4, got {n}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1000.0, size=(n, 2))
-    dist = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = math.ceil(math.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]))
-            dist[i, j] = dist[j, i] = d
-    return Instance(n=n, dist=dist)
+    dx, dy = (pts[:, None] - pts).transpose(2, 0, 1)
+    lengths = np.fromiter(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()), float, n * n)
+    return Instance(n=n, dist=np.ceil(lengths).astype(np.int64).reshape(n, n))
 
 
 def _trip_cover_tables(inst: Instance):

@@ -5,7 +5,9 @@ form the i-th super-team slot.  A TeamOrdering assigns matching edge
 sigma_i to slot i and orients it with bit pi_i.  Because the total distance
 of any binding is a fixed linear form over label-pair travel counts, the
 conditional expectation under random orderings can be evaluated exactly,
-which drives both the derandomization and cheap swap deltas.
+which drives both the derandomization and cheap swap deltas.  The module
+reads a template only through its venue matrix, and leaves its cells to
+`schedule`: a binding vector renames them with `schedule._relabel`.
 
 `derandomize` fixes the ordering in two phases by the method of conditional
 probabilities.  The sigma phase fills slots 0..m-1 in turn, giving each the
@@ -71,7 +73,7 @@ import numpy as np
 
 from .instance import Instance, travel_bound
 from .matching import Matching
-from .schedule import Schedule, total_distance
+from .schedule import Schedule, _relabel, total_distance
 
 @dataclass(frozen=True)
 class TeamOrdering:
@@ -83,16 +85,19 @@ class TeamOrdering:
 
 @dataclass(frozen=True)
 class TravelCoefficients:
-    """c[a][b] = number of direct travels between the homes of labels a, b."""
+    """c[a][b] = number of direct travels between the homes of labels a, b.
 
-    n: int
+    `c` is the one field: the team count is len(c), and the kernel
+    constants in `blocks` are derived from c on first use.
+    """
+
     c: np.ndarray
 
     @functools.cached_property
     def blocks(self) -> _KernelBlocks:
         """The float64 constants of the swap and flip kernels."""
         c = self.c.astype(np.float64)
-        n, m = self.n, self.n // 2
+        n, m = len(c), len(c) // 2
         cw = c[0::2, 1::2].diagonal()
         i, j = np.triu_indices(m, 1)
         x, y, a = 2 * i, 2 * j, n * n  # At follows P in the search buffer
@@ -134,7 +139,7 @@ def extract_coefficients(template: Schedule) -> TravelCoefficients:
     c = np.bincount((v[:, :-1] * n + v[:, 1:]).ravel(), minlength=n * n).reshape(n, n)
     c = c + c.T
     np.fill_diagonal(c, 0)  # staying at a venue is no travel
-    return TravelCoefficients(n=n, c=c)
+    return TravelCoefficients(c=c)
 
 
 def binding_vector(matching: Matching, ordering: TeamOrdering) -> list[int]:
@@ -151,16 +156,6 @@ def binding_vector(matching: Matching, ordering: TeamOrdering) -> list[int]:
 def bind_template(template: Schedule, matching: Matching, ordering: TeamOrdering) -> Schedule:
     """Rename template labels to real teams according to the ordering."""
     return _relabel(template, binding_vector(matching, ordering))
-
-
-def _relabel(template: Schedule, bind) -> Schedule:
-    """Rename template label l to real team bind[l]."""
-    bind = np.asarray(bind)
-    t = template.table
-    opp = bind[np.abs(t) - 1] + 1
-    table = np.zeros_like(t)
-    table[bind] = np.where(t > 0, opp, -opp)
-    return Schedule(n=template.n, table=table)
 
 
 def coefficient_total(coeffs: TravelCoefficients, inst: Instance, bind: list[int]) -> object:

@@ -3,7 +3,11 @@
 A schedule is an n x (2n-2) table of signed opponents: entry +j in row i
 means team i plays at the home of team j, entry -j means team i hosts
 team j.  Opponent numbers in the table are 1-based; all function arguments
-and itineraries use 0-based team indices.
+and itineraries use 0-based team indices.  This module is the one that
+reads or writes that encoding: other modules build a schedule with
+`games_to_schedule` or `_relabel` (a template renamed by a binding
+vector) and read it through `table` as a whole, `venues` and
+`itinerary_of`.
 
 Its one array form is the venue matrix: row i is team i's walk, its home,
 the host of each day and its home again (n x 2n, 0-based).  Validation,
@@ -55,13 +59,6 @@ class Schedule:
         v.setflags(write=False)
         return v
 
-    def opponent(self, team: int, day: int) -> int:
-        """0-based opponent of `team` on `day`."""
-        return abs(int(self.table[team, day])) - 1
-
-    def is_away(self, team: int, day: int) -> bool:
-        return int(self.table[team, day]) > 0
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -101,6 +98,16 @@ def games_to_schedule(n: int, days) -> Schedule:
     table[away, day] = home + 1
     table[home, day] = -(away + 1)
     return Schedule(n=n, table=table)
+
+
+def _relabel(template: Schedule, bind) -> Schedule:
+    """Rename template label l to real team bind[l]."""
+    bind = np.asarray(bind)
+    t = template.table
+    opp = bind[np.abs(t) - 1] + 1
+    table = np.zeros_like(t)
+    table[bind] = np.where(t > 0, opp, -opp)
+    return Schedule(n=template.n, table=table)
 
 
 def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:

@@ -1,7 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 
+from ttp2 import ordering
 from ttp2.schedule import Schedule
+
+# The most kernel evaluations one `polish` may make before its test fails.
+# The most any `polish` in tests/ makes is 353 (n = 122), and all of tests/
+# make about 75,000, so a search that ends has 28x headroom.
+POLISH_EVALUATIONS = 10_000
 
 # The 8-team reference schedule (signed 1-based opponents, teams x days).
 GOLDEN_N8 = np.array(
@@ -17,6 +25,29 @@ GOLDEN_N8 = np.array(
     ],
     dtype=np.int64,
 )
+
+
+@pytest.fixture(autouse=True)
+def bounded_polish(monkeypatch):
+    """Fail a test by name where a `polish` does not end, rather than hang
+    the suite: count the evaluations of each search buffer, one buffer per
+    `polish`, and raise past POLISH_EVALUATIONS."""
+    seen = {"buf": None, "count": 0}
+
+    def counted(kernel):
+        @functools.wraps(kernel)
+        def wrapper(blocks, buf, *rest):
+            if buf is not seen["buf"]:
+                seen.update(buf=buf, count=0)
+            seen["count"] += 1
+            if seen["count"] > POLISH_EVALUATIONS:
+                raise AssertionError(f"a polish made more than {POLISH_EVALUATIONS} kernel evaluations")
+            return kernel(blocks, buf, *rest)
+
+        return wrapper
+
+    for name in ("_swap_deltas", "_flip_deltas", "_window_deltas"):
+        monkeypatch.setattr(ordering, name, counted(getattr(ordering, name)))
 
 
 @pytest.fixture

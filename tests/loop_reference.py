@@ -1,4 +1,5 @@
-"""Per-cell loop versions of the schedule-layer functions, kept as references.
+"""Per-cell loop versions of the schedule layer and the instance generators,
+kept as references.
 
 The package computes these on the venue matrix with NumPy; the loops below
 are the plain definitions they must agree with, violation order, per-team
@@ -7,9 +8,12 @@ types and first error message included (see test_loop_reference.py).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ttp2.errors import ValidationError
+from ttp2.instance import Instance
 from ttp2.schedule import DistanceReport, FeasibilityReport, Schedule
 
 
@@ -137,3 +141,22 @@ def validate_distances(n: int, dist: np.ndarray) -> None:
                 raise ValidationError(
                     f"asymmetry at ({i},{j}): {dist[i, j]} != {dist[j, i]}"
                 )
+
+
+def tight_instance(n: int) -> Instance:
+    dist = np.ones((n, n), dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    for k in range(0, n, 2):
+        dist[k, k + 1] = dist[k + 1, k] = 0
+    return Instance(n=n, dist=dist)
+
+
+def random_metric_instance(n: int, seed: int) -> Instance:
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1000.0, size=(n, 2))
+    dist = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = math.ceil(math.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]))
+            dist[i, j] = dist[j, i] = d
+    return Instance(n=n, dist=dist)

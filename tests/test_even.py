@@ -174,9 +174,9 @@ def test_trips_stay_inside_super_games():
         for team in range(n):
             day = 0
             for d in range(s.days):
-                if not s.is_away(team, d):
+                if s.table[team, d] <= 0:
                     continue
-                if d in boundaries and d > 0 and s.is_away(team, d - 1):
+                if d in boundaries and d > 0 and s.table[team, d - 1] > 0:
                     pytest.fail(f"trip of team {team} straddles day {d} in n={n}")
 
 

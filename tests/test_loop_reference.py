@@ -11,7 +11,7 @@ import loop_reference as ref
 from ttp2.errors import ValidationError
 from ttp2.instance import Instance
 from ttp2.matching import Matching
-from ttp2.oracle import random_metric_instance
+from ttp2.oracle import random_metric_instance, tight_instance
 from ttp2.ordering import (
     binding_vector,
     bind_template,
@@ -166,3 +166,16 @@ def test_instance_validation_matches_loop(n, seed, edits, real):
         else:  # asymmetry
             dist[i, j] += 1
     assert _error(Instance, n, dist) == _error(ref.validate_distances, n, dist)
+
+
+def test_random_metric_instance_matches_loop():
+    # The sizes of the tests and of the benchmark corpora, and more.
+    for n in range(4, 131, 2):
+        for seed in range(40):
+            got, want = random_metric_instance(n, seed).dist, ref.random_metric_instance(n, seed).dist
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, seed)
+
+
+def test_tight_instance_matches_loop():
+    for n in range(4, 199, 2):
+        assert np.array_equal(tight_instance(n).dist, ref.tight_instance(n).dist), n

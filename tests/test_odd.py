@@ -29,8 +29,8 @@ def test_r_team_rhythms():
         m = n // 2
         r1, r2 = 2 * m - 2, 2 * m - 1
         for q in range(m - 2):
-            p1 = "".join("A" if s.is_away(r1, 4 * q + d) else "H" for d in range(4))
-            p2 = "".join("A" if s.is_away(r2, 4 * q + d) else "H" for d in range(4))
+            p1 = "".join("A" if s.table[r1, 4 * q + d] > 0 else "H" for d in range(4))
+            p2 = "".join("A" if s.table[r2, 4 * q + d] > 0 else "H" for d in range(4))
             assert p1 == "AHHA" and p2 == "HAAH", (n, q, p1, p2)
 
 
@@ -44,9 +44,9 @@ def test_whites_play_r_teams_zero_two_or_four_times_per_slot():
         for q in range(m - 2):
             for team in range(2 * m - 4):  # white teams
                 games = {
-                    (s.opponent(team, d), s.is_away(team, d))
+                    (abs(s.table[team, d]) - 1, s.table[team, d] > 0)
                     for d in range(4 * q, 4 * q + 4)
-                    if s.opponent(team, d) in r_teams
+                    if abs(s.table[team, d]) - 1 in r_teams
                 }
                 if len(games) == 2:
                     assert len({o for o, _ in games}) == 1, (n, q, team, games)
@@ -60,9 +60,9 @@ def test_final_block_pairs_partners_twice():
         s = build_odd_template(n)
         for t in range(n):
             partner = t + 1 if t % 2 == 0 else t - 1
-            opps = [s.opponent(t, d) for d in range(2 * n - 8, 2 * n - 2)]
+            opps = [abs(s.table[t, d]) - 1 for d in range(2 * n - 8, 2 * n - 2)]
             assert opps.count(partner) == 2
-            signs = [s.is_away(t, d) for d in range(2 * n - 8, 2 * n - 2)]
+            signs = [s.table[t, d] > 0 for d in range(2 * n - 8, 2 * n - 2)]
             games = [(o, a) for o, a in zip(opps, signs) if o == partner]
             assert {a for _, a in games} == {True, False}  # one home, one away
 
@@ -74,7 +74,7 @@ def test_no_triple_runs_across_final_junction():
         start = max(0, 2 * n - 14)
         for t in range(n):
             signs = "".join(
-                "A" if s.is_away(t, d) else "H" for d in range(start, 2 * n - 2)
+                "A" if s.table[t, d] > 0 else "H" for d in range(start, 2 * n - 2)
             )
             assert "AAA" not in signs and "HHH" not in signs, (n, t, signs)
 
@@ -123,7 +123,7 @@ def test_whites_trips_stay_inside_normal_and_left_slots():
         for team in range(2 * m - 2):  # whites and both L teams
             for q in range(1, m - 2):
                 d = 4 * q
-                if s.is_away(team, d - 1) and s.is_away(team, d):
+                if s.table[team, d - 1] > 0 and s.table[team, d] > 0:
                     pytest.fail(f"n={n}: team {team} trip straddles slot boundary {q}")
 
 
