@@ -56,10 +56,13 @@ class Matching:
 
 @dataclass(frozen=True)
 class LowerBound:
-    """Per-team optimal-itinerary bounds and their sum 2*D_G + n*D_M."""
+    """Per-team optimal-itinerary bounds; the total is their sum, 2*D_G + n*D_M."""
 
     per_team: tuple
-    total: object
+
+    @property
+    def total(self):
+        return sum(self.per_team)
 
 
 def min_weight_perfect_matching(inst: Instance) -> Matching:
@@ -124,7 +127,7 @@ def _priced_slack(inst: Instance) -> np.ndarray:
 def independent_lower_bound(inst: Instance, m: Matching) -> LowerBound:
     """Per-team bound D_i + D_M; the total telescopes to 2*D_G + n*D_M."""
     per_team = tuple(r + m.weight for r in _row_sums(inst, np.s_[:]))
-    return LowerBound(per_team=per_team, total=sum(per_team))
+    return LowerBound(per_team)
 
 
 def _row_sums(inst: Instance, index) -> list:

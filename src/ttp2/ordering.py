@@ -491,22 +491,22 @@ def _window_deltas(k: _KernelBlocks, buf, rows, moves):
 
 
 @functools.lru_cache(maxsize=16)
-def _swap_windows(m: int, first: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+def _swap_windows(m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
     """The row windows of the swap sweep: (row_start, ends), or None for a
-    sweep of at most `first` moves, which is evaluated whole.
+    sweep of at most FIRST_WINDOW moves, which is evaluated whole.
 
     Row i holds the swaps (i, j), j > i, moves row_start[i]..row_start[i+1]-1.
     A scan from row a evaluates the rows a..ends[a][0]-1, then on to
-    ends[a][1], and so on: the first window holds at least `first` moves and
-    each later one at least twice as many as the one before.  The last end
-    is m, a window that reaches the sweep's end.
+    ends[a][1], and so on: the first window holds at least FIRST_WINDOW
+    moves and each later one at least twice as many as the one before.  The
+    last end is m, a window that reaches the sweep's end.
     """
-    if m * (m - 1) // 2 <= first:
+    if m * (m - 1) // 2 <= FIRST_WINDOW:
         return None
     row_start = tuple(i * (m - 1) - i * (i - 1) // 2 for i in range(m + 1))
     ends = []
     for a in range(m):
-        row, b, size = [], a, first
+        row, b, size = [], a, FIRST_WINDOW
         while b < m:
             b = bisect.bisect_left(row_start, row_start[b] + size)
             b = m if b >= m - 1 else b  # row m-1 holds no move
@@ -609,7 +609,7 @@ def swap_super_teams_pass(bind, buf, coeffs: TravelCoefficients, inst: Instance)
     a sweep improves, on the state (bind, buf) of `_search_state`, which it
     updates in place; returns (bind, improved)."""
     m = len(bind) // 2
-    windows = _swap_windows(m, FIRST_WINDOW)
+    windows = _swap_windows(m)
     cells = _move_cells(m, False) if windows is None else None
     return _first_improvement(bind, buf, coeffs, inst, _swap_deltas, _pass_moves(m)[0], windows, cells)
 
@@ -619,7 +619,7 @@ def swap_within_pass(bind, buf, coeffs: TravelCoefficients, inst: Instance):
     on the state (bind, buf) of `_search_state`, which it updates in place;
     returns (bind, improved)."""
     m = len(bind) // 2
-    cells = _move_cells(m, True) if _swap_windows(m, FIRST_WINDOW) is None else None
+    cells = _move_cells(m, True) if _swap_windows(m) is None else None
     return _first_improvement(bind, buf, coeffs, inst, _flip_deltas, _pass_moves(m)[1], cells=cells)
 
 

@@ -32,15 +32,20 @@ from .instance import Instance, _int64_copy
 
 @dataclass(frozen=True)
 class Schedule:
-    n: int
+    """An n x (2n-2) table; n and the day count are read from its shape."""
+
     table: np.ndarray  # shape (n, 2n-2), signed 1-based opponents
 
     def __post_init__(self):
         t = _int64_copy(self.table, FormatError, "table")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
-        if t.shape != (self.n, 2 * self.n - 2):
-            raise FormatError(f"table shape {t.shape} does not match n={self.n}")
+        if t.ndim != 2 or t.shape[1] != 2 * len(t) - 2:
+            raise FormatError(f"table shape {t.shape} is not n x (2n-2)")
+
+    @property
+    def n(self) -> int:
+        return len(self.table)
 
     @property
     def days(self) -> int:
@@ -62,16 +67,24 @@ class Schedule:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    feasible: bool
+    """Every violation found; the schedule is feasible when there is none."""
+
     violations: tuple[tuple[str, int, int], ...]  # (property, team, day), 0-based
+
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """A schedule's walk total and each team's share; no LB gap (see cli)."""
+    """Each team's walk length; the total is their sum.  No LB gap (see cli)."""
 
-    total: object
     per_team: tuple
+
+    @property
+    def total(self):
+        return sum(self.per_team)
 
 
 def games_to_schedule(n: int, days) -> Schedule:
@@ -97,7 +110,7 @@ def games_to_schedule(n: int, days) -> Schedule:
     day = np.arange(2 * n - 2)[:, None]
     table[away, day] = home + 1
     table[home, day] = -(away + 1)
-    return Schedule(n=n, table=table)
+    return Schedule(table)
 
 
 def _relabel(template: Schedule, bind) -> Schedule:
@@ -107,7 +120,7 @@ def _relabel(template: Schedule, bind) -> Schedule:
     opp = bind[np.abs(t) - 1] + 1
     table = np.zeros_like(t)
     table[bind] = np.where(t > 0, opp, -opp)
-    return Schedule(n=template.n, table=table)
+    return Schedule(table)
 
 
 def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
@@ -173,7 +186,7 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
         if mask.any()
         for i, j in np.argwhere(mask).tolist()
     )
-    return FeasibilityReport(feasible=not violations, violations=violations)
+    return FeasibilityReport(violations)
 
 
 def total_distance(s: Schedule, inst: Instance) -> DistanceReport:
@@ -191,11 +204,16 @@ def total_distance(s: Schedule, inst: Instance) -> DistanceReport:
     # raise IndexError, where a flat index would read another row's cell.
     legs = inst.sum_dist[v[:, :-1], v[:, 1:]]
     per_team = tuple(np.cumsum(legs, axis=1)[:, -1].tolist())
-    return DistanceReport(total=sum(per_team), per_team=per_team)
+    return DistanceReport(per_team)
 
 
 def itinerary_of(s: Schedule, team: int) -> list[list[int]]:
-    """Road trips of a team: maximal away blocks as visited-opponent lists."""
+    """Road trips of a team: maximal away blocks as visited-opponent lists.
+
+    Raises IndexError for a team outside 0..n-1; a negative index would
+    otherwise read another team's row."""
+    if not 0 <= team < s.n:
+        raise IndexError(f"team {team} is not in 0..{s.n - 1}")
     trips: list[list[int]] = []
     current: list[int] = []
     for e in s.table[team].tolist():
@@ -262,7 +280,7 @@ def parse_schedule_csv(text: str) -> Schedule:
         t = None
     if t is None or t.shape[1] != 2 * n - 2 or ((t > n) | (t < -n)).any():
         raise FormatError(_csv_error(text, n))
-    return Schedule(n=n, table=t)
+    return Schedule(t)
 
 
 def _lines(text: str) -> list[str]:

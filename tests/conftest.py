@@ -52,7 +52,7 @@ def bounded_polish(monkeypatch):
 
 @pytest.fixture
 def golden_n8() -> Schedule:
-    return Schedule(n=8, table=GOLDEN_N8)
+    return Schedule(GOLDEN_N8)
 
 
 def enumerate_perfect_matchings(teams):

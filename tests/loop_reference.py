@@ -70,7 +70,7 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
             if run_len == k + 1:
                 violations.append(("bounded-by-k", i, d))
 
-    return FeasibilityReport(feasible=not violations, violations=tuple(violations))
+    return FeasibilityReport(tuple(violations))
 
 
 def venue_sequence(s: Schedule, team: int) -> list[int]:
@@ -91,7 +91,7 @@ def total_distance(s: Schedule, inst) -> DistanceReport:
             if a != b:
                 dist += d[a][b]
         per_team.append(dist)
-    return DistanceReport(total=sum(per_team), per_team=tuple(per_team))
+    return DistanceReport(tuple(per_team))
 
 
 def extract_coefficients(template: Schedule) -> np.ndarray:
@@ -120,7 +120,7 @@ def bind_template(template: Schedule, bind: list[int]) -> Schedule:
             e = int(template.table[label, d])
             opp = bind[abs(e) - 1]
             table[team, d] = (opp + 1) if e > 0 else -(opp + 1)
-    return Schedule(n=n, table=table)
+    return Schedule(table)
 
 
 def validate_distances(n: int, dist: np.ndarray) -> None:

@@ -64,4 +64,4 @@ def independent_lower_bound(inst: Instance, m: Matching) -> LowerBound:
     d = inst.dist.tolist()
     row_sums = [sum(d[i][j] for j in range(n)) for i in range(n)]
     per_team = tuple(r + m.weight for r in row_sums)
-    return LowerBound(per_team=per_team, total=sum(per_team))
+    return LowerBound(per_team)

@@ -1,0 +1,54 @@
+"""CON and CIRC, the constant and circular families of Easton, Nemhauser and
+Trick (2001), built offline as stand-ins for the paper's benchmark sets:
+pinned solve totals for n = 4..40 and the paper's ratio bounds on them."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ttp2.instance import Instance
+from ttp2.pipeline import solve
+
+
+def con_instance(n: int) -> Instance:
+    """CONn: every pair of teams is one apart."""
+    return Instance(n, 1 - np.eye(n, dtype=np.int64))
+
+
+def circ_instance(n: int) -> Instance:
+    """CIRCn: teams on a circle of n unit arcs, d(i, j) = min(|i-j|, n-|i-j|)."""
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return Instance(n, np.minimum(gap, n - gap))
+
+
+SIZES = range(4, 41, 2)
+
+# solve(inst, 10, 0, True) totals for n = 4, 6, ..., 40.
+CON_TOTALS = [20, 48, 90, 146, 211, 291, 376, 484, 597, 725, 858, 1014, 1175, 1351, 1528, 1736, 1945, 2169, 2398]
+CIRC_TOTALS = [
+    24, 74, 168, 352, 544, 894, 1196, 1802, 2336, 3190,
+    3892, 5142, 6176, 7758, 8896, 11130, 12832, 15366, 17364,
+]  # fmt: skip
+
+FAMILIES = {"CON": (con_instance, CON_TOTALS), "CIRC": (circ_instance, CIRC_TOTALS)}
+
+
+def _ratio(n: int) -> Fraction:
+    """The paper's approximation ratio: 1 + 3/n for n = 0 mod 4, 1 + 5/n otherwise."""
+    return 1 + Fraction(3 if n % 4 == 0 else 5, n)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_totals_are_pinned_and_within_the_ratio(family):
+    """CON4 and CON6 are solved to the lower bound; from n = 8 on every
+    total lies within the paper's ratio of it."""
+    build, pinned = FAMILIES[family]
+    solutions = {n: solve(build(n), 10, 0, True) for n in SIZES}
+    assert [sol.total for sol in solutions.values()] == pinned
+    for n, sol in solutions.items():
+        assert sol.feasible
+        if n >= 8:
+            assert sol.total <= _ratio(n) * sol.lb, (family, n)
+    if family == "CON":
+        assert [solutions[n].total for n in (4, 6)] == [solutions[n].lb for n in (4, 6)]

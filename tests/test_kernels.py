@@ -110,7 +110,7 @@ def _windows(m):
     """Row windows of an m-slot sweep: each window of the scans from rows 0,
     m/3 and m/2 up to the end, and a few more that start at row 0, mid-sweep
     or on the last row with moves."""
-    row_start, ends = _swap_windows(m, FIRST_WINDOW)
+    row_start, ends = _swap_windows(m)
     windows = {(0, 1), (1, 3), (m // 2, m // 2 + 2), (m - 2, m), (0, m)}
     for a in (0, m // 3, m // 2):
         for b in ends[a]:
@@ -125,7 +125,7 @@ def test_swap_windows_grow_from_every_row_to_the_sweeps_end(m):
     Otherwise the scan from each row runs through windows of at least
     FIRST_WINDOW, 2 FIRST_WINDOW, ... moves, and the first that leaves no
     move after it ends at m, the whole sweep."""
-    windows = _swap_windows(m, FIRST_WINDOW)
+    windows = _swap_windows(m)
     last = m * (m - 1) // 2
     assert (windows is None) == (last <= FIRST_WINDOW)
     if windows is None:
@@ -203,6 +203,10 @@ def test_windowed_search_takes_the_moves_of_whole_sweeps(n, tier, monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(ordering, name, counted(name))
+
+    # The uncached windows follow the patched FIRST_WINDOW; the cache of
+    # `_swap_windows` never sees a patched value.
+    monkeypatch.setattr(ordering, "_swap_windows", ordering._swap_windows.__wrapped__)
 
     def run(first):
         monkeypatch.setattr(ordering, "FIRST_WINDOW", first)

@@ -63,7 +63,7 @@ def _corrupt(table, edits, rng):
             t[i, d] = rng.choice([-1, 1]) * (i + 1)
         else:
             t[i, d] = -t[i, d]
-    return Schedule(n=n, table=t)
+    return Schedule(t)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -109,7 +109,7 @@ def _any_tables(draw):
     if size:
         for at in draw(st.lists(st.integers(0, size - 1), max_size=3)):
             cells[at] = draw(st.sampled_from(_EXTREMES))
-    return Schedule(n=n, table=np.array(cells, dtype=np.int64).reshape(n, 2 * n - 2))
+    return Schedule(np.array(cells, dtype=np.int64).reshape(n, 2 * n - 2))
 
 
 @st.composite

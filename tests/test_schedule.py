@@ -30,7 +30,7 @@ def test_bounded_by_k_violation_detected(golden_n8):
     t = np.array(golden_n8.table)
     t[0, 2] = -3
     t[2, 2] = 1
-    rep = validate_schedule(Schedule(n=8, table=t))
+    rep = validate_schedule(Schedule(t))
     assert not rep.feasible
     assert any(v[0] == "bounded-by-k" and v[1] == 2 for v in rep.violations)
 
@@ -44,9 +44,9 @@ def test_validate_reads_a_table_of_any_layout(golden_n8, layout, k):
     t[0, 2:4] = -3, -4  # team 1 away five days running
     t[2, 2] = t[3, 3] = 1
     other = np.asfortranarray(t) if layout == "fortran" else np.ascontiguousarray(t.T).T
-    expected = validate_schedule(Schedule(n=8, table=t), k=k).violations
+    expected = validate_schedule(Schedule(t), k=k).violations
     assert any(v[0] == "bounded-by-k" for v in expected)
-    assert validate_schedule(Schedule(n=8, table=other), k=k).violations == expected
+    assert validate_schedule(Schedule(other), k=k).violations == expected
 
 
 def test_validate_rejects_k_below_one(golden_n8):
@@ -60,7 +60,7 @@ def test_no_repeat_violation_detected(golden_n8):
     # same opponents day 3 visits: a repeat between the new days 2 and 3.
     t = np.array(golden_n8.table)
     t[:, [0, 1]] = t[:, [1, 0]]
-    rep = validate_schedule(Schedule(n=8, table=t))
+    rep = validate_schedule(Schedule(t))
     assert not rep.feasible
     assert any(v[0] == "no-repeat" and v[2] == 2 for v in rep.violations)
 
@@ -71,7 +71,7 @@ def test_fixed_game_value_violation_detected(golden_n8):
     t[0, 3] = 3
     t[2, 3] = -1
     t[3, 3] = 4  # keep shape errors out of the way for teams 4 (now broken)
-    rep = validate_schedule(Schedule(n=8, table=t))
+    rep = validate_schedule(Schedule(t))
     assert not rep.feasible
     assert any(v[0] == "fixed-game-value" for v in rep.violations)
 
@@ -114,7 +114,7 @@ def test_total_distance_hand_trace():
         [[0, 1, 2, 4], [1, 0, 3, 6], [2, 3, 0, 5], [4, 6, 5, 0]], dtype=np.int64
     )
     inst = Instance(n=4, dist=d)
-    s = Schedule(n=4, table=HAND_N4)
+    s = Schedule(HAND_N4)
     assert validate_schedule(s).feasible
     rep = total_distance(s, inst)
     # Team 1 venues: home,t2,home,home,t3,t4,home -> 1+1+2+5+4 = 13
@@ -133,7 +133,7 @@ def test_total_distance_exact_in_python_ints_past_float_exact(scale):
     # At 2**60 one team's walk passes 2**63, where int64 legs would wrap.
     d = np.array([[0, 1, 2, 4], [1, 0, 3, 6], [2, 3, 0, 5], [4, 6, 5, 0]], dtype=np.int64) * scale
     inst = Instance(n=4, dist=d)
-    rep = total_distance(Schedule(n=4, table=HAND_N4), inst)
+    rep = total_distance(Schedule(HAND_N4), inst)
     assert inst.float_exact == (scale == 1)
     assert rep.per_team == (13 * scale, 16 * scale, 17 * scale, 21 * scale)
     assert all(type(t) is int for t in rep.per_team) and rep.total == 67 * scale
@@ -148,9 +148,16 @@ def test_itinerary_trips(golden_n8):
 
 
 def test_itinerary_single_trips_and_pairs():
-    s = Schedule(n=4, table=HAND_N4)
+    s = Schedule(HAND_N4)
     assert itinerary_of(s, 0) == [[1], [2, 3]]
     assert itinerary_of(s, 3) == [[0, 1], [2]]
+
+
+@pytest.mark.parametrize("team", [-1, 8])
+def test_itinerary_rejects_a_team_outside_0_to_n_minus_1(golden_n8, team):
+    # NumPy would read row n - 1 for team -1.
+    with pytest.raises(IndexError, match=f"team {team} is not in 0..7"):
+        itinerary_of(golden_n8, team)
 
 
 def test_render_roundtrip(golden_n8):
@@ -268,17 +275,17 @@ def test_parse_schedule_names_the_line_of_a_bad_cell():
 
 def test_render_formats_zero_and_cells_beyond_n():
     table = [[0, 5, -7, 0], [2**62, -(2**63), 1, 2**62], [-1, 0, 2, -1]]
-    assert render_schedule(Schedule(n=3, table=table)) == (
+    assert render_schedule(Schedule(table)) == (
         "0,+5,-7,0\n+4611686018427387904,-9223372036854775808,+1,+4611686018427387904\n-1,0,+2,-1\n"
     )
-    assert render_schedule(Schedule(n=1, table=np.zeros((1, 0), dtype=np.int64))) == "\n"
+    assert render_schedule(Schedule(np.zeros((1, 0), dtype=np.int64))) == "\n"
 
 
 def test_validate_flags_a_cell_of_int64_min():
     # np.abs(-2**63) is -2**63: the cell must still read as naming no team.
     table = np.array(HAND_N4)
     table[0, 2] = -(2**63)
-    assert validate_schedule(Schedule(n=4, table=table)).violations == (
+    assert validate_schedule(Schedule(table)).violations == (
         ("fixed-game-time", 0, 2),
         ("fixed-game-time", 3, 2),
     )
@@ -296,7 +303,19 @@ def test_validate_flags_a_cell_of_int64_min():
 )
 def test_schedule_rejects_a_table_that_int64_does_not_hold(table, message):
     with pytest.raises(FormatError, match=message):
-        Schedule(n=4, table=table)
+        Schedule(table)
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 6, 1), (4, 5), (0, 0)])
+def test_schedule_rejects_a_table_not_n_by_2n_minus_2(shape):
+    with pytest.raises(FormatError, match=rf"table shape \({shape[0]},.* is not n x \(2n-2\)"):
+        Schedule(np.zeros(shape, dtype=np.int64))
+
+
+def test_schedule_reads_n_and_days_from_the_table(golden_n8):
+    assert (golden_n8.n, golden_n8.days) == (8, 14)
+    one = Schedule(np.zeros((1, 0), dtype=np.int64))
+    assert (one.n, one.days) == (1, 0)
 
 
 # sha256 of the rendered CSV of every digest template, in the order of
@@ -328,7 +347,7 @@ def test_rendered_templates_unchanged_up_to_122():
 def _in_range_tables(draw):
     n = draw(st.integers(2, 12))
     cells = draw(st.lists(st.integers(-n, n), min_size=n * (2 * n - 2), max_size=n * (2 * n - 2)))
-    return Schedule(n=n, table=np.array(cells, dtype=np.int64).reshape(n, 2 * n - 2))
+    return Schedule(np.array(cells, dtype=np.int64).reshape(n, 2 * n - 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -347,7 +366,7 @@ def test_validator_relabeling_invariant(golden_n8):
             e = int(golden_n8.table[team, d])
             opp = perm[abs(e) - 1] + 1
             table[perm[team], d] = opp if e > 0 else -opp
-    s = Schedule(n=8, table=table)
+    s = Schedule(table)
     assert validate_schedule(s).feasible
 
     ti = tight_instance(8)
