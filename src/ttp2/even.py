@@ -31,6 +31,7 @@ circle's last pair.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -79,13 +80,17 @@ def packing_chain(n: int, packing="auto") -> list[int]:
     """Validated packing chain for n = 0 (mod 4), n >= 8.
 
     `packing` is "auto" for the packing that realizes L(n), or an integer
-    p.  Below p each level takes the best packing of its 4p-team
+    p, read with `operator.index` (a NumPy integer or a bool is one).  Below p each level takes the best packing of its 4p-team
     sub-problem, ties to the smallest; the chain ends at the base
     construction, 1.
     """
     if packing == "auto":
         packing = compute_L(n)[1]
-    if not isinstance(packing, int) or not _valid_packing(n, packing):
+    try:
+        packing = operator.index(packing)
+    except TypeError:
+        raise DomainError(f"packing must be an integer or 'auto', got {type(packing).__name__}") from None
+    if not _valid_packing(n, packing):
         raise DomainError(f"packing {packing} invalid for n={n}")
     chain = [packing]
     while chain[-1] > 1:

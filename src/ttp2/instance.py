@@ -19,7 +19,7 @@ import numpy as np
 from .errors import FormatError, ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A TTP instance: team count and the distance matrix.
 
@@ -31,12 +31,13 @@ class Instance:
     `d_max` is the largest distance, a Python int or float, kept from
     validation.  There is no per-cell accessor: loops read one
     `dist.tolist()` table, whose entries are the same Python scalars.
+    Equality and hash go by identity.
     """
 
     n: int
     dist: np.ndarray
     integral: bool | None = None
-    d_max: object = field(init=False, repr=False, compare=False)
+    d_max: object = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dist", _frozen(self.dist))

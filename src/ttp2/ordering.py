@@ -34,20 +34,20 @@ least FIRST_WINDOW moves and twice the one before, until a window holds
 an accepted move; a window that reaches the sweep's end is the whole
 sweep, so sweeps of up to FIRST_WINDOW moves (n <= 46) are always
 evaluated whole.  Each kernel is a fixed linear map of P whose tables are
-built once per TravelCoefficients.
+built once per TravelCoefficients; `_sweep` lists each pass's moves, and
+its windows or cells, once per size.
 `polish` builds one search state, a copy of the vector and a buffer
 [P | At] whose At the swap kernels write, and both passes read it and
 keep it current in place: an accepted move rewrites P's touched rows and
 columns in O(n), so P is gathered once per `polish`.  Where the sweep is
 evaluated whole (n <= 46), both passes apply a move with one gather and
-one put between flat cells of P listed once per size (`_move_cells`);
-above that, where those lists would grow as m^2 n, with a gather and an
-assignment for the rows and again for the columns.  Both passes share one
-first-improvement loop that visits moves in the order of a pair-by-pair
-sweep, so the trajectory is that of the sweep.  `polish` alternates the
-passes and stops at the first pass, after the first, that finds no move:
-each pass ends at a local optimum of its own rule, so the vector is then a
-local optimum of both.
+one put between flat cells of P; above that, where those lists would grow
+as m^2 n, with a gather and an assignment for the rows and again for the
+columns.  Both passes share one first-improvement loop that visits moves
+in the order of a pair-by-pair sweep, so the trajectory is that of the
+sweep.  `polish` alternates the passes and stops at the first pass, after
+the first, that finds no move: each pass ends at a local optimum of its
+own rule, so the vector is then a local optimum of both.
 
 One acceptance rule defines the search: a move is taken iff its exact
 delta is negative.  The float64 delta lies within `slack` of the exact
@@ -83,12 +83,13 @@ class TeamOrdering:
     pi: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TravelCoefficients:
     """c[a][b] = number of direct travels between the homes of labels a, b.
 
     `c` is the one field: the team count is len(c), and the kernel
-    constants in `blocks` are derived from c on first use.
+    constants in `blocks` are derived from c on first use.  Equality and
+    hash go by identity.
     """
 
     c: np.ndarray
@@ -298,62 +299,81 @@ def derandomize(coeffs: TravelCoefficients, inst: Instance, matching: Matching):
 # Swap local search.
 # ---------------------------------------------------------------------------
 
-# The fewest swaps a scan evaluates at once (see `_swap_windows`).  Every
+# The fewest swaps a scan evaluates at once (see `_sweep`).  Every
 # sweep of up to this many moves, n <= 46, is evaluated whole; at least 190
 # keeps n = 40 whole, and smaller windows there cost more than they save.
 FIRST_WINDOW = 256
 
 
-@functools.lru_cache(maxsize=16)
-def _pass_moves(m: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The labels each move of a pass moves, one row per move in sweep order.
+@functools.lru_cache(maxsize=32)  # both passes of 16 sizes
+def _sweep(m: int, flips: bool):
+    """The tables of one pass over m slots: (src, dst, windows, cells).
 
-    Returns (src, dst) of the slot swaps, src = (2i, 2i+1, 2j, 2j+1) for
-    i < j, and of the in-slot flips, src = (2i, 2i+1); move q gives labels
-    src[q][r] the teams of labels dst[q][r].  Read-only, as calls share them.
+    Move q gives labels src[q][r] the teams of labels dst[q][r], one row
+    per move in sweep order: the slot swaps, src = (2i, 2i+1, 2j, 2j+1) for
+    i < j, or the in-slot flips, src = (2i, 2i+1).  One test sets the rest:
+    whether the swap sweep, m(m-1)/2 moves, fits in FIRST_WINDOW (n <= 46).
+
+    If it does, the swaps are evaluated whole, `windows` is None, and both
+    passes apply a move with `cells` = (to, fr), the flat cells of P that
+    each move rewrites and the cells their new values come from.  Move q
+    maps labels by a permutation pi that fixes every other label, and P
+    becomes P[pi][:, pi]: only the moved rows s*n + b and the moved columns
+    a*n + s change, to the cells pi(s)*n + pi(b) and pi(a)*n + pi(s).  A
+    cell in both a moved row and a moved column is listed twice with the
+    same source, so `Pf[to[q]] = Pf.take(fr[q])` on the flat P applies the
+    move.  intp, which `take` reads without a cast.
+
+    Otherwise `cells` is None, as those tables would grow as m^2 n, and the
+    swaps have `windows` = (row_start, ends); flips never have windows.
+    Row i holds the swaps (i, j), j > i, moves row_start[i]..row_start[i+1]-1.
+    A scan from row a evaluates the rows a..ends[a][0]-1, then on to
+    ends[a][1], and so on: the first window holds at least FIRST_WINDOW
+    moves and each later one at least twice as many as the one before.  The
+    last end is m, a window that reaches the sweep's end.
+
+    Every array is read-only, as calls share them.
     """
-    i, j = np.triu_indices(m, 1)
-    x = 2 * np.arange(m)
-    swaps = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
-    flips = np.stack([x, x + 1], axis=1)
-    moves = (swaps, swaps[:, [2, 3, 0, 1]]), (flips, flips[:, [1, 0]])
-    for a in itertools.chain(*moves):
+    if flips:
+        src = np.arange(2 * m).reshape(m, 2)
+        dst = src[:, [1, 0]]
+    else:
+        i, j = np.triu_indices(m, 1)
+        src = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
+        dst = src[:, [2, 3, 0, 1]]
+    windows = cells = None
+    if m * (m - 1) // 2 <= FIRST_WINDOW:  # the swap sweep is evaluated whole
+        k, n, ar = len(src), 2 * m, np.arange(2 * m)
+        pi = np.broadcast_to(ar, (k, n)).copy()
+        np.put_along_axis(pi, src, dst, axis=1)
+        cells = (
+            np.concatenate([
+                (src[:, :, None] * n + ar).reshape(k, -1),  # the moved rows s*n + b
+                (ar[:, None] * n + src[:, None, :]).reshape(k, -1),  # the moved columns a*n + s
+            ], axis=1),
+            np.concatenate([
+                (dst[:, :, None] * n + pi[:, None, :]).reshape(k, -1),
+                (pi[:, :, None] * n + dst[:, None, :]).reshape(k, -1),
+            ], axis=1),
+        )
+    elif not flips:
+        row_start = tuple(i * (m - 1) - i * (i - 1) // 2 for i in range(m + 1))
+        ends = []
+        for a in range(m):
+            row, b, size = [], a, FIRST_WINDOW
+            while b < m:
+                b = bisect.bisect_left(row_start, row_start[b] + size)
+                b = m if b >= m - 1 else b  # row m-1 holds no move
+                row.append(b)
+                size *= 2
+            ends.append(tuple(row))
+        windows = row_start, tuple(ends)
+    for a in (src, dst, *(cells or ())):
         a.setflags(write=False)
-    return moves
+    return src, dst, windows, cells
 
 
-@functools.lru_cache(maxsize=32)  # both passes of the 16 sizes `_pass_moves` keeps
-def _move_cells(m: int, flips: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The flat cells of P that each move of a pass rewrites, and the cells
-    their new values come from: (to, fr), one row per move in sweep order.
-
-    Move q maps labels src[q][r] to dst[q][r] by a permutation pi that fixes
-    every other label, and P becomes P[pi][:, pi]: only the moved rows
-    s*n + b and the moved columns a*n + s change, to the cells
-    pi(s)*n + pi(b) and pi(a)*n + pi(s).  A cell in both a moved row and a
-    moved column is listed twice with the same source, so
-    `Pf[to[q]] = Pf.take(fr[q])` on the flat P applies the move.  Tables of
-    m(m-1)/2 swaps grow as m^2 n, so the search reads them only for sweeps
-    evaluated whole.  intp, which `take` reads without a cast; read-only.
-    """
-    src, dst = _pass_moves(m)[flips]
-    k, n, ar = len(src), 2 * m, np.arange(2 * m)
-    pi = np.broadcast_to(ar, (k, n)).copy()
-    np.put_along_axis(pi, src, dst, axis=1)
-    to = np.concatenate([
-        (src[:, :, None] * n + ar).reshape(k, -1),  # the moved rows s*n + b
-        (ar[:, None] * n + src[:, None, :]).reshape(k, -1),  # the moved columns a*n + s
-    ], axis=1)
-    fr = np.concatenate([
-        (dst[:, :, None] * n + pi[:, None, :]).reshape(k, -1),
-        (pi[:, :, None] * n + dst[:, None, :]).reshape(k, -1),
-    ], axis=1)
-    to.setflags(write=False)
-    fr.setflags(write=False)
-    return to, fr
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _KernelBlocks:
     """The c-derived constants of the swap and flip kernels: each kernel is
     a fixed linear map of P, built once per template.
@@ -490,54 +510,28 @@ def _window_deltas(k: _KernelBlocks, buf, rows, moves):
     return (buf.take(k.idx[:, lo:hi]) * k.coef[:, lo:hi]).sum(0)
 
 
-@functools.lru_cache(maxsize=16)
-def _swap_windows(m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
-    """The row windows of the swap sweep: (row_start, ends), or None for a
-    sweep of at most FIRST_WINDOW moves, which is evaluated whole.
-
-    Row i holds the swaps (i, j), j > i, moves row_start[i]..row_start[i+1]-1.
-    A scan from row a evaluates the rows a..ends[a][0]-1, then on to
-    ends[a][1], and so on: the first window holds at least FIRST_WINDOW
-    moves and each later one at least twice as many as the one before.  The
-    last end is m, a window that reaches the sweep's end.
-    """
-    if m * (m - 1) // 2 <= FIRST_WINDOW:
-        return None
-    row_start = tuple(i * (m - 1) - i * (i - 1) // 2 for i in range(m + 1))
-    ends = []
-    for a in range(m):
-        row, b, size = [], a, FIRST_WINDOW
-        while b < m:
-            b = bisect.bisect_left(row_start, row_start[b] + size)
-            b = m if b >= m - 1 else b  # row m-1 holds no move
-            row.append(b)
-            size *= 2
-        ends.append(tuple(row))
-    return row_start, tuple(ends)
-
-
-def _first_improvement(bind, buf, coeffs, inst, kernel, moves, windows=None, cells=None):
+def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
     """The first-improvement loop of both passes; returns (bind, improved).
 
-    Move q gives labels src[q][r] the teams of labels dst[q][r], moves in
-    sweep order.  `kernel` evaluates every move at once on the search
-    buffer `buf`, whose P = dist[bind][:, bind] (see `_search_state`).  The
-    loop keeps bind and P current in place, in O(n) per accepted move q:
-    with `cells`, the (to, fr) of `_move_cells` that the passes give
-    exactly where the sweep is evaluated whole, as one gather of the flat
-    P at fr[q] put at to[q]; without, by permuting P's touched rows, then
-    its touched columns.  The loop takes the first accepted move at or
-    after the one after the last accepted move, applies it and evaluates
-    again; after the last move of the sweep it goes on from move 0.  A scan visits each move once, so one that wraps
-    stops before the move it began at, and a scan that finds no move ends
-    the pass.
+    `sweep` is the pass's (src, dst, windows, cells) of `_sweep`: move q
+    gives labels src[q][r] the teams of labels dst[q][r], moves in sweep
+    order.  `kernel` evaluates every move at once on the search buffer
+    `buf`, whose P = dist[bind][:, bind] (see `_search_state`).  The loop
+    keeps bind and P current in place, in O(n) per accepted move q: with
+    `cells` = (to, fr), as one gather of the flat P at fr[q] put at to[q];
+    without, by permuting P's touched rows, then its touched columns.  The
+    loop takes the first accepted move at or after the one after the last
+    accepted move, applies it and evaluates again; after the last move of
+    the sweep it goes on from move 0.  A scan visits each move once, so one
+    that wraps stops before the move it began at, and a scan that finds no
+    move ends the pass.
 
-    With `windows` (see `_swap_windows`) a scan evaluates only as far as it
-    reads: the rows of its windows from the cursor's row on, with
-    `_window_deltas`, one window at a time until one holds an accepted move.
-    A window that reaches the sweep's end is the whole sweep, `kernel`, and
-    the same deltas serve the wrap to the cursor.  The moves scanned and
-    their order are those of a whole-sweep scan.
+    With `windows` a scan evaluates only as far as it reads: the rows of
+    its windows from the cursor's row on, with `_window_deltas`, one window
+    at a time until one holds an accepted move.  A window that reaches the
+    sweep's end is the whole sweep, `kernel`, and the same deltas serve the
+    wrap to the cursor.  The moves scanned and their order are those of a
+    whole-sweep scan.
 
     A move is accepted iff its exact delta is negative.  The moves whose
     kernel delta lies below +slack are visited in sweep order; one below
@@ -545,7 +539,7 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, moves, windows=None, cel
     is negative.  With slack 0 that is the moves with a negative delta.  So
     the exact total falls with every move and the search cannot cycle.
     """
-    src, dst = moves
+    src, dst, windows, cells = sweep
     n, last = len(bind), len(src)
     Pf = buf[: n * n]
     P = Pf.reshape(n, n)
@@ -608,19 +602,14 @@ def swap_super_teams_pass(bind, buf, coeffs: TravelCoefficients, inst: Instance)
     """One full first-improvement sweep over all slot pairs, repeated while
     a sweep improves, on the state (bind, buf) of `_search_state`, which it
     updates in place; returns (bind, improved)."""
-    m = len(bind) // 2
-    windows = _swap_windows(m)
-    cells = _move_cells(m, False) if windows is None else None
-    return _first_improvement(bind, buf, coeffs, inst, _swap_deltas, _pass_moves(m)[0], windows, cells)
+    return _first_improvement(bind, buf, coeffs, inst, _swap_deltas, _sweep(len(bind) // 2, False))
 
 
 def swap_within_pass(bind, buf, coeffs: TravelCoefficients, inst: Instance):
     """First-improvement sweep flipping team order inside each super-team,
     on the state (bind, buf) of `_search_state`, which it updates in place;
     returns (bind, improved)."""
-    m = len(bind) // 2
-    cells = _move_cells(m, True) if _swap_windows(m) is None else None
-    return _first_improvement(bind, buf, coeffs, inst, _flip_deltas, _pass_moves(m)[1], cells=cells)
+    return _first_improvement(bind, buf, coeffs, inst, _flip_deltas, _sweep(len(bind) // 2, True))
 
 
 def polish(bind, coeffs: TravelCoefficients, inst: Instance) -> np.ndarray:

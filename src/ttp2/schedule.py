@@ -30,9 +30,10 @@ from .errors import FormatError, ValidationError
 from .instance import Instance, _int64_copy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """An n x (2n-2) table; n and the day count are read from its shape."""
+    """An n x (2n-2) table; n and the day count are read from its shape.
+    Equality and hash go by identity."""
 
     table: np.ndarray  # shape (n, 2n-2), signed 1-based opponents
 

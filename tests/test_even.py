@@ -71,6 +71,16 @@ def test_packing_chain_rejects_invalid():
         packing_chain(16, 10**9)  # at once, not after a descent linear in p
 
 
+def test_packing_is_read_as_an_integer_index():
+    """Any integer that `operator.index` reads is a packing, and the chain
+    holds Python ints; a float or a string is rejected by its type."""
+    assert np.array_equal(build_even_template(16, np.int64(2)).table, build_even_template(16, 2).table)
+    assert packing_chain(16, True) == [1] and type(packing_chain(16, True)[0]) is int
+    for packing in (2.0, "2"):
+        with pytest.raises(DomainError, match=type(packing).__name__):
+            packing_chain(16, packing)
+
+
 def _reference_descent(p):
     """The chain below packing p as both callers built it with their own loop."""
     chain = [p]

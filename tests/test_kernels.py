@@ -16,12 +16,10 @@ from ttp2.ordering import (
     FIRST_WINDOW,
     _exact_move_delta,
     _flip_deltas,
-    _move_cells,
-    _pass_moves,
     _search_state,
     _slack,
     _swap_deltas,
-    _swap_windows,
+    _sweep,
     _window_deltas,
     extract_coefficients,
     polish,
@@ -47,7 +45,7 @@ def test_kernel_deltas_are_exact_on_float_exact_tiers(n, tier):
     assert inst.float_exact
     coeffs = _coeffs(n)
     scale = inst.exact_weights[1]
-    swaps, flips = _pass_moves(n // 2)
+    swaps, flips = _sweep(n // 2, False)[:2], _sweep(n // 2, True)[:2]
     for seed in range(3):
         bind = np.random.default_rng(seed).permutation(n)
         buf = _search_state(bind, inst)[1]
@@ -65,8 +63,7 @@ def test_move_cells_apply_each_move_to_p(flips):
     rng = np.random.default_rng(7)
     for m in range(2, 24):
         n = 2 * m
-        src, dst = _pass_moves(m)[flips]
-        to, fr = _move_cells(m, flips)
+        src, dst, _, (to, fr) = _sweep(m, flips)
         assert to.dtype == fr.dtype == np.intp and to.shape == fr.shape == (len(src), 2 * n * src.shape[1])
         for q in range(len(src)):
             P = rng.random((n, n))
@@ -110,7 +107,7 @@ def _windows(m):
     """Row windows of an m-slot sweep: each window of the scans from rows 0,
     m/3 and m/2 up to the end, and a few more that start at row 0, mid-sweep
     or on the last row with moves."""
-    row_start, ends = _swap_windows(m)
+    row_start, ends = _sweep(m, False)[2]
     windows = {(0, 1), (1, 3), (m // 2, m // 2 + 2), (m - 2, m), (0, m)}
     for a in (0, m // 3, m // 2):
         for b in ends[a]:
@@ -121,13 +118,21 @@ def _windows(m):
 
 @pytest.mark.parametrize("m", [20, 23, 24, 25, 40, 61, 120])
 def test_swap_windows_grow_from_every_row_to_the_sweeps_end(m):
-    """A sweep of at most FIRST_WINDOW moves has no windows (m <= 23).
-    Otherwise the scan from each row runs through windows of at least
-    FIRST_WINDOW, 2 FIRST_WINDOW, ... moves, and the first that leaves no
-    move after it ends at m, the whole sweep."""
-    windows = _swap_windows(m)
+    """A sweep of at most FIRST_WINDOW moves has no windows (m <= 23), and
+    exactly there both passes have move cells; flips never have windows,
+    and every table of both passes is read-only.  Otherwise the scan from
+    each row runs through windows of at least FIRST_WINDOW,
+    2 FIRST_WINDOW, ... moves, and the first that leaves no move after it
+    ends at m, the whole sweep."""
     last = m * (m - 1) // 2
-    assert (windows is None) == (last <= FIRST_WINDOW)
+    whole = last <= FIRST_WINDOW
+    swaps, flips = _sweep(m, False), _sweep(m, True)
+    for src, dst, _, cells in (swaps, flips):
+        assert (cells is None) == (not whole)
+        assert not any(a.flags.writeable for a in (src, dst, *(cells or ())))
+    assert flips[2] is None
+    windows = swaps[2]
+    assert (windows is None) == whole
     if windows is None:
         return
     row_start, ends = windows
@@ -153,7 +158,7 @@ def test_window_deltas_equal_the_sweep(n, tier):
     coeffs, m = _coeffs(n), n // 2
     row_start, windows = _windows(m)
     assert any(b < m for _, b in windows) and any(a > 0 for a, _ in windows)
-    src, dst = _pass_moves(m)[0]
+    src, dst = _sweep(m, False)[:2]
     bind = np.random.default_rng(n).permutation(n)
     buf = _search_state(bind, inst)[1]
     whole = _swap_deltas(coeffs.blocks, buf)
@@ -205,8 +210,8 @@ def test_windowed_search_takes_the_moves_of_whole_sweeps(n, tier, monkeypatch):
         monkeypatch.setattr(ordering, name, counted(name))
 
     # The uncached windows follow the patched FIRST_WINDOW; the cache of
-    # `_swap_windows` never sees a patched value.
-    monkeypatch.setattr(ordering, "_swap_windows", ordering._swap_windows.__wrapped__)
+    # `_sweep` never sees a patched value.
+    monkeypatch.setattr(ordering, "_sweep", ordering._sweep.__wrapped__)
 
     def run(first):
         monkeypatch.setattr(ordering, "FIRST_WINDOW", first)

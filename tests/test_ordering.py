@@ -20,10 +20,10 @@ from ttp2.ordering import (
     _derandomize_in_float64,
     _exact_move_delta,
     _flip_deltas,
-    _pass_moves,
     _search_state,
     _slack,
     _swap_deltas,
+    _sweep,
     bind_template,
     binding_vector,
     coefficient_total,
@@ -553,7 +553,7 @@ def test_kernel_deltas_within_rounding_slack(n, seed, kind):
     bind = np.random.default_rng(seed).permutation(n)
     buf = _search_state(bind, inst)[1]
     scale = inst.exact_weights[1]
-    swaps, flips = _pass_moves(n // 2)
+    swaps, flips = _sweep(n // 2, False)[:2], _sweep(n // 2, True)[:2]
     for kernel, (src, dst) in ((_swap_deltas, swaps), (_flip_deltas, flips)):
         deltas = kernel(coeffs.blocks, buf)
         assert len(deltas) == len(src)

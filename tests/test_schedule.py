@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttp2.errors import FormatError, ValidationError
+from ttp2.even import build_even_template
 from ttp2.instance import Instance
 from ttp2.oracle import random_metric_instance, tight_instance
 from ttp2.schedule import (
@@ -17,6 +18,24 @@ from ttp2.schedule import (
     total_distance,
     validate_schedule,
 )
+from ttp2.ordering import extract_coefficients
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_even_template(8),
+        lambda: random_metric_instance(8, 1),
+        lambda: extract_coefficients(build_even_template(8)),
+    ],
+    ids=["Schedule", "Instance", "TravelCoefficients"],
+)
+def test_model_objects_compare_and_hash_by_identity(make):
+    """Equal values in two objects are two objects: == and hash() go by
+    identity and never reach the array fields."""
+    x, y = make(), make()
+    assert x == x and x != y
+    assert len({x, y}) == 2
 
 
 def test_golden_table_is_feasible(golden_n8):
