@@ -26,7 +26,7 @@ from .schedule import parse_schedule_csv, render_schedule, total_distance, valid
 
 
 def _emit(obj, pretty: bool):
-    if pretty and isinstance(obj, dict):
+    if pretty:
         width = max(len(k) for k in obj)
         for k, v in obj.items():
             print(f"{k:<{width}}  {v}")

@@ -44,21 +44,15 @@ from .schedule import Schedule, games_to_schedule
 # ---------------------------------------------------------------------------
 
 def _valid_packing(n: int, p: int) -> bool:
-    if p < 1:
-        return False
-    if p == 1:
-        return n >= 8 and n % 4 == 0
-    return n >= 8 * p and n % (4 * p) == 0
+    return p >= 1 and n >= 8 * p and n % (4 * p) == 0
 
 
 @lru_cache(maxsize=None)
 def _L(n: int, p: int) -> int:
-    if not _valid_packing(n, p):
-        raise DomainError(f"packing p={p} invalid for n={n}")
+    """L_p(n) for a packing p that `_valid_packing(n, p)` accepts."""
     if p == 1:
         return n // 2 - 4
-    sub = min(_L(4 * p, i) for i in range(1, p) if _valid_packing(4 * p, i))
-    return n // 2 - 3 * p + (n // (4 * p)) * sub
+    return n // 2 - 3 * p + (n // (4 * p)) * compute_L(4 * p)[0]
 
 
 def compute_L(n: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,6 +24,8 @@ from .errors import FormatError, ValidationError
 class Instance:
     """A TTP instance: team count and the distance matrix.
 
+    `n` is read with `operator.index` and kept as a Python int; a float or
+    a string raises ValidationError.
     `dist` is kept as an int64 copy of integer distances or a float64 copy
     of real ones; any other dtype, or an unsigned value past int64, raises
     ValidationError.  `integral` follows the dtype of `dist`: True for
@@ -40,6 +43,11 @@ class Instance:
     d_max: object = field(init=False, repr=False)
 
     def __post_init__(self):
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValidationError(f"team count must be an integer, got {type(self.n).__name__}") from None
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "dist", _frozen(self.dist))
         object.__setattr__(self, "d_max", _validate(self.n, self.dist))
         integral = self.dist.dtype.kind in "iu"
@@ -213,7 +221,6 @@ def parse_instance(text: str) -> Instance:
 
     first = values[0]
     rest = len(values) - 1
-    n = None
     if isinstance(first, int) and first > 0 and rest == first * first:
         n = first
         body = values[1:]

@@ -54,45 +54,42 @@ def _trip_cover_tables(inst: Instance):
     """Per-team DP: cheapest cover of an away-venue subset by 1/2-stop trips.
 
     cover[i][mask] is the minimum travel for team i to play the away set
-    `mask` (bits over the other teams, sorted) in road trips of length one
-    or two, starting and ending at home.  Only the trip structure forced by
-    bounded-by-2 is used, so the value is a valid lower bound regardless of
-    scheduling interactions or the triangle inequality.  Distances are read
-    from one `dist.tolist()` table, the Python scalars of `dist`.
+    `mask` (bit v for team v; bit i is never set) in road trips of length
+    one or two, starting and ending at home.  Only the trip structure forced
+    by bounded-by-2 is used, so the value is a valid lower bound regardless
+    of scheduling interactions or the triangle inequality.  Distances are
+    read from one `dist.tolist()` table, the Python scalars of `dist`.
     """
     n = inst.n
     d = inst.dist.tolist()
-    others = [sorted(set(range(n)) - {i}) for i in range(n)]
     cover = []
     for i in range(n):
-        opp = others[i]
-        k = len(opp)
-        table = [0] * (1 << k)
-        for mask in range(1, 1 << k):
-            lo = (mask & -mask).bit_length() - 1
-            v = opp[lo]
-            rest = mask & ~(1 << lo)
+        table = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            if mask >> i & 1:
+                continue
+            v = (mask & -mask).bit_length() - 1
+            rest = mask & ~(1 << v)
             best = 2 * d[i][v] + table[rest]
             sub = rest
             while sub:
-                lo2 = (sub & -sub).bit_length() - 1
-                w = opp[lo2]
-                cand = d[i][v] + d[v][w] + d[w][i] + table[rest & ~(1 << lo2)]
+                w = (sub & -sub).bit_length() - 1
+                cand = d[i][v] + d[v][w] + d[w][i] + table[rest & ~(1 << w)]
                 if cand < best:
                     best = cand
                 sub &= sub - 1
             table[mask] = best
         cover.append(table)
-    return others, cover
+    return cover
 
 
 def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
     """Exact optimum for n in {4, 6} by game-by-game backtracking.
 
     Days are filled one game at a time (lowest free team first, cheapest
-    option first).  Branches are cut on no-repeat / bounded-by-2 prefixes,
-    remaining-game counts, and partial cost plus the sum of per-team
-    independent remaining-itinerary optima.  That sum at the root, the
+    option first).  Branches are cut on no-repeat / bounded-by-2 prefixes
+    and on partial cost plus the sum of per-team independent
+    remaining-itinerary optima.  That sum at the root, the
     per-team trip-cover bound, holds without the triangle inequality, so
     the search stops once its best schedule attains it.  The total returned
     is the `total_distance` walk's, not the search's own sum, which can
@@ -103,8 +100,7 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
         raise DomainError(f"brute force is guarded to n <= {BRUTE_FORCE_LIMIT}")
     days = 2 * n - 2
     d = inst.dist.tolist()
-    others, cover = _trip_cover_tables(inst)
-    bit = [{v: 1 << idx for idx, v in enumerate(others[i])} for i in range(n)]
+    cover = _trip_cover_tables(inst)
 
     best_cost = None
     best_days = None
@@ -112,8 +108,7 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
     venue = list(range(n))
     run = [(0, 0)] * n  # (+1 away / -1 home, consecutive count)
     last_opp = [-1] * n
-    away_mask = [(1 << (n - 1)) - 1 for _ in range(n)]
-    home_left = [n - 1] * n
+    away_mask = [((1 << n) - 1) ^ (1 << i) for i in range(n)]  # bit v: still to play at v
     schedule_days: list[list[tuple[int, int]]] = [[] for _ in range(days)]
 
     def team_bound(i: int) -> int:
@@ -127,10 +122,9 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
         if run[i][1] < 2:
             sub = mask
             while sub:
-                lo = (sub & -sub).bit_length() - 1
-                w = others[i][lo]
+                w = (sub & -sub).bit_length() - 1
                 if w != last_opp[i]:
-                    cand = d[v][w] + d[w][i] + cover[i][mask & ~(1 << lo)]
+                    cand = d[v][w] + d[w][i] + cover[i][mask & ~(1 << w)]
                     if cand < best:
                         best = cand
                 sub &= sub - 1
@@ -148,13 +142,12 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
         run[home] = (-1, l_h + 1 if s_h == -1 else 1)
         last_opp[away] = home
         last_opp[home] = away
-        away_mask[away] &= ~bit[away][home]
-        home_left[home] -= 1
+        away_mask[away] &= ~(1 << home)
         bound_parts[away] = team_bound(away)
         bound_parts[home] = team_bound(home)
 
     def may_play(away: int, home: int) -> bool:
-        if not away_mask[away] & bit[away][home]:
+        if not away_mask[away] >> home & 1:
             return False
         if last_opp[away] == home:
             return False
@@ -164,12 +157,6 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
         s_h, l_h = run[home]
         if s_h == -1 and l_h >= 2:
             return False
-        return True
-
-    def counts_ok(days_left: int) -> bool:
-        for i in range(n):
-            if away_mask[i].bit_count() + home_left[i] > days_left:
-                return False
         return True
 
     def search(day: int, free: list[int], cost: int):
@@ -184,8 +171,7 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
                     best_cost = total
                     best_days = [list(g) for g in schedule_days]
                 return
-            if counts_ok(days - nxt):
-                search(nxt, list(range(n)), cost)
+            search(nxt, list(range(n)), cost)
             return
 
         t = free[0]
@@ -207,8 +193,7 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
             rest = [x for x in free if x != away and x != home]
             search(day, rest, cost + step)
             schedule_days[day].pop()
-            away_mask[away] |= bit[away][home]
-            home_left[home] += 1
+            away_mask[away] |= 1 << home
             (venue[away], run[away], last_opp[away], bound_parts[away],
              venue[home], run[home], last_opp[home], bound_parts[home]) = saved
 

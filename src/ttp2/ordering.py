@@ -65,6 +65,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,10 +123,13 @@ class TravelCoefficients:
 def random_ordering(m: int, seed: int) -> TeamOrdering:
     """Uniform permutation and orientation bits from a seeded generator.
 
-    CPython seeds with |seed|, so a negative seed is seeded from its text
-    instead (hashed with SHA-512, the same in every process): it draws its
-    own ordering, not that of -seed.
+    The seed is read with `operator.index`: a NumPy integer draws the
+    ordering of the equal int, and a float raises TypeError.  CPython seeds
+    with |seed|, so a negative seed is seeded from its text instead (hashed
+    with SHA-512, the same in every process): it draws its own ordering, not
+    that of -seed.
     """
+    seed = operator.index(seed)
     rng = random.Random(seed if seed >= 0 else str(seed))
     sigma = list(range(m))
     rng.shuffle(sigma)

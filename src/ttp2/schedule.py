@@ -21,6 +21,7 @@ label's text padded with NULs and a comma, and drops the NULs.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -91,7 +92,9 @@ class DistanceReport:
 def games_to_schedule(n: int, days) -> Schedule:
     """Assemble a table from (visitor, host) 0-based games, n/2 on each day.
 
-    `days` is a (2n-2, n/2, 2) array or the same as nested lists.
+    `days` is a (2n-2, n/2, 2) array or the same as nested lists.  Only the
+    array's shape is checked here; `validate_schedule` checks the games, and
+    reports a self game or a team playing twice on a day as fixed-game-time.
     """
     try:
         games = np.array(days, dtype=np.int64)
@@ -100,13 +103,6 @@ def games_to_schedule(n: int, days) -> Schedule:
     if games.shape != (2 * n - 2, n // 2, 2):
         raise FormatError(f"expected {2 * n - 2} days of {n // 2} games, got shape {games.shape}")
     away, home = games[..., 0], games[..., 1]
-    self_game = np.flatnonzero((away == home).any(axis=1))
-    if self_game.size:
-        raise FormatError(f"self game on day {self_game[0]}")
-    teams = np.sort(games.reshape(len(games), -1), axis=1)
-    unbalanced = np.flatnonzero((teams != np.arange(n)).any(axis=1))
-    if unbalanced.size:
-        raise FormatError(f"day {unbalanced[0]} does not schedule each of the {n} teams once")
     table = np.zeros((n, 2 * n - 2), dtype=np.int64)
     day = np.arange(2 * n - 2)[:, None]
     table[away, day] = home + 1
@@ -129,7 +125,8 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
 
     Violations come property by property, each in row-major order.
     Direct-traveling is a convention of the distance model and is not a
-    table property, so it is not checked here.  Raises ValueError for
+    table property, so it is not checked here.  `k` is read with
+    `operator.index`; raises TypeError for a float k and ValueError for
     k < 1.
 
     Each property takes a few whole-table passes.  Bounded-by-k works on
@@ -138,6 +135,7 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
     every row starts a run, so no run crosses a row end and the cost does
     not grow with k.
     """
+    k = operator.index(k)
     if k < 1:
         raise ValueError(f"run bound k must be >= 1, got {k}")
     n, t, days = s.n, s.table, s.days

@@ -352,3 +352,33 @@ def test_solve_takes_a_negative_seed(tmp_path, capsys):
     code, payload = run(capsys, ["solve", str(path), "--rounds", "2", "--seed", "-3"])
     assert code == 0
     assert payload[0]["seed"] == -3
+
+
+@pytest.mark.parametrize("command", ["solve", "lb", "validate"])
+def test_pretty_prints_one_aligned_line_per_report_key(tmp_path, capsys, command):
+    path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    assert main(["solve", str(path)]) == 0
+    capsys.readouterr()
+    argv = {
+        "solve": ["solve", str(path)],
+        "lb": ["lb", str(path)],
+        "validate": ["validate", str(tmp_path / "tight8.schedule.csv"), str(path)],
+    }[command]
+    code, (report,) = run(capsys, argv)
+    assert code == main(argv + ["--pretty"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    width = max(map(len, report))
+    assert [line[:width + 2] for line in lines] == [f"{key:<{width}}  " for key in report]
+    for line, (key, value) in zip(lines, report.items()):
+        if key != "elapsed_ms":
+            assert line == f"{key:<{width}}  {value}"
+
+
+def test_bench_baseline_skips_blank_and_comment_lines(tmp_path, capsys):
+    write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    baseline = tmp_path / "baselines.csv"
+    # Read as data, each of these lines would be malformed and exit 2.
+    baseline.write_text("# totals of an earlier run\n\ninstance,previous\n  \n#tight8,x\ntight8,60\n")
+    code, payload = run(capsys, ["bench", str(tmp_path), "--rounds", "1", "--baseline", str(baseline)])
+    assert code == 0
+    assert payload[0]["previous"] == 60

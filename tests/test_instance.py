@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ttp2.errors import FormatError, ValidationError
 from ttp2.instance import Instance, check_metric, parse_instance, travel_bound, write_instance
 from ttp2.oracle import random_metric_instance, tight_instance
+from ttp2.pipeline import solve
 
 
 def test_parse_leading_count_zero_matrix():
@@ -257,3 +258,32 @@ def test_relabeling_keeps_validity():
     perm = np.random.default_rng(0).permutation(8)
     relabeled = Instance(n=8, dist=inst.dist[np.ix_(perm, perm)])
     assert check_metric(relabeled).triangle_violations == 0
+
+
+@pytest.mark.parametrize("n", [8.0, np.float64(8), "8"], ids=["float", "float64", "str"])
+def test_team_count_that_is_not_an_integer_is_rejected(n):
+    with pytest.raises(ValidationError, match=type(n).__name__):
+        Instance(n=n, dist=random_metric_instance(8, 1).dist)
+
+
+def test_numpy_integer_team_count_is_kept_as_an_int():
+    dist = random_metric_instance(8, 1).dist
+    inst = Instance(n=np.int64(8), dist=dist)
+    assert type(inst.n) is int
+    assert solve(inst).total == solve(Instance(n=8, dist=dist)).total
+
+
+@pytest.mark.parametrize("text", ["", " \n"])
+def test_parse_rejects_empty_input(text):
+    with pytest.raises(FormatError, match="^empty input$"):
+        parse_instance(text)
+
+
+def test_parse_names_a_non_numeric_token():
+    with pytest.raises(FormatError, match=r"non-numeric token 'x'"):
+        parse_instance("4 0 1 1 1 1 0 1 1 1 1 0 x 1 1 1 0")
+
+
+def test_distance_matrix_of_the_wrong_shape_is_rejected():
+    with pytest.raises(ValidationError, match=r"distance matrix shape \(5, 5\) does not match n=4"):
+        Instance(n=4, dist=np.zeros((5, 5), int))

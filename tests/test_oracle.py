@@ -180,3 +180,9 @@ def test_bruteforce_random_n6_in_bounds():
 def test_bruteforce_guard():
     with pytest.raises(DomainError):
         brute_force_optimal(tight_instance(8))
+
+
+@pytest.mark.parametrize("build", [lambda: tight_instance(5), lambda: random_metric_instance(2, 0)], ids=["tight-5", "random-2"])
+def test_generators_reject_team_counts_below_four_or_odd(build):
+    with pytest.raises(DomainError, match="n must be even >= 4"):
+        build()

@@ -790,3 +790,20 @@ def test_derandomize_float64_bound_threshold(n):
     assert _derandomize_in_float64(n, w_max)
     assert not _derandomize_in_float64(n, w_max + 1)
     assert unit * w_max < 2**54 <= unit * (w_max + 1)
+
+
+def test_run_rounds_rejects_zero_rounds():
+    inst = random_metric_instance(10, 2)
+    with pytest.raises(ValueError, match="round count must be >= 1"):
+        run_rounds(inst, build_odd_template(10), min_weight_perfect_matching(inst), x=0)
+
+
+@pytest.mark.parametrize("seed", [0, 3, -2])
+def test_random_ordering_reads_numpy_integer_seeds_as_ints(seed):
+    assert random_ordering(7, np.int64(seed)) == random_ordering(7, seed)
+
+
+@pytest.mark.parametrize("seed", [3.0, 3.5])
+def test_random_ordering_rejects_float_seeds(seed):
+    with pytest.raises(TypeError):
+        random_ordering(7, seed)

@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import ttp2.pipeline
 from ttp2.cli import main
 from ttp2.instance import write_instance
-from ttp2.oracle import tight_instance
+from ttp2.oracle import random_metric_instance, tight_instance
 from ttp2.pipeline import build_template, solve
 from ttp2.schedule import FeasibilityReport, validate_schedule
 
@@ -82,3 +83,12 @@ def test_zero_rounds_rejected_on_every_path(n):
 def test_build_template_chain(n, chain):
     template, got = build_template(n)
     assert (template.n, got) == (n, chain)
+
+
+def test_numpy_integer_seed_solves_as_the_int():
+    inst = random_metric_instance(12, 4)
+    a, b = solve(inst, 2, np.int64(3)), solve(inst, 2, 3)
+    assert a.total == b.total
+    assert np.array_equal(a.schedule.table, b.schedule.table)
+    with pytest.raises(TypeError):
+        solve(inst, 2, 3.0)

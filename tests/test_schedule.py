@@ -403,11 +403,33 @@ _DAYS_N4 += [[(h, a) for a, h in day] for day in _DAYS_N4]
     "edit",
     [
         pytest.param(lambda days: days[:-1], id="wrong-day-count"),
-        pytest.param(lambda days: [[(0, 0), (2, 3)]] + days[1:], id="self-game"),
-        pytest.param(lambda days: [[(0, 1), (0, 3)]] + days[1:], id="team-twice"),
         pytest.param(lambda days: [[(0, 1)]] + days[1:], id="missing-team"),
     ],
 )
 def test_games_to_schedule_rejects_bad_days(edit):
     with pytest.raises(FormatError):
         games_to_schedule(4, edit(_DAYS_N4))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda days: [[(0, 0), (2, 3)]] + days[1:], id="self-game"),
+        pytest.param(lambda days: [[(0, 1), (0, 3)]] + days[1:], id="team-twice"),
+    ],
+)
+def test_validate_reports_bad_days_of_games_to_schedule(edit):
+    """The scatter checks only the shape of its games; validate_schedule
+    reports a day that pairs a team with itself or schedules one twice."""
+    report = validate_schedule(games_to_schedule(4, edit(_DAYS_N4)))
+    assert not report.feasible
+    bad_time = [(team, day) for name, team, day in report.violations if name == "fixed-game-time"]
+    assert bad_time and {day for _, day in bad_time} == {0}
+
+
+def test_run_bound_is_read_as_an_integer_index(golden_n8):
+    for k in (1, 2):  # k = 1 flags every two-game run of the golden schedule
+        assert validate_schedule(golden_n8, np.int64(k)) == validate_schedule(golden_n8, k)
+    assert validate_schedule(golden_n8, 1).violations
+    with pytest.raises(TypeError):
+        validate_schedule(golden_n8, 2.0)
