@@ -1,11 +1,11 @@
 """Exact optima for four and six teams.
 
 Below eight teams the constructions do not apply and exhaustive search is
-cheap enough, so the solver falls back to branch and bound over the day
-grid.  The search stops once it attains the sum of the per-team trip-cover
-bounds, which holds without the triangle inequality.  Even at n=4 no
-schedule reaches the independent lower bound: the optimum of the tight
-instance is strictly above it.
+cheap enough, so the solver falls back to branch and bound over whole
+days, each held as bit masks of its games.  The search stops once it
+attains the sum of the per-team trip-cover bounds, which holds without the
+triangle inequality.  Even at n=4 no schedule reaches the independent
+lower bound: the optimum of the tight instance is strictly above it.
 """
 
 from ttp2 import (

@@ -1,11 +1,13 @@
 """Ground-truth generators and the exhaustive solver for tiny team counts.
 
-The generators build each matrix as a whole array; the exhaustive solver
-backtracks game by game over Python lists, for n <= BRUTE_FORCE_LIMIT only.
+The generators build each matrix as a whole array; the exhaustive solver,
+for n <= BRUTE_FORCE_LIMIT only, searches day by day over precomputed days
+held as bit masks of their games.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -50,155 +52,118 @@ def random_metric_instance(n: int, seed: int) -> Instance:
     return Instance(n=n, dist=np.ceil(lengths).astype(np.int64).reshape(n, n))
 
 
-def _trip_cover_tables(inst: Instance):
-    """Per-team DP: cheapest cover of an away-venue subset by 1/2-stop trips.
+def _days(teams: int) -> list[tuple]:
+    """Every day on which each of `teams` teams plays one game, then H.
 
-    cover[i][mask] is the minimum travel for team i to play the away set
-    `mask` (bit v for team v; bit i is never set) in road trips of length
-    one or two, starting and ending at home.  Only the trip structure forced
-    by bounded-by-2 is used, so the value is a valid lower bound regardless
-    of scheduling interactions or the triangle inequality.  Distances are
-    read from one `dist.tolist()` table, the Python scalars of `dist`.
+    A day is (hosts, ordered, pairs, away, home): hosts[i] is team i's
+    venue; `ordered` has bit a*teams+h for each game of visitor a at host
+    h, `pairs` that bit and h*teams+a, and `away` and `home` bit i for each
+    away or home team.  H, the last entry, has every team at home and all
+    four masks 0; it opens and closes every walk.
     """
-    n = inst.n
-    d = inst.dist.tolist()
-    cover = []
+    days = []
+    slates = {tuple(sorted(zip(p[::2], p[1::2]))) for p in itertools.permutations(range(teams))}
+    for games in sorted(slates):
+        hosts = list(range(teams))
+        for a, h in games:
+            hosts[a] = h
+        ordered = sum(1 << a * teams + h for a, h in games)
+        pairs = ordered | sum(1 << h * teams + a for a, h in games)
+        days.append((hosts, ordered, pairs, sum(1 << a for a, _ in games), sum(1 << h for _, h in games)))
+    return days + [(list(range(teams)), 0, 0, 0, 0)]
+
+
+def _trip_covers(d: list[list]) -> tuple[list, list]:
+    """Per-team bounds of the exact search, by one DP over venue subsets.
+
+    cover[i][m] is the least travel for team i, at home, to play at every
+    venue in `m` (bit v for team v, never bit i) in road trips of one or two
+    stops and end at home.  room[i][v][m] is the same for team i standing
+    at venue v on a trip with room for one more stop: it goes home, or on
+    to one w in m and then home, before covering the rest.  With v the
+    lowest venue in m, cover[i][m] = d[i][v] + room[i][v][m - v]; and
+    room[i][i] is cover[i], since home to w and back is a trip that cover
+    already takes.  Only the trips that bounded-by-2 forces are used, so
+    both bound what any schedule has left to travel, with or without the
+    triangle inequality.
+    """
+    n = len(d)
+    cover = [[0] * (1 << n) for _ in range(n)]
+    room = [[[0] * (1 << n) for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        table = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            if mask >> i & 1:
+        for m in range(1 << n):
+            if m >> i & 1:
                 continue
-            v = (mask & -mask).bit_length() - 1
-            rest = mask & ~(1 << v)
-            best = 2 * d[i][v] + table[rest]
-            sub = rest
-            while sub:
-                w = (sub & -sub).bit_length() - 1
-                cand = d[i][v] + d[v][w] + d[w][i] + table[rest & ~(1 << w)]
-                if cand < best:
-                    best = cand
-                sub &= sub - 1
-            table[mask] = best
-        cover.append(table)
-    return cover
+            if m:
+                v = (m & -m).bit_length() - 1
+                cover[i][m] = d[i][v] + room[i][v][m & (m - 1)]
+            for v in range(n):
+                best = d[v][i] + cover[i][m]
+                rest = m
+                while rest:
+                    w = (rest & -rest).bit_length() - 1
+                    best = min(best, d[v][w] + d[w][i] + cover[i][m & ~(1 << w)])
+                    rest &= rest - 1
+                room[i][v][m] = best
+    return cover, room
 
 
 def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
-    """Exact optimum for n in {4, 6} by game-by-game backtracking.
+    """Exact optimum for n in {4, 6} by branch and bound over whole days.
 
-    Days are filled one game at a time (lowest free team first, cheapest
-    option first).  Branches are cut on no-repeat / bounded-by-2 prefixes
-    and on partial cost plus the sum of per-team independent
-    remaining-itinerary optima.  That sum at the root, the
-    per-team trip-cover bound, holds without the triangle inequality, so
-    the search stops once its best schedule attains it.  The total returned
-    is the `total_distance` walk's, not the search's own sum, which can
-    differ from it in the last bits on real-valued distances.
+    The walk starts at H and appends days from `_days`, cheapest travel
+    first.  A day may follow the last one only if it shares no pair with
+    it (no-repeat), plays no game already played, and sends no team on a
+    third straight away or home game (bounded-by-2); all three are bit
+    tests.  A branch is cut when its travel so far plus each team's
+    `_trip_covers` bound on the rest reaches the best total found: a team
+    at home needs cover, one away after two away days must go home first,
+    and any other away team has room for one more stop.  That sum at the
+    root holds without the triangle inequality, so the search stops once
+    its best schedule attains it.  The total returned is the
+    `total_distance` walk's, not the search's own sum, which can differ
+    from it in the last bits on real-valued distances.
     """
     n = inst.n
     if n > BRUTE_FORCE_LIMIT:
         raise DomainError(f"brute force is guarded to n <= {BRUTE_FORCE_LIMIT}")
-    days = 2 * n - 2
     d = inst.dist.tolist()
-    cover = _trip_cover_tables(inst)
+    cover, room = _trip_covers(d)
+    days = _days(n)
+    hosts, ordered, pairs, away, home = zip(*days)
+    trans = [[sum(d[u][v] for u, v in zip(hp, hk)) for hk in hosts] for hp in hosts]
+    follow = [
+        sorted((k for k in range(len(days) - 1) if not pairs[k] & pairs[p]), key=trans[p].__getitem__)
+        for p in range(len(days))
+    ]
+    every = sum(1 << a * n + h for a, h in itertools.permutations(range(n), 2))
+    full = (1 << n) - 1
+    root = sum(cover[i][full ^ 1 << i] for i in range(n))
+    best, best_walk, walk = math.inf, None, []
 
-    best_cost = None
-    best_days = None
-
-    venue = list(range(n))
-    run = [(0, 0)] * n  # (+1 away / -1 home, consecutive count)
-    last_opp = [-1] * n
-    away_mask = [((1 << n) - 1) ^ (1 << i) for i in range(n)]  # bit v: still to play at v
-    schedule_days: list[list[tuple[int, int]]] = [[] for _ in range(days)]
-
-    def team_bound(i: int) -> int:
-        mask = away_mask[i]
-        v = venue[i]
-        if v == i:
-            return cover[i][mask]
-        # Currently away at v: either head home now, or take one more stop
-        # if the current trip has room.
-        best = d[v][i] + cover[i][mask]
-        if run[i][1] < 2:
-            sub = mask
-            while sub:
-                w = (sub & -sub).bit_length() - 1
-                if w != last_opp[i]:
-                    cand = d[v][w] + d[w][i] + cover[i][mask & ~(1 << w)]
-                    if cand < best:
-                        best = cand
-                sub &= sub - 1
-        return best
-
-    bound_parts = [team_bound(i) for i in range(n)]
-    root_bound = sum(bound_parts)
-
-    def play(away: int, home: int):
-        venue[away] = home
-        venue[home] = home
-        s_a, l_a = run[away]
-        run[away] = (1, l_a + 1 if s_a == 1 else 1)
-        s_h, l_h = run[home]
-        run[home] = (-1, l_h + 1 if s_h == -1 else 1)
-        last_opp[away] = home
-        last_opp[home] = away
-        away_mask[away] &= ~(1 << home)
-        bound_parts[away] = team_bound(away)
-        bound_parts[home] = team_bound(home)
-
-    def may_play(away: int, home: int) -> bool:
-        if not away_mask[away] >> home & 1:
-            return False
-        if last_opp[away] == home:
-            return False
-        s_a, l_a = run[away]
-        if s_a == 1 and l_a >= 2:
-            return False
-        s_h, l_h = run[home]
-        if s_h == -1 and l_h >= 2:
-            return False
-        return True
-
-    def search(day: int, free: list[int], cost: int):
-        nonlocal best_cost, best_days
-        if best_cost is not None and (best_cost <= root_bound or cost + sum(bound_parts) >= best_cost):
-            return
-        if not free:
-            nxt = day + 1
-            if nxt == days:
-                total = cost + sum(d[venue[i]][i] for i in range(n) if venue[i] != i)
-                if best_cost is None or total < best_cost:
-                    best_cost = total
-                    best_days = [list(g) for g in schedule_days]
+    def search(p: int, played: int, two_away: int, two_home: int, cost) -> None:
+        nonlocal best, best_walk
+        for k in follow[p]:
+            if ordered[k] & played or away[k] & two_away or home[k] & two_home:
+                continue
+            cost_k = cost + trans[p][k]
+            left = every ^ (played | ordered[k])
+            stuck = away[k] & away[p]  # teams whose next venue is home
+            bound = cost_k
+            for i, v in enumerate(hosts[k]):
+                m = left >> n * i & full
+                bound += d[v][i] + cover[i][m] if stuck >> i & 1 else room[i][v][m]
+            if bound >= best:
+                continue
+            walk.append(k)
+            if left:
+                search(k, played | ordered[k], stuck, home[k] & home[p], cost_k)
+            else:
+                best, best_walk = bound, [[(a, h) for a, h in enumerate(hosts[j]) if a != h] for j in walk]
+            walk.pop()
+            if best <= root:
                 return
-            search(nxt, list(range(n)), cost)
-            return
 
-        t = free[0]
-        options = []
-        for u in free[1:]:
-            if may_play(t, u):
-                options.append((d[venue[t]][u] + d[venue[u]][u], t, u))
-            if may_play(u, t):
-                options.append((d[venue[u]][t] + d[venue[t]][t], u, t))
-        options.sort(key=lambda o: o[0])
-
-        for step, away, home in options:
-            saved = (
-                venue[away], run[away], last_opp[away], bound_parts[away],
-                venue[home], run[home], last_opp[home], bound_parts[home],
-            )
-            play(away, home)
-            schedule_days[day].append((away, home))
-            rest = [x for x in free if x != away and x != home]
-            search(day, rest, cost + step)
-            schedule_days[day].pop()
-            away_mask[away] |= 1 << home
-            (venue[away], run[away], last_opp[away], bound_parts[away],
-             venue[home], run[home], last_opp[home], bound_parts[home]) = saved
-
-    search(0, list(range(n)), 0)
-    if best_days is None:
-        raise AssertionError("no feasible schedule found")
-    sched = games_to_schedule(n, best_days)
+    search(len(days) - 1, 0, 0, 0, 0)
+    sched = games_to_schedule(n, best_walk)
     return sched, total_distance(sched, inst).total

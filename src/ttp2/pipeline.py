@@ -9,6 +9,7 @@ when it is false.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .even import build_even_template, packing_chain
@@ -52,8 +53,10 @@ def solve(inst: Instance, rounds: int = 1, seed: int = 0, derandomize: bool = Fa
     derandomized start if `derandomize`; the best polished schedule wins.
 
     For n <= 6 the schedule is the brute-force optimum and the restart
-    arguments are unused.
+    arguments are unused, but on every path both must be integers: a float
+    or string raises TypeError, and a NumPy integer acts as the equal int.
     """
+    rounds, seed = operator.index(rounds), operator.index(seed)
     if rounds < 1:
         raise ValueError("round count must be >= 1")
     matching = min_weight_perfect_matching(inst)

@@ -99,8 +99,23 @@ def exhaustive_optimal_n4(inst):
     return best
 
 
-def test_bruteforce_matches_independent_enumeration_n4():
-    inst = random_metric_instance(4, 13)
+# Symmetric integer matrices that break the triangle inequality.
+NON_METRIC_N4 = [
+    [[0, 50, 3, 1], [50, 0, 2, 90], [3, 2, 0, 40], [1, 90, 40, 0]],
+    [[0, 0, 7, 7], [0, 0, 0, 30], [7, 0, 0, 0], [7, 30, 0, 0]],
+    [[0, 100, 1, 100], [100, 0, 100, 1], [1, 100, 0, 1], [100, 1, 1, 0]],
+]
+ENUMERATED_N4 = {
+    **{f"u4-{s}": lambda s=s: random_metric_instance(4, s) for s in (*range(1, 9), 13)},
+    "tight4": lambda: tight_instance(4),  # optimum 10
+    "zero4": lambda: Instance(n=4, dist=np.zeros((4, 4), dtype=np.int64)),
+    **{f"non-metric-{k}": lambda k=k: Instance(n=4, dist=np.array(NON_METRIC_N4[k])) for k in range(3)},
+}
+
+
+@pytest.mark.parametrize("case", ENUMERATED_N4)
+def test_bruteforce_matches_independent_enumeration_n4(case):
+    inst = ENUMERATED_N4[case]()
     _, cost = brute_force_optimal(inst)
     assert cost == exhaustive_optimal_n4(inst)
 
@@ -164,6 +179,28 @@ def test_bruteforce_zero_matrix_n6():
     z = Instance(n=6, dist=np.zeros((6, 6), dtype=np.int64))
     s, cost = brute_force_optimal(z)
     assert cost == 0
+    assert validate_schedule(s).feasible
+
+
+# n = 6 optima as the earlier game-by-game search found them.
+# The last instance's total is past 2**63: it must come back as an exact int.
+PINNED_N6 = {
+    "tight6": (lambda: tight_instance(6), 31),
+    "u6-3": (lambda: random_metric_instance(6, 3), 20807),
+    "u6-4": (lambda: random_metric_instance(6, 4), 12742),
+    "u6-5": (lambda: random_metric_instance(6, 5), 27643),
+    "u6-3-scaled": (
+        lambda: Instance(n=6, dist=random_metric_instance(6, 3).dist * (2**62 // 4000)),
+        23988837746354644722,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_N6)
+def test_bruteforce_keeps_the_pinned_n6_optima(case):
+    build, optimum = PINNED_N6[case]
+    s, cost = brute_force_optimal(build())
+    assert type(cost) is int and cost == optimum
     assert validate_schedule(s).feasible
 
 

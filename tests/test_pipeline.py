@@ -92,3 +92,16 @@ def test_numpy_integer_seed_solves_as_the_int():
     assert np.array_equal(a.schedule.table, b.schedule.table)
     with pytest.raises(TypeError):
         solve(inst, 2, 3.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"rounds": 2.0}, {"seed": 2.5}], ids=["rounds", "seed"])
+@pytest.mark.parametrize("n", [6, 8])
+def test_float_rounds_or_seed_raise_on_every_path(n, kwargs):
+    with pytest.raises(TypeError):
+        solve(random_metric_instance(n, 5), **kwargs)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_numpy_integer_round_count_solves_as_the_int(n):
+    inst = random_metric_instance(n, 5)
+    assert solve(inst, rounds=np.int64(2)).total == solve(inst, rounds=2).total
