@@ -1,12 +1,15 @@
 """Ground-truth generators and the exhaustive solver for tiny team counts.
 
 The generators build each matrix as a whole array; the exhaustive solver,
-for n <= BRUTE_FORCE_LIMIT only, searches day by day over precomputed days
-held as bit masks of their games.
+for n <= BRUTE_FORCE_LIMIT only, searches day by day over days held as bit
+masks of their games.  The days and which may follow which are cached per
+team count; only the day-to-day travel table depends on the instance, and
+it is built with one gather per team.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -52,14 +55,16 @@ def random_metric_instance(n: int, seed: int) -> Instance:
     return Instance(n=n, dist=np.ceil(lengths).astype(np.int64).reshape(n, n))
 
 
-def _days(teams: int) -> list[tuple]:
+@functools.lru_cache(maxsize=None)
+def _days(teams: int) -> tuple[tuple, ...]:
     """Every day on which each of `teams` teams plays one game, then H.
 
     A day is (hosts, ordered, pairs, away, home): hosts[i] is team i's
     venue; `ordered` has bit a*teams+h for each game of visitor a at host
     h, `pairs` that bit and h*teams+a, and `away` and `home` bit i for each
     away or home team.  H, the last entry, has every team at home and all
-    four masks 0; it opens and closes every walk.
+    four masks 0; it opens and closes every walk.  Cached per team count,
+    as the days depend on nothing else.
     """
     days = []
     slates = {tuple(sorted(zip(p[::2], p[1::2]))) for p in itertools.permutations(range(teams))}
@@ -69,8 +74,19 @@ def _days(teams: int) -> list[tuple]:
             hosts[a] = h
         ordered = sum(1 << a * teams + h for a, h in games)
         pairs = ordered | sum(1 << h * teams + a for a, h in games)
-        days.append((hosts, ordered, pairs, sum(1 << a for a, _ in games), sum(1 << h for _, h in games)))
-    return days + [(list(range(teams)), 0, 0, 0, 0)]
+        days.append((tuple(hosts), ordered, pairs, sum(1 << a for a, _ in games), sum(1 << h for _, h in games)))
+    return (*days, (tuple(range(teams)), 0, 0, 0, 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _successors(teams: int) -> np.ndarray:
+    """succ[p, k]: whether day k of `_days(teams)` may follow day p by the
+    no-repeat rule, sharing no pair with it.  H never follows; read-only."""
+    pairs = np.array([day[2] for day in _days(teams)], dtype=np.int64)  # teams**2 <= 36 bits
+    succ = (pairs[:, None] & pairs) == 0
+    succ[:, -1] = False
+    succ.setflags(write=False)
+    return succ
 
 
 def _trip_covers(d: list[list]) -> tuple[list, list]:
@@ -130,12 +146,14 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
     d = inst.dist.tolist()
     cover, room = _trip_covers(d)
     days = _days(n)
-    hosts, ordered, pairs, away, home = zip(*days)
-    trans = [[sum(d[u][v] for u, v in zip(hp, hk)) for hk in hosts] for hp in hosts]
-    follow = [
-        sorted((k for k in range(len(days) - 1) if not pairs[k] & pairs[p]), key=trans[p].__getitem__)
-        for p in range(len(days))
-    ]
+    hosts, ordered, _, away, home = zip(*days)
+    H = np.array(hosts)
+    # trans[p, k], the travel from day p to day k, summed team by team over
+    # `sum_dist`: exact Python ints where int64 sums could overflow.
+    trans = sum(inst.sum_dist[H[:, None, i], H[None, :, i]] for i in range(n))
+    order = np.argsort(trans, axis=1, kind="stable")  # cheapest first, ties by day
+    follow = [row[ok[row]].tolist() for row, ok in zip(order, _successors(n))]
+    trans = trans.tolist()
     every = sum(1 << a * n + h for a, h in itertools.permutations(range(n), 2))
     full = (1 << n) - 1
     root = sum(cover[i][full ^ 1 << i] for i in range(n))

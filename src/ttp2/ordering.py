@@ -27,8 +27,8 @@ take and return vectors, and `run_rounds` returns the winning vector.
 After every accepted move the search evaluates the moves it goes on to
 scan, many at once, in float64, from P = dist[bind][:, bind] (the c (x) P
 delta form of quadratic-assignment local search): all m in-slot flips
-with one row-wise dot product, or the slot swaps with matrix products of
-P and c on BLAS plus one sum of ten gathered leaves per swap.  The swaps
+with one batched matrix product, or the slot swaps with matrix products
+of P and c on BLAS plus one sum of ten gathered leaves per swap.  The swaps
 are evaluated in row windows of the sweep from the cursor on, each at
 least FIRST_WINDOW moves and twice the one before, until a window holds
 an accepted move; a window that reaches the sweep's end is the whole
@@ -36,14 +36,17 @@ sweep, so sweeps of up to FIRST_WINDOW moves (n <= 46) are always
 evaluated whole.  Each kernel is a fixed linear map of P whose tables are
 built once per TravelCoefficients; `_sweep` lists each pass's moves, and
 its windows or cells, once per size.
-`polish` builds one search state, a copy of the vector and a buffer
-[P | At] whose At the swap kernels write, and both passes read it and
-keep it current in place: an accepted move rewrites P's touched rows and
-columns in O(n), so P is gathered once per `polish`.  Where the sweep is
-evaluated whole (n <= 46), both passes apply a move with one gather and
-one put between flat cells of P; above that, where those lists would grow
-as m^2 n, with a gather and an assignment for the rows and again for the
-columns.  Both passes share one first-improvement loop that visits moves
+`polish` builds one search state, a copy of the vector and one float64
+buffer [P | At | bind]: P, the At the swap kernels write, and the vector
+again.  Both passes read the buffer and keep it current in place: an
+accepted move rewrites P's touched rows and columns and bind's touched
+labels in O(n), so P is gathered once per `polish`, and a pass copies the
+buffer's bind into the integer vector once, when it ends.  Where the
+sweep is evaluated whole (n <= 46), both passes apply a move with one
+gather and one put between flat cells of the buffer, P's and bind's
+alike; above that, where those lists would grow as m^2 n, with a gather
+and an assignment for the rows, again for the columns, and again for the
+labels.  Both passes share one first-improvement loop that visits moves
 in the order of a pair-by-pair sweep, so the trajectory is that of the
 sweep.  `polish` alternates the passes and stops at the first pass, after
 the first, that finds no move: each pass ends at a local optimum of its
@@ -116,7 +119,7 @@ class TravelCoefficients:
                 x * n + y, (x + 1) * n + y + 1, x * n + x + 1, y * n + y + 1, x * n + y + 1, y * n + x + 1,
             ]),
             coef=np.stack([one, one, -one, -one, 2 * c[x, y], 2 * c[x + 1, y + 1], K, K, -K, -K]),
-            flip=flip,
+            flip=flip[:, :, None],
         )
 
 
@@ -319,14 +322,16 @@ def _sweep(m: int, flips: bool):
     whether the swap sweep, m(m-1)/2 moves, fits in FIRST_WINDOW (n <= 46).
 
     If it does, the swaps are evaluated whole, `windows` is None, and both
-    passes apply a move with `cells` = (to, fr), the flat cells of P that
-    each move rewrites and the cells their new values come from.  Move q
-    maps labels by a permutation pi that fixes every other label, and P
-    becomes P[pi][:, pi]: only the moved rows s*n + b and the moved columns
-    a*n + s change, to the cells pi(s)*n + pi(b) and pi(a)*n + pi(s).  A
-    cell in both a moved row and a moved column is listed twice with the
-    same source, so `Pf[to[q]] = Pf.take(fr[q])` on the flat P applies the
-    move.  intp, which `take` reads without a cast.
+    passes apply a move with `cells` = (to, fr), the cells of the search
+    buffer [P | At | bind] (see `_search_state`) that each move rewrites
+    and the cells their new values come from.  Move q maps labels by a
+    permutation pi that fixes every other label, so P becomes P[pi][:, pi]
+    and bind becomes bind[pi]: only the moved rows s*n + b and the moved
+    columns a*n + s of P change, to the cells pi(s)*n + pi(b) and
+    pi(a)*n + pi(s), and the moved labels s of bind, at n^2 + m^2 + s, to
+    n^2 + m^2 + pi(s).  A cell in both a moved row and a moved column is
+    listed twice with the same source, so `buf[to[q]] = buf.take(fr[q])`
+    applies the whole move.  intp, which `take` reads without a cast.
 
     Otherwise `cells` is None, as those tables would grow as m^2 n, and the
     swaps have `windows` = (row_start, ends); flips never have windows.
@@ -348,16 +353,19 @@ def _sweep(m: int, flips: bool):
     windows = cells = None
     if m * (m - 1) // 2 <= FIRST_WINDOW:  # the swap sweep is evaluated whole
         k, n, ar = len(src), 2 * m, np.arange(2 * m)
+        b0 = n * n + m * m  # bind's first cell: it follows P and At
         pi = np.broadcast_to(ar, (k, n)).copy()
         np.put_along_axis(pi, src, dst, axis=1)
         cells = (
             np.concatenate([
                 (src[:, :, None] * n + ar).reshape(k, -1),  # the moved rows s*n + b
                 (ar[:, None] * n + src[:, None, :]).reshape(k, -1),  # the moved columns a*n + s
+                b0 + src,  # the moved labels of bind
             ], axis=1),
             np.concatenate([
                 (dst[:, :, None] * n + pi[:, None, :]).reshape(k, -1),
                 (pi[:, :, None] * n + dst[:, None, :]).reshape(k, -1),
+                b0 + dst,
             ], axis=1),
         )
     elif not flips:
@@ -386,13 +394,14 @@ class _KernelBlocks:
     (2n, 1) matrix per slot.  `idx` and `coef`, of shape
     (10, m(m-1)/2), hold for every slot pair (i, j), i < j, in sweep order
     the ten leaves of its swap delta, as flat indices into the search
-    buffer [P | At] (At follows P) and the coefficients they are scaled
-    by: At[i,j] + At[j,i] - At[i,i] - At[j,j], then 2 c[2i,2j] P[2i,2j] +
-    2 c[2i+1,2j+1] P[2i+1,2j+1], then K_ij (P[2i,2i+1] + P[2j,2j+1] -
-    P[2i,2j+1] - P[2j,2i+1]) with K_ij = cw_i + cw_j - c[2i,2j+1] -
-    c[2j,2i+1], cw_i = c[2i,2i+1] (each slot's own pair).  `flip` is
-    [-rows | rows], rows = c[0::2] - c[1::2], with 2 cw_i added at column
-    2i+1 of row i.
+    buffer [P | At | bind] (see `_search_state`) and the coefficients they
+    are scaled by: At[i,j] + At[j,i] - At[i,i] - At[j,j], then
+    2 c[2i,2j] P[2i,2j] + 2 c[2i+1,2j+1] P[2i+1,2j+1], then
+    K_ij (P[2i,2i+1] + P[2j,2j+1] - P[2i,2j+1] - P[2j,2i+1]) with
+    K_ij = cw_i + cw_j - c[2i,2j+1] - c[2j,2i+1], cw_i = c[2i,2i+1] (each
+    slot's own pair).  `flip` holds one (2n, 1) column per slot: row i of
+    [-rows | rows], rows = c[0::2] - c[1::2], with 2 cw_i added at entry
+    2i+1.
     """
 
     cols: np.ndarray
@@ -455,20 +464,22 @@ def _rounding_slack(n: int, d_max) -> float:
 def _swap_deltas(k: _KernelBlocks, buf):
     """Distance change of every slot swap (i, j), i < j, in sweep order.
 
-    buf is the search buffer [P | At] (see `_search_state`), P =
+    buf is the search buffer [P | At | bind] (see `_search_state`), P =
     dist[bind][:, bind], and G = c @ P: moving label a to the team of
     label b changes its row of the linear form by G[a, b] - G[a, a].  A
     swap moves the four labels 2i+r <-> 2j+r (r = 0, 1); their full rows
     also count the pairs inside those four labels, which are replaced by
     half the change of the 4x4 block.  Row j of P.reshape(m, 2n) is rows
     2j and 2j+1 of P side by side, so by symmetry At[j, i] = G[2i, 2j] +
-    G[2i+1, 2j+1].  All of At is written into buf; each delta is then the
-    sum of ten leaves of P and At, gathered from buf by `idx` and scaled by
-    `coef`.
+    G[2i+1, 2j+1].  One matrix product writes all of At into buf; each
+    delta is then the sum of ten leaves of P and At, gathered from buf by
+    `idx` and scaled by `coef` in place.
     """
-    P2 = buf[: k.cols.size].reshape(-1, len(k.cols))
-    np.matmul(P2, k.cols, out=buf[k.cols.size :].reshape(len(P2), -1))
-    return (buf.take(k.idx) * k.coef).sum(0)
+    n2, m = k.cols.size, len(k.cols_t)
+    np.dot(buf[:n2].reshape(m, -1), k.cols, out=buf[n2 : n2 + m * m].reshape(m, m))
+    leaves = buf.take(k.idx)
+    leaves *= k.coef
+    return np.add.reduce(leaves, 0)
 
 
 def _flip_deltas(k: _KernelBlocks, buf):
@@ -477,9 +488,10 @@ def _flip_deltas(k: _KernelBlocks, buf):
 
     For x = 2i, y = 2i+1 this is G[x,y] + G[y,x] - G[x,x] - G[y,y] +
     2 c[x,y] P[x,y]: the dot product of rows x and y of P, side by side,
-    with row i of `flip`.
+    with slot i's column of `flip`, all m in one batched matrix product.
     """
-    return np.einsum("ik,ik->i", buf[: k.flip.size].reshape(k.flip.shape), k.flip)
+    m = len(k.flip)
+    return np.matmul(buf[: k.cols.size].reshape(m, 1, -1), k.flip).reshape(m)
 
 
 def _exact_move_delta(coeffs: TravelCoefficients, inst: Instance, bind, src, dst) -> int:
@@ -499,19 +511,22 @@ def _exact_move_delta(coeffs: TravelCoefficients, inst: Instance, bind, src, dst
 def _window_deltas(k: _KernelBlocks, buf, rows, moves):
     """`_swap_deltas` of the swaps in rows [r0, r1) of the sweep, moves [lo, hi).
 
-    buf is the search buffer [P | At].  The window's leaves read At[i, j] and
-    At[j, i] for its rows i and every j > i, and At[j, j] for every j: rows
-    r0..r1-1 of At from column r0 on, columns r0..r1-1 below row r1, and the
-    diagonal below row r1.  Only those are written; the rest of At is stale.
+    buf is the search buffer [P | At | bind].  The window's leaves read
+    At[i, j] and At[j, i] for its rows i and every j > i, and At[j, j] for
+    every j: rows r0..r1-1 of At from column r0 on, columns r0..r1-1 below
+    row r1, and the diagonal below row r1.  Only those are written; the
+    rest of At is stale.
     """
     (r0, r1), (lo, hi) = rows, moves
     m = k.cols.shape[1]
     P2 = buf[: 4 * m * m].reshape(m, -1)
-    At = buf[4 * m * m :].reshape(m, m)
+    At = buf[4 * m * m : 5 * m * m].reshape(m, m)
     At[r0:r1, r0:] = P2[r0:r1] @ k.cols[:, r0:]
     At[r1:, r0:r1] = P2[r1:] @ k.cols[:, r0:r1]
     At.reshape(-1)[r1 * (m + 1) :: m + 1] = (P2[r1:, None] @ k.cols_t[r1:]).ravel()
-    return (buf.take(k.idx[:, lo:hi]) * k.coef[:, lo:hi]).sum(0)
+    leaves = buf.take(k.idx[:, lo:hi])
+    leaves *= k.coef[:, lo:hi]
+    return np.add.reduce(leaves, 0)
 
 
 def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
@@ -520,15 +535,16 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
     `sweep` is the pass's (src, dst, windows, cells) of `_sweep`: move q
     gives labels src[q][r] the teams of labels dst[q][r], moves in sweep
     order.  `kernel` evaluates every move at once on the search buffer
-    `buf`, whose P = dist[bind][:, bind] (see `_search_state`).  The loop
-    keeps bind and P current in place, in O(n) per accepted move q: with
-    `cells` = (to, fr), as one gather of the flat P at fr[q] put at to[q];
-    without, by permuting P's touched rows, then its touched columns.  The
-    loop takes the first accepted move at or after the one after the last
-    accepted move, applies it and evaluates again; after the last move of
-    the sweep it goes on from move 0.  A scan visits each move once, so one
-    that wraps stops before the move it began at, and a scan that finds no
-    move ends the pass.
+    `buf` = [P | At | bind] (see `_search_state`).  The loop keeps P and
+    the buffer's bind current in place, in O(n) per accepted move q: with
+    `cells` = (to, fr), as one gather of buf at fr[q] put at to[q];
+    without, by permuting P's touched rows, then its touched columns, then
+    bind's touched labels.  The loop takes the first accepted move at or
+    after the one after the last accepted move, applies it and evaluates
+    again; after the last move of the sweep it goes on from move 0.  A scan
+    visits each move once, so one that wraps stops before the move it began
+    at, and a scan that finds no move ends the pass, which copies the
+    buffer's bind into the integer vector `bind` once.
 
     With `windows` a scan evaluates only as far as it reads: the rows of
     its windows from the cursor's row on, with `_window_deltas`, one window
@@ -544,22 +560,20 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
     the exact total falls with every move and the search cannot cycle.
     """
     src, dst, windows, cells = sweep
-    n, last = len(bind), len(src)
-    Pf = buf[: n * n]
-    P = Pf.reshape(n, n)
+    n, last, blocks = len(bind), len(src), coeffs.blocks
+    P, tail = buf[: n * n].reshape(n, n), buf[-n:]
     to, fr = cells or (None, None)
     slack = _slack(inst)
 
     def first_accepted(deltas, spans, lo=0):
         """The first move to accept in the spans [q, stop) of `deltas`, in
         turn, as a move index: deltas[q] is move lo + q's.  None if none."""
-        candidate = deltas < slack
+        candidate = (deltas < slack).tobytes()  # one byte per move, 1 for a candidate
         for q, stop in spans:
-            while q < stop:
-                q += int(candidate[q:stop].argmax())  # the next candidate, or q if none is left
-                if not candidate[q]:
-                    break
-                if deltas[q] < -slack or _exact_move_delta(coeffs, inst, bind, src[lo + q], dst[lo + q]) < 0:
+            while (q := candidate.find(1, q, stop)) >= 0:
+                if deltas[q] < -slack or _exact_move_delta(
+                    coeffs, inst, tail.astype(np.intp), src[lo + q], dst[lo + q]
+                ) < 0:
                     return lo + q
                 q += 1
         return None
@@ -567,38 +581,43 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
     def next_move(start):
         """The first move to accept from `start` on, wrapping; None if none."""
         if windows is None:
-            return first_accepted(kernel(coeffs.blocks, buf), ((start, last), (0, start)))
+            return first_accepted(kernel(blocks, buf), ((start, last), (0, start)))
         row_start, ends = windows
         a = bisect.bisect_right(row_start, start) - 1
         for b in ends[a]:
             lo = row_start[a]
             if b == len(ends):  # the sweep's end
-                return first_accepted(kernel(coeffs.blocks, buf), ((max(start, lo), last), (0, start)))
-            deltas = _window_deltas(coeffs.blocks, buf, (a, b), (lo, row_start[b]))
+                return first_accepted(kernel(blocks, buf), ((max(start, lo), last), (0, start)))
+            deltas = _window_deltas(blocks, buf, (a, b), (lo, row_start[b]))
             if (q := first_accepted(deltas, ((max(start - lo, 0), len(deltas)),), lo)) is not None:
                 return q
             a = b
 
     start, improved = 0, False
     while (q := next_move(start)) is not None:
-        s, t = src[q], dst[q]
-        bind[s] = bind.take(t)
         if to is None:
+            s, t = src[q], dst[q]
             P[s] = P.take(t, 0)
             P[:, s] = P.take(t, 1)
+            tail[s] = tail.take(t)
         else:
-            Pf[to[q]] = Pf.take(fr[q])
+            buf[to[q]] = buf.take(fr[q])
         start, improved = (q + 1) % last, True
+    bind[:] = tail
     return bind, improved
 
 
 def _search_state(bind, inst: Instance):
-    """The state of one `polish`: a copy of the vector as an array and its
-    search buffer [P | At], P = dist[bind][:, bind] in float64 followed by
-    room for the swap kernels' At (see `_KernelBlocks`)."""
+    """The state of one `polish`: a copy of the vector as an integer array
+    and its search buffer [P | At | bind] in float64: P = dist[bind][:, bind],
+    then room for the swap kernels' At (see `_KernelBlocks`), then the
+    vector again, which float64 holds exactly.  The passes keep the
+    buffer's P and bind current move by move, and copy its bind into the
+    integer vector when they end."""
     bind, n = np.array(bind), len(bind)
-    buf = np.empty(n * n + (n // 2) ** 2)
+    buf = np.empty(n * n + (n // 2) ** 2 + n)
     inst.float_dist.take(bind, 0).take(bind, 1, out=buf[: n * n].reshape(n, n))
+    buf[-n:] = bind
     return bind, buf
 
 

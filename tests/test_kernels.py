@@ -58,21 +58,26 @@ def test_kernel_deltas_are_exact_on_float_exact_tiers(n, tier):
 @pytest.mark.parametrize("flips", [False, True], ids=["swaps", "flips"])
 def test_move_cells_apply_each_move_to_p(flips):
     """For every move of a pass at m = 2..23 (every sweep evaluated whole),
-    one take from the `fr` cells into the `to` cells of the flat P gives
-    P[pi][:, pi], pi the move's label permutation."""
+    one take from the `fr` cells into the `to` cells of a flat
+    [P | At | bind] buffer gives P[pi][:, pi] and bind[pi], pi the move's
+    label permutation, and leaves At as it was."""
     rng = np.random.default_rng(7)
     for m in range(2, 24):
         n = 2 * m
         src, dst, _, (to, fr) = _sweep(m, flips)
-        assert to.dtype == fr.dtype == np.intp and to.shape == fr.shape == (len(src), 2 * n * src.shape[1])
+        width = (2 * n + 1) * src.shape[1]  # the moved rows and columns of P, then the moved labels
+        assert to.dtype == fr.dtype == np.intp and to.shape == fr.shape == (len(src), width)
         for q in range(len(src)):
             P = rng.random((n, n))
             P += P.T
+            At, bind = rng.random(m * m), rng.permutation(n)
             pi = np.arange(n)
             pi[src[q]] = dst[q]
-            Pf = P.ravel().copy()
-            Pf[to[q]] = Pf.take(fr[q])
-            assert np.array_equal(Pf.reshape(n, n), P[pi][:, pi])
+            buf = np.concatenate([P.ravel(), At, bind])
+            buf[to[q]] = buf.take(fr[q])
+            assert np.array_equal(buf[: n * n].reshape(n, n), P[pi][:, pi])
+            assert np.array_equal(buf[n * n : n * n + m * m], At)
+            assert np.array_equal(buf[n * n + m * m :], bind[pi])
 
 
 def test_no_move_is_exact_checked_twice_on_one_vector(monkeypatch):

@@ -509,6 +509,38 @@ def test_swap_passes_verified_on_every_tier(n, tier):
     assert (moved > 0) == (tier != "all-0.5")  # all 0.5: every delta is 0
 
 
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("n", [12, 48])
+def test_passes_return_integer_vectors_equal_to_the_buffers_bind(n, tier):
+    """Both passes and `polish` return an integer vector, and after every
+    pass the bind at the end of the search buffer equals it.  n = 12 applies
+    moves with the cells of whole sweeps, n = 48 by permuting rows,
+    columns and labels."""
+    inst = _tier_instance(n, 11, tier)
+    matching = min_weight_perfect_matching(inst)
+    _, coeffs = _template_and_coeffs(n)
+    moved = False
+    for seed in range(2):
+        start = binding_vector(matching, random_ordering(n // 2, seed))
+        bind, buf = _search_state(start, inst)
+        for rule in (swap_super_teams_pass, swap_within_pass, swap_super_teams_pass):
+            bind, improved = rule(bind, buf, coeffs, inst)
+            assert bind.dtype.kind == "i" and np.array_equal(buf[-n:], bind)
+            moved |= improved
+        polished = polish(start, coeffs, inst)
+        assert polished.dtype.kind == "i"
+    assert moved == (tier != "all-0.5")  # all 0.5: every delta is 0
+
+
+def test_run_rounds_returns_the_winning_vector_as_python_ints():
+    for n in (10, 48):
+        inst = random_metric_instance(n, 2)
+        template, _ = _template_and_coeffs(n)
+        bind = run_rounds(inst, template, min_weight_perfect_matching(inst), x=2)[0]
+        assert type(bind) is list and all(type(team) is int for team in bind)
+        assert sorted(bind) == list(range(n))
+
+
 @pytest.mark.parametrize("n, seed", [(12, 3), (24, 0), (24, 1), (24, 2)])
 def test_polish_takes_the_exact_moves_on_near_ties(n, seed):
     """Distances 1 or 2 plus offsets below 1e-12 give moves whose exact delta
