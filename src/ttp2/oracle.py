@@ -2,9 +2,8 @@
 
 The generators build each matrix as a whole array; the exhaustive solver,
 for n <= BRUTE_FORCE_LIMIT only, searches day by day over days held as bit
-masks of their games.  The days and which may follow which are cached per
-team count; only the day-to-day travel table depends on the instance, and
-it is built with one gather per team.
+masks of their games.  The days are cached per team count; the
+day-to-day travel table is built with one gather per team.
 """
 
 from __future__ import annotations
@@ -78,17 +77,6 @@ def _days(teams: int) -> tuple[tuple, ...]:
     return (*days, (tuple(range(teams)), 0, 0, 0, 0))
 
 
-@functools.lru_cache(maxsize=None)
-def _successors(teams: int) -> np.ndarray:
-    """succ[p, k]: whether day k of `_days(teams)` may follow day p by the
-    no-repeat rule, sharing no pair with it.  H never follows; read-only."""
-    pairs = np.array([day[2] for day in _days(teams)], dtype=np.int64)  # teams**2 <= 36 bits
-    succ = (pairs[:, None] & pairs) == 0
-    succ[:, -1] = False
-    succ.setflags(write=False)
-    return succ
-
-
 def _trip_covers(d: list[list]) -> tuple[list, list]:
     """Per-team bounds of the exact search, by one DP over venue subsets.
 
@@ -146,13 +134,16 @@ def brute_force_optimal(inst: Instance) -> tuple[Schedule, object]:
     d = inst.dist.tolist()
     cover, room = _trip_covers(d)
     days = _days(n)
-    hosts, ordered, _, away, home = zip(*days)
+    hosts, ordered, pairs, away, home = zip(*days)
     H = np.array(hosts)
+    P = np.array(pairs, dtype=np.int64)  # n**2 <= 36 bits
+    succ = (P[:, None] & P) == 0  # no-repeat: day k shares no pair with day p
+    succ[:, -1] = False  # H never follows
     # trans[p, k], the travel from day p to day k, summed team by team over
     # `sum_dist`: exact Python ints where int64 sums could overflow.
     trans = sum(inst.sum_dist[H[:, None, i], H[None, :, i]] for i in range(n))
     order = np.argsort(trans, axis=1, kind="stable")  # cheapest first, ties by day
-    follow = [row[ok[row]].tolist() for row, ok in zip(order, _successors(n))]
+    follow = [row[ok[row]].tolist() for row, ok in zip(order, succ)]
     trans = trans.tolist()
     every = sum(1 << a * n + h for a, h in itertools.permutations(range(n), 2))
     full = (1 << n) - 1

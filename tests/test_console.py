@@ -99,7 +99,8 @@ def test_n6_solve_says_it_is_exact_and_validate_agrees(tmp_path, capsys):
     proc = _cli("solve", u6)
     assert proc.returncode == 0, proc.stderr
     assert "note: n=6 is solved exactly by brute force" in proc.stderr
-    assert json.loads(proc.stdout)["total"] == 24935
+    total = json.loads(proc.stdout)["total"]
+    assert type(total) is int and total == 24935
     assert _total(capsys, "validate", tmp_path / "u6.schedule.csv", u6) == 24935
 
 
