@@ -6,11 +6,17 @@ false.  validate checks a schedule file.
 
 Machine-readable JSON goes to stdout; --pretty switches to human tables.
 Exit codes: 0 ok, 1 infeasible/quality failure, 2 input error.
+
+The argument parser is built once per process, on the first call of
+`main`, as building it costs more than parsing; each call then looks its
+command's handler up in this module by name, so a handler replaced after
+that first call (a tracing wrapper, say) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -208,7 +214,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(prog="ttp2", description="TTP-2 schedule construction")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -218,19 +226,16 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--derandomize", action="store_true")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("validate", help="check a schedule CSV against an instance")
     p.add_argument("schedule")
     p.add_argument("instance")
     p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("lb", help="independent lower bound of an instance")
     p.add_argument("instance")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_lb)
 
     p = sub.add_parser("bench", help="solve every instance file in a directory")
     p.add_argument("directory")
@@ -238,11 +243,15 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--baseline", default=None, help="CSV of instance totals in a column headed 'previous'")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_bench)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up now, not when the parser was built, so a wrapper set on
+        # cmd_solve and the like between calls is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, FormatError, ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,10 @@ an accepted move; a window that reaches the sweep's end is the whole
 sweep, so sweeps of up to FIRST_WINDOW moves (n <= 46) are always
 evaluated whole.  Each kernel is a fixed linear map of P whose tables are
 built once per TravelCoefficients; `_sweep` lists each pass's moves, and
-its windows or cells, once per size.
+its windows or cells, once per size.  A pass binds each kernel it runs to
+the search buffer once, views and NumPy callables alike, and then only
+evaluates it: at n <= 40 an evaluation takes a few microseconds, so what
+is fixed per call is paid once per pass.
 `polish` builds one search state, a copy of the vector and one float64
 buffer [P | At | bind]: P, the At the swap kernels write, and the vector
 again.  Both passes read the buffer and keep it current in place: an
@@ -331,7 +334,9 @@ def _sweep(m: int, flips: bool):
     pi(a)*n + pi(s), and the moved labels s of bind, at n^2 + m^2 + s, to
     n^2 + m^2 + pi(s).  A cell in both a moved row and a moved column is
     listed twice with the same source, so `buf[to[q]] = buf.take(fr[q])`
-    applies the whole move.  intp, which `take` reads without a cast.
+    applies the whole move.  `to` and `fr` are tuples of one intp array
+    per move, which `take` reads without a cast, so finding a move's
+    cells is a tuple lookup, not a new view of a table row.
 
     Otherwise `cells` is None, as those tables would grow as m^2 n, and the
     swaps have `windows` = (row_start, ends); flips never have windows.
@@ -382,13 +387,16 @@ def _sweep(m: int, flips: bool):
         windows = row_start, tuple(ends)
     for a in (src, dst, *(cells or ())):
         a.setflags(write=False)
+    if cells is not None:
+        cells = tuple(tuple(a) for a in cells)  # one read-only row per move
     return src, dst, windows, cells
 
 
 @dataclass(frozen=True, eq=False)
 class _KernelBlocks:
     """The c-derived constants of the swap and flip kernels: each kernel is
-    a fixed linear map of P, built once per template.
+    a fixed linear map of P, built once per template and bound to a search
+    buffer once per pass (see `_swap_deltas`).
 
     `cols` stacks c[:, 0::2] on c[:, 1::2]; `cols_t` holds its columns, one
     (2n, 1) matrix per slot.  `idx` and `coef`, of shape
@@ -462,10 +470,11 @@ def _rounding_slack(n: int, d_max) -> float:
 
 
 def _swap_deltas(k: _KernelBlocks, buf):
-    """Distance change of every slot swap (i, j), i < j, in sweep order.
+    """The evaluator of every slot swap (i, j), i < j, bound to the search
+    buffer buf [P | At | bind] (see `_search_state`): `evaluate()` returns
+    their distance changes in sweep order, from buf's P as it then is.
 
-    buf is the search buffer [P | At | bind] (see `_search_state`), P =
-    dist[bind][:, bind], and G = c @ P: moving label a to the team of
+    P = dist[bind][:, bind] and G = c @ P: moving label a to the team of
     label b changes its row of the linear form by G[a, b] - G[a, a].  A
     swap moves the four labels 2i+r <-> 2j+r (r = 0, 1); their full rows
     also count the pairs inside those four labels, which are replaced by
@@ -473,25 +482,39 @@ def _swap_deltas(k: _KernelBlocks, buf):
     2j and 2j+1 of P side by side, so by symmetry At[j, i] = G[2i, 2j] +
     G[2i+1, 2j+1].  One matrix product writes all of At into buf; each
     delta is then the sum of ten leaves of P and At, gathered from buf by
-    `idx` and scaled by `coef` in place.
+    `idx` and scaled by `coef` in place.  The views of P and At and the
+    NumPy callables are bound here, once per pass, as an evaluation at
+    n <= 40 costs only a few microseconds.
     """
     n2, m = k.cols.size, len(k.cols_t)
-    np.dot(buf[:n2].reshape(m, -1), k.cols, out=buf[n2 : n2 + m * m].reshape(m, m))
-    leaves = buf.take(k.idx)
-    leaves *= k.coef
-    return np.add.reduce(leaves, 0)
+    P2, At = buf[:n2].reshape(m, -1), buf[n2 : n2 + m * m].reshape(m, m)
+    dot, take, reduce, cols, idx, coef = np.dot, buf.take, np.add.reduce, k.cols, k.idx, k.coef
+
+    def evaluate():
+        dot(P2, cols, At)
+        leaves = take(idx)
+        leaves *= coef
+        return reduce(leaves, 0)
+
+    return evaluate
 
 
 def _flip_deltas(k: _KernelBlocks, buf):
-    """Distance change of flipping the two teams inside each slot, read
-    from the P of the search buffer `buf`.
+    """The evaluator of flipping the two teams inside each slot, bound to
+    the search buffer `buf`: `evaluate()` returns their distance changes,
+    read from buf's P as it then is.
 
     For x = 2i, y = 2i+1 this is G[x,y] + G[y,x] - G[x,x] - G[y,y] +
     2 c[x,y] P[x,y]: the dot product of rows x and y of P, side by side,
     with slot i's column of `flip`, all m in one batched matrix product.
     """
     m = len(k.flip)
-    return np.matmul(buf[: k.cols.size].reshape(m, 1, -1), k.flip).reshape(m)
+    P3, matmul, flip = buf[: k.cols.size].reshape(m, 1, -1), np.matmul, k.flip
+
+    def evaluate():
+        return matmul(P3, flip).reshape(m)
+
+    return evaluate
 
 
 def _exact_move_delta(coeffs: TravelCoefficients, inst: Instance, bind, src, dst) -> int:
@@ -508,25 +531,33 @@ def _exact_move_delta(coeffs: TravelCoefficients, inst: Instance, bind, src, dst
     return diff.sum() - diff[:, src].sum() // 2
 
 
-def _window_deltas(k: _KernelBlocks, buf, rows, moves):
-    """`_swap_deltas` of the swaps in rows [r0, r1) of the sweep, moves [lo, hi).
+def _window_deltas(k: _KernelBlocks, buf):
+    """The evaluator of row windows of the swap sweep, bound to the search
+    buffer buf [P | At | bind]: `evaluate(rows, moves)` returns the
+    `_swap_deltas` of the swaps in rows [r0, r1) of the sweep, moves
+    [lo, hi).
 
-    buf is the search buffer [P | At | bind].  The window's leaves read
-    At[i, j] and At[j, i] for its rows i and every j > i, and At[j, j] for
-    every j: rows r0..r1-1 of At from column r0 on, columns r0..r1-1 below
-    row r1, and the diagonal below row r1.  Only those are written; the
-    rest of At is stale.
+    The window's leaves read At[i, j] and At[j, i] for its rows i and
+    every j > i, and At[j, j] for every j: rows r0..r1-1 of At from column
+    r0 on, columns r0..r1-1 below row r1, and the diagonal below row r1.
+    Only those are written; the rest of At is stale.
     """
-    (r0, r1), (lo, hi) = rows, moves
     m = k.cols.shape[1]
     P2 = buf[: 4 * m * m].reshape(m, -1)
     At = buf[4 * m * m : 5 * m * m].reshape(m, m)
-    At[r0:r1, r0:] = P2[r0:r1] @ k.cols[:, r0:]
-    At[r1:, r0:r1] = P2[r1:] @ k.cols[:, r0:r1]
-    At.reshape(-1)[r1 * (m + 1) :: m + 1] = (P2[r1:, None] @ k.cols_t[r1:]).ravel()
-    leaves = buf.take(k.idx[:, lo:hi])
-    leaves *= k.coef[:, lo:hi]
-    return np.add.reduce(leaves, 0)
+    flat, take, reduce = At.reshape(-1), buf.take, np.add.reduce
+    cols, cols_t, idx, coef = k.cols, k.cols_t, k.idx, k.coef
+
+    def evaluate(rows, moves):
+        (r0, r1), (lo, hi) = rows, moves
+        At[r0:r1, r0:] = P2[r0:r1] @ cols[:, r0:]
+        At[r1:, r0:r1] = P2[r1:] @ cols[:, r0:r1]
+        flat[r1 * (m + 1) :: m + 1] = (P2[r1:, None] @ cols_t[r1:]).ravel()
+        leaves = take(idx[:, lo:hi])
+        leaves *= coef[:, lo:hi]
+        return reduce(leaves, 0)
+
+    return evaluate
 
 
 def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
@@ -534,23 +565,25 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
 
     `sweep` is the pass's (src, dst, windows, cells) of `_sweep`: move q
     gives labels src[q][r] the teams of labels dst[q][r], moves in sweep
-    order.  `kernel` evaluates every move at once on the search buffer
-    `buf` = [P | At | bind] (see `_search_state`).  The loop keeps P and
-    the buffer's bind current in place, in O(n) per accepted move q: with
-    `cells` = (to, fr), as one gather of buf at fr[q] put at to[q];
-    without, by permuting P's touched rows, then its touched columns, then
-    bind's touched labels.  The loop takes the first accepted move at or
-    after the one after the last accepted move, applies it and evaluates
-    again; after the last move of the sweep it goes on from move 0.  A scan
-    visits each move once, so one that wraps stops before the move it began
-    at, and a scan that finds no move ends the pass, which copies the
-    buffer's bind into the integer vector `bind` once.
+    order.  The pass binds `kernel` to the search buffer `buf` =
+    [P | At | bind] (see `_search_state`) once, and `_window_deltas` too
+    where the sweep has windows; each evaluation then reads the buffer as
+    it stands.  The loop keeps P and the buffer's bind current in place,
+    in O(n) per accepted move q: with `cells` = (to, fr), as one gather of
+    buf at fr[q] put at to[q]; without, by permuting P's touched rows,
+    then its touched columns, then bind's touched labels.  The loop takes
+    the first accepted move at or after the one after the last accepted
+    move, applies it and evaluates again; after the last move of the sweep
+    it goes on from move 0.  A scan visits each move once, so one that
+    wraps stops before the move it began at, and a scan that finds no move
+    ends the pass, which copies the buffer's bind into the integer vector
+    `bind` once.
 
     With `windows` a scan evaluates only as far as it reads: the rows of
-    its windows from the cursor's row on, with `_window_deltas`, one window
-    at a time until one holds an accepted move.  A window that reaches the
-    sweep's end is the whole sweep, `kernel`, and the same deltas serve the
-    wrap to the cursor.  The moves scanned and their order are those of a
+    its windows from the cursor's row on, one window at a time until one
+    holds an accepted move.  A window that reaches the sweep's end is the
+    whole sweep, `kernel`'s evaluation, and the same deltas serve the wrap
+    to the cursor.  The moves scanned and their order are those of a
     whole-sweep scan.
 
     A move is accepted iff its exact delta is negative.  The moves whose
@@ -564,6 +597,8 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
     P, tail = buf[: n * n].reshape(n, n), buf[-n:]
     to, fr = cells or (None, None)
     slack = _slack(inst)
+    evaluate = kernel(blocks, buf)
+    window = None if windows is None else _window_deltas(blocks, buf)
 
     def first_accepted(deltas, spans, lo=0):
         """The first move to accept in the spans [q, stop) of `deltas`, in
@@ -581,14 +616,14 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
     def next_move(start):
         """The first move to accept from `start` on, wrapping; None if none."""
         if windows is None:
-            return first_accepted(kernel(blocks, buf), ((start, last), (0, start)))
+            return first_accepted(evaluate(), ((start, last), (0, start)))
         row_start, ends = windows
         a = bisect.bisect_right(row_start, start) - 1
         for b in ends[a]:
             lo = row_start[a]
             if b == len(ends):  # the sweep's end
-                return first_accepted(kernel(blocks, buf), ((max(start, lo), last), (0, start)))
-            deltas = _window_deltas(blocks, buf, (a, b), (lo, row_start[b]))
+                return first_accepted(evaluate(), ((max(start, lo), last), (0, start)))
+            deltas = window((a, b), (lo, row_start[b]))
             if (q := first_accepted(deltas, ((max(start - lo, 0), len(deltas)),), lo)) is not None:
                 return q
             a = b

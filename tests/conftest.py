@@ -30,19 +30,24 @@ GOLDEN_N8 = np.array(
 @pytest.fixture(autouse=True)
 def bounded_polish(monkeypatch):
     """Fail a test by name where a `polish` does not end, rather than hang
-    the suite: count the evaluations of each search buffer, one buffer per
-    `polish`, and raise past POLISH_EVALUATIONS."""
+    the suite: count the evaluations of the evaluators bound to each search
+    buffer, one buffer per `polish`, and raise past POLISH_EVALUATIONS."""
     seen = {"buf": None, "count": 0}
 
     def counted(kernel):
         @functools.wraps(kernel)
-        def wrapper(blocks, buf, *rest):
-            if buf is not seen["buf"]:
-                seen.update(buf=buf, count=0)
-            seen["count"] += 1
-            if seen["count"] > POLISH_EVALUATIONS:
-                raise AssertionError(f"a polish made more than {POLISH_EVALUATIONS} kernel evaluations")
-            return kernel(blocks, buf, *rest)
+        def wrapper(blocks, buf):
+            evaluate = kernel(blocks, buf)
+
+            def evaluation(*args):
+                if buf is not seen["buf"]:
+                    seen.update(buf=buf, count=0)
+                seen["count"] += 1
+                if seen["count"] > POLISH_EVALUATIONS:
+                    raise AssertionError(f"a polish made more than {POLISH_EVALUATIONS} kernel evaluations")
+                return evaluate(*args)
+
+            return evaluation
 
         return wrapper
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ttp2 import cli
 from ttp2.cli import main
 from ttp2.instance import Instance, write_instance
 from ttp2.oracle import random_metric_instance, tight_instance
@@ -382,3 +383,77 @@ def test_bench_baseline_skips_blank_and_comment_lines(tmp_path, capsys):
     code, payload = run(capsys, ["bench", str(tmp_path), "--rounds", "1", "--baseline", str(baseline)])
     assert code == 0
     assert payload[0]["previous"] == 60
+
+
+def _printed(text):
+    """The lines a command printed, less its elapsed_ms entry, which differs from run to run."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("{"):
+            report = json.loads(line)
+            report.pop("elapsed_ms", None)
+            lines.append(report)
+        elif not line.startswith("elapsed_ms "):
+            lines.append(line)
+    return lines
+
+
+def test_the_cached_parser_prints_what_a_fresh_one_prints(tmp_path, capsys):
+    """One parser serves every `main` call of a process: each call of a
+    sequence prints what it prints on a parser built afresh, so no option
+    of one call carries over to the next."""
+    path = write_inst(tmp_path, "rm10.txt", random_metric_instance(10, 2))
+    csv_path = tmp_path / "rm10.schedule.csv"
+    assert main(["solve", str(path)]) == 0  # the schedule that validate reads
+    capsys.readouterr()
+    sequences = [
+        [["solve", str(path), "--pretty"], ["solve", str(path)]],
+        [["validate", str(csv_path), str(path), "--k", "3"], ["validate", str(csv_path), str(path)]],
+    ]
+    printed = []
+    for sequence in sequences:
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append((main(argv), _printed(capsys.readouterr().out)))
+        parser = cli._parser()
+        cached = [(main(argv), _printed(capsys.readouterr().out)) for argv in sequence]
+        assert cli._parser() is parser
+        assert cached == fresh
+        printed.append(fresh)
+    (pretty, plain), _ = printed
+    assert isinstance(pretty[1][0], str) and isinstance(plain[1][0], dict)  # --pretty, then JSON
+
+
+def test_a_handler_replaced_after_a_call_is_the_one_that_runs(tmp_path, capsys, monkeypatch):
+    """A wrapper set on `cli.cmd_solve` after the parser is built runs on
+    the next call, as the benchmark's span recorder needs."""
+    path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    assert main(["solve", str(path)]) == 0
+    calls = []
+    spied = cli.cmd_solve
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: calls.append(args.instance) or spied(args))
+    code, payload = run(capsys, ["solve", str(path)])
+    assert code == 0 and payload[0]["total"] == 56
+    assert calls == [str(path)]
+
+
+def test_a_bad_round_count_exits_2_with_the_usage_on_every_call(tmp_path, capsys):
+    """The cached parser rejects --rounds 0 each time as a fresh one does:
+    SystemExit 2 and argparse's usage error, with good calls in between."""
+    path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
+    argv = ["solve", str(path), "--rounds", "0"]
+    errors = []
+    cli._parser.cache_clear()  # the first call builds the parser
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+        assert main(["solve", str(path)]) == 0
+        capsys.readouterr()
+    assert errors[0].startswith("usage: ttp2 solve ")
+    assert "ttp2 solve: error: argument --rounds: expected an integer >= 1, got '0'" in errors[0]
+    assert errors == [errors[0]] * 3

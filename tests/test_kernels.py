@@ -1,8 +1,9 @@
 """The swap and flip kernels as fixed linear maps of P, and the scan that
 feeds them: exact deltas where float64 is exact, no move checked twice on
 one vector, row windows of the swap sweep that give the deltas and the
-search of whole sweeps, one search buffer per `polish`, and the cell
-tables that apply a move to P."""
+search of whole sweeps, one search buffer per `polish`, evaluators bound
+once that follow the buffer as moves change it, and the cell tables that
+apply a move to P."""
 
 import functools
 from fractions import Fraction
@@ -50,7 +51,7 @@ def test_kernel_deltas_are_exact_on_float_exact_tiers(n, tier):
         bind = np.random.default_rng(seed).permutation(n)
         buf = _search_state(bind, inst)[1]
         for kernel, (src, dst) in ((_swap_deltas, swaps), (_flip_deltas, flips)):
-            deltas = kernel(coeffs.blocks, buf)
+            deltas = kernel(coeffs.blocks, buf)()
             exact = [Fraction(_exact_move_delta(coeffs, inst, bind, s, t), scale) for s, t in zip(src, dst)]
             assert [Fraction(value) for value in deltas.tolist()] == exact
 
@@ -64,7 +65,8 @@ def test_move_cells_apply_each_move_to_p(flips):
     rng = np.random.default_rng(7)
     for m in range(2, 24):
         n = 2 * m
-        src, dst, _, (to, fr) = _sweep(m, flips)
+        src, dst, _, cells = _sweep(m, flips)
+        to, fr = (np.stack(rows) for rows in cells)  # one row per move
         width = (2 * n + 1) * src.shape[1]  # the moved rows and columns of P, then the moved labels
         assert to.dtype == fr.dtype == np.intp and to.shape == fr.shape == (len(src), width)
         for q in range(len(src)):
@@ -134,7 +136,8 @@ def test_swap_windows_grow_from_every_row_to_the_sweeps_end(m):
     swaps, flips = _sweep(m, False), _sweep(m, True)
     for src, dst, _, cells in (swaps, flips):
         assert (cells is None) == (not whole)
-        assert not any(a.flags.writeable for a in (src, dst, *(cells or ())))
+        rows = [a for table in cells or () for a in table]  # one array per move
+        assert not any(a.flags.writeable for a in (src, dst, *rows))
     assert flips[2] is None
     windows = swaps[2]
     assert (windows is None) == whole
@@ -166,18 +169,18 @@ def test_window_deltas_equal_the_sweep(n, tier):
     src, dst = _sweep(m, False)[:2]
     bind = np.random.default_rng(n).permutation(n)
     buf = _search_state(bind, inst)[1]
-    whole = _swap_deltas(coeffs.blocks, buf)
+    whole = _swap_deltas(coeffs.blocks, buf)()
     slack, scale = _slack(inst), inst.exact_weights[1]
     exact = {}
     for window in windows + [None]:
         buf[n * n :] = np.nan
         if window is None:
             lo, hi = 0, len(whole)
-            deltas = _swap_deltas(coeffs.blocks, buf)
+            deltas = _swap_deltas(coeffs.blocks, buf)()
         else:
             a, b = window
             lo, hi = row_start[a], row_start[min(b, m)]
-            deltas = _window_deltas(coeffs.blocks, buf, (a, b), (lo, hi))
+            deltas = _window_deltas(coeffs.blocks, buf)((a, b), (lo, hi))
         assert len(deltas) == hi - lo and not np.isnan(deltas).any()
         if TIERS[tier]:
             assert np.array_equal(deltas, whole[lo:hi])
@@ -209,7 +212,19 @@ def test_windowed_search_takes_the_moves_of_whole_sweeps(n, tier, monkeypatch):
             counts[name] += 1
             return spied(*args)
 
-        return spy
+        if name != "_window_deltas":
+            return spy
+
+        def bound(blocks, buf):  # counts the windows evaluated, not the bindings
+            evaluate = spied(blocks, buf)
+
+            def evaluation(*args):
+                counts[name] += 1
+                return evaluate(*args)
+
+            return evaluation
+
+        return bound
 
     for name in counts:
         monkeypatch.setattr(ordering, name, counted(name))
@@ -240,13 +255,64 @@ def test_one_polish_reads_one_search_buffer(n, monkeypatch):
     buffers, kernels = [], set()
     for name in ("_swap_deltas", "_window_deltas", "_flip_deltas"):
 
-        def spy(blocks, buf, *rest, _kernel=getattr(ordering, name), _name=name):
-            buffers.append(buf)  # kept alive, so no two buffers share an id
-            kernels.add(_name)
-            return _kernel(blocks, buf, *rest)
+        def spy(blocks, buf, _kernel=getattr(ordering, name), _name=name):
+            evaluate = _kernel(blocks, buf)
+
+            def evaluation(*args):
+                buffers.append(buf)  # kept alive, so no two buffers share an id
+                kernels.add(_name)
+                return evaluate(*args)
+
+            return evaluation
 
         monkeypatch.setattr(ordering, name, spy)
     inst = random_metric_instance(n, 1)
     polish(np.random.default_rng(n).permutation(n).tolist(), _coeffs(n), inst)
     assert "_flip_deltas" in kernels and ("_window_deltas" in kernels) == (n == 80)
     assert len({id(buf) for buf in buffers}) == 1
+
+
+@pytest.mark.parametrize("tier", ["below-2**53", "real"])
+@pytest.mark.parametrize("n", [12, 80])
+def test_bound_evaluator_tracks_the_buffer(n, tier):
+    """Evaluators bound once read the search buffer as it stands.  After
+    each of k accepted moves, applied as a pass applies them (through
+    `_sweep`'s cells at n = 12, by permuting P's rows and columns and the
+    labels at n = 80), the swap, flip and window evaluators bound to the
+    moved buffer give bit for bit the deltas of evaluators bound afresh to
+    the search state gathered afresh from the moved vector."""
+    inst = _tier_instance(n, 11, tier)
+    blocks, m = _coeffs(n).blocks, n // 2
+    bind, buf = _search_state(np.random.default_rng(n).permutation(n), inst)
+    row_start = [i * (m - 1) - i * (i - 1) // 2 for i in range(m + 1)]
+    windows = [((a, b), (row_start[a], row_start[b])) for a, b in ((0, 1), (1, m // 2), (m // 2, m), (0, m))]
+
+    def bound(buf):
+        return [kernel(blocks, buf) for kernel in (_swap_deltas, _flip_deltas, _window_deltas)]
+
+    def deltas(swap, flip, window):
+        return [swap(), flip(), *(window(*w) for w in windows)]
+
+    evaluators = bound(buf)
+    P, tail = buf[: n * n].reshape(n, n), buf[-n:]
+    for _ in range(6):
+        # The first move with a negative delta: a swap if one improves, else a flip.
+        (src, dst, _, cells), values = next(
+            (_sweep(m, flips), values)
+            for flips, values in ((False, evaluators[0]()), (True, evaluators[1]()))
+            if (values < 0).any()
+        )
+        q = int(np.argmax(values < 0))
+        if cells is None:
+            s, t = src[q], dst[q]
+            P[s] = P.take(t, 0)
+            P[:, s] = P.take(t, 1)
+            tail[s] = tail.take(t)
+        else:
+            to, fr = cells
+            buf[to[q]] = buf.take(fr[q])
+        bind[src[q]] = bind[dst[q]]
+        fresh = _search_state(bind, inst)[1]
+        assert np.array_equal(buf[: n * n], fresh[: n * n]) and np.array_equal(tail, fresh[-n:])
+        for got, want in zip(deltas(*evaluators), deltas(*bound(fresh)), strict=True):
+            assert np.array_equal(got, want)

@@ -268,9 +268,14 @@ def _checked(run, bind, coeffs, inst):
         for rule, name in (("swap", "_swap_deltas"), ("flip", "_flip_deltas")):
 
             def spy(blocks, buf, _rule=rule, _kernel=getattr(ordering, name)):
-                deltas = _kernel(blocks, buf)
-                seen.append((_rule, buf[: n * n].reshape(n, n).copy(), deltas))  # P as evaluated; buf moves on
-                return deltas
+                evaluate = _kernel(blocks, buf)
+
+                def evaluation():
+                    deltas = evaluate()
+                    seen.append((_rule, buf[: n * n].reshape(n, n).copy(), deltas))  # P as evaluated; buf moves on
+                    return deltas
+
+                return evaluation
 
             mp.setattr(ordering, name, spy)
         got = run(bind, coeffs, inst) if run is polish else run(*_search_state(bind, inst), coeffs, inst)
@@ -432,7 +437,7 @@ def test_neighbourhood_deltas_equal_recomputation(n, seed, kind):
     moves = [((2 * i, 2 * i + 1, 2 * j, 2 * j + 1), (2 * j, 2 * j + 1, 2 * i, 2 * i + 1)) for i, j in pairs]
     moves += [((2 * i, 2 * i + 1), (2 * i + 1, 2 * i)) for i in range(n // 2)]
     buf = _search_state(bind, inst)[1]
-    deltas = np.concatenate([_swap_deltas(coeffs.blocks, buf), _flip_deltas(coeffs.blocks, buf)])
+    deltas = np.concatenate([_swap_deltas(coeffs.blocks, buf)(), _flip_deltas(coeffs.blocks, buf)()])
     assert len(deltas) == len(moves)
     for value, (src, dst) in zip(deltas, moves):
         after = bind.copy()
@@ -587,7 +592,7 @@ def test_kernel_deltas_within_rounding_slack(n, seed, kind):
     scale = inst.exact_weights[1]
     swaps, flips = _sweep(n // 2, False)[:2], _sweep(n // 2, True)[:2]
     for kernel, (src, dst) in ((_swap_deltas, swaps), (_flip_deltas, flips)):
-        deltas = kernel(coeffs.blocks, buf)
+        deltas = kernel(coeffs.blocks, buf)()
         assert len(deltas) == len(src)
         for value, s, t in zip(deltas.tolist(), src, dst):
             exact = Fraction(_exact_move_delta(coeffs, inst, bind, s, t), scale)
@@ -637,7 +642,12 @@ def test_rejected_proposals_leave_the_search_unchanged(monkeypatch):
     spied = ordering._exact_move_delta
     monkeypatch.setattr(ordering, "_exact_move_delta", lambda *args: calls.append(1) or spied(*args))
     for name in ("_swap_deltas", "_flip_deltas"):
-        monkeypatch.setattr(ordering, name, lambda *args, _k=getattr(ordering, name): _k(*args) - nudge)
+
+        def nudged(blocks, buf, _k=getattr(ordering, name)):
+            evaluate = _k(blocks, buf)
+            return lambda: evaluate() - nudge
+
+        monkeypatch.setattr(ordering, name, nudged)
     assert [polish(b, coeffs, inst).tolist() for b in starts] == polished
     assert len(calls) > 20  # each one a rejected proposal: every true delta is 0 or 1/3 away
 
@@ -703,11 +713,15 @@ def test_pass_accepts_the_last_move_of_a_sweep(rule, monkeypatch):
         kernel, run, src, dst = _flip_deltas, swap_within_pass, [8, 9], [9, 8]
     start = best.copy()
     start[src] = best[dst]  # one step from `best`, by the last move
-    deltas = kernel(coeffs.blocks, _search_state(start, inst)[1])
+    deltas = kernel(coeffs.blocks, _search_state(start, inst)[1])()
     assert np.flatnonzero(deltas < 0).tolist() == [len(deltas) - 1]
 
     evaluations = []
-    monkeypatch.setattr(ordering, kernel.__name__, lambda *args: evaluations.append(1) or kernel(*args))
+    def counted(blocks, buf):
+        evaluate = kernel(blocks, buf)
+        return lambda: evaluations.append(1) or evaluate()
+
+    monkeypatch.setattr(ordering, kernel.__name__, counted)
     bind, improved = _checked(run, start.tolist(), coeffs, inst)
     assert improved and bind.tolist() == best.tolist()
     assert len(evaluations) == 2  # before and after the one accepted move
