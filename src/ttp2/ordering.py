@@ -22,8 +22,9 @@ or type of the distances.  The sigma phase keeps its free-set sums current
 as each edge leaves, rather than summing them again every step.
 
 The swap local search runs on the binding vector (label -> team) alone:
-each start's ordering becomes its vector once, the passes and `polish`
-take and return vectors, and `run_rounds` returns the winning vector.
+`run_rounds` draws one start at a time and makes its ordering a vector
+once, `polish` takes and returns a vector, and `run_rounds` returns the
+winning vector.
 After every accepted move the search evaluates the moves it goes on to
 scan, many at once, in float64, from P = dist[bind][:, bind] (the c (x) P
 delta form of quadratic-assignment local search): all m in-slot flips
@@ -39,21 +40,21 @@ its windows or cells, once per size.  A pass binds each kernel it runs to
 the search buffer once, views and NumPy callables alike, and then only
 evaluates it: at n <= 40 an evaluation takes a few microseconds, so what
 is fixed per call is paid once per pass.
-`polish` builds one search state, a copy of the vector and one float64
-buffer [P | At | bind]: P, the At the swap kernels write, and the vector
-again.  Both passes read the buffer and keep it current in place: an
-accepted move rewrites P's touched rows and columns and bind's touched
-labels in O(n), so P is gathered once per `polish`, and a pass copies the
-buffer's bind into the integer vector once, when it ends.  Where the
-sweep is evaluated whole (n <= 46), both passes apply a move with one
-gather and one put between flat cells of the buffer, P's and bind's
-alike; above that, where those lists would grow as m^2 n, with a gather
-and an assignment for the rows, again for the columns, and again for the
-labels.  Both passes share one first-improvement loop that visits moves
-in the order of a pair-by-pair sweep, so the trajectory is that of the
-sweep.  `polish` alternates the passes and stops at the first pass, after
-the first, that finds no move: each pass ends at a local optimum of its
-own rule, so the vector is then a local optimum of both.
+`polish` builds one float64 search buffer [P | At | bind]: P, the At the
+swap kernels write, and the vector, the search's only copy of it.  Both
+passes take the buffer and keep it current in place: an accepted move
+rewrites P's touched rows and columns and bind's touched labels in O(n),
+so P is gathered once per `polish`, and `polish` reads the vector out of
+the buffer once, when the search ends.  Where the sweep is evaluated
+whole (n <= 46), both passes apply a move with one gather and one put
+between flat cells of the buffer, P's and bind's alike; above that, where
+those lists would grow as m^2 n, with a gather and an assignment for the
+rows, again for the columns, and again for the labels.  Both passes
+share one first-improvement loop that visits moves in the order of a
+pair-by-pair sweep, so the trajectory is that of the sweep.  `polish`
+alternates the passes and stops at the first pass, after the first, that
+finds no move: each pass ends at a local optimum of its own rule, so the
+vector is then a local optimum of both.
 
 One acceptance rule defines the search: a move is taken iff its exact
 delta is negative.  The float64 delta lies within `slack` of the exact
@@ -560,8 +561,8 @@ def _window_deltas(k: _KernelBlocks, buf):
     return evaluate
 
 
-def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
-    """The first-improvement loop of both passes; returns (bind, improved).
+def _first_improvement(buf, coeffs, inst, kernel, sweep):
+    """The first-improvement loop of both passes; returns (buf, improved).
 
     `sweep` is the pass's (src, dst, windows, cells) of `_sweep`: move q
     gives labels src[q][r] the teams of labels dst[q][r], moves in sweep
@@ -576,8 +577,7 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
     move, applies it and evaluates again; after the last move of the sweep
     it goes on from move 0.  A scan visits each move once, so one that
     wraps stops before the move it began at, and a scan that finds no move
-    ends the pass, which copies the buffer's bind into the integer vector
-    `bind` once.
+    ends the pass.
 
     With `windows` a scan evaluates only as far as it reads: the rows of
     its windows from the cursor's row on, one window at a time until one
@@ -593,7 +593,7 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
     the exact total falls with every move and the search cannot cycle.
     """
     src, dst, windows, cells = sweep
-    n, last, blocks = len(bind), len(src), coeffs.blocks
+    n, last, blocks = len(coeffs.c), len(src), coeffs.blocks
     P, tail = buf[: n * n].reshape(n, n), buf[-n:]
     to, fr = cells or (None, None)
     slack = _slack(inst)
@@ -638,53 +638,53 @@ def _first_improvement(bind, buf, coeffs, inst, kernel, sweep):
         else:
             buf[to[q]] = buf.take(fr[q])
         start, improved = (q + 1) % last, True
-    bind[:] = tail
-    return bind, improved
+    return buf, improved
 
 
 def _search_state(bind, inst: Instance):
-    """The state of one `polish`: a copy of the vector as an integer array
-    and its search buffer [P | At | bind] in float64: P = dist[bind][:, bind],
-    then room for the swap kernels' At (see `_KernelBlocks`), then the
-    vector again, which float64 holds exactly.  The passes keep the
-    buffer's P and bind current move by move, and copy its bind into the
-    integer vector when they end."""
-    bind, n = np.array(bind), len(bind)
+    """The search buffer of one `polish`, [P | At | bind] in float64:
+    P = dist[bind][:, bind], then room for the swap kernels' At (see
+    `_KernelBlocks`), then the vector bind, which float64 holds exactly.
+    It is the search's only copy of the binding: the passes keep its P and
+    bind current move by move, and `polish` reads bind out when it ends.
+    A list is read as an array once, for both gathers and the tail."""
+    bind, n = np.asarray(bind), len(bind)
     buf = np.empty(n * n + (n // 2) ** 2 + n)
     inst.float_dist.take(bind, 0).take(bind, 1, out=buf[: n * n].reshape(n, n))
     buf[-n:] = bind
-    return bind, buf
+    return buf
 
 
-def swap_super_teams_pass(bind, buf, coeffs: TravelCoefficients, inst: Instance):
+def swap_super_teams_pass(buf, coeffs: TravelCoefficients, inst: Instance):
     """One full first-improvement sweep over all slot pairs, repeated while
-    a sweep improves, on the state (bind, buf) of `_search_state`, which it
-    updates in place; returns (bind, improved)."""
-    return _first_improvement(bind, buf, coeffs, inst, _swap_deltas, _sweep(len(bind) // 2, False))
+    a sweep improves, on the search buffer of `_search_state`, which it
+    updates in place; returns (buf, improved)."""
+    return _first_improvement(buf, coeffs, inst, _swap_deltas, _sweep(len(coeffs.c) // 2, False))
 
 
-def swap_within_pass(bind, buf, coeffs: TravelCoefficients, inst: Instance):
+def swap_within_pass(buf, coeffs: TravelCoefficients, inst: Instance):
     """First-improvement sweep flipping team order inside each super-team,
-    on the state (bind, buf) of `_search_state`, which it updates in place;
-    returns (bind, improved)."""
-    return _first_improvement(bind, buf, coeffs, inst, _flip_deltas, _sweep(len(bind) // 2, True))
+    on the search buffer of `_search_state`, which it updates in place;
+    returns (buf, improved)."""
+    return _first_improvement(buf, coeffs, inst, _flip_deltas, _sweep(len(coeffs.c) // 2, True))
 
 
 def polish(bind, coeffs: TravelCoefficients, inst: Instance) -> np.ndarray:
     """Alternate the two swapping rules, starting with slot swaps; stops at
     the first pass, after the first, that finds no move.
 
-    Both passes run on one search state, built once here; the caller's
+    Both passes run on one search buffer, built once here; the caller's
     vector is left as it was.  A pass ends at a local optimum of its own
-    rule and an idle pass leaves the vector as it was, so the vector is
-    then a local optimum of both.
+    rule and an idle pass leaves the buffer as it was, so the binding is
+    then a local optimum of both.  It is read out of the buffer once, after
+    that idle pass, as an integer vector.
     """
-    bind, buf = _search_state(bind, inst)
-    bind, _ = swap_super_teams_pass(bind, buf, coeffs, inst)
+    buf = _search_state(bind, inst)
+    buf, _ = swap_super_teams_pass(buf, coeffs, inst)
     for rule in itertools.cycle((swap_within_pass, swap_super_teams_pass)):
-        bind, improved = rule(bind, buf, coeffs, inst)
+        buf, improved = rule(buf, coeffs, inst)
         if not improved:
-            return bind
+            return buf[-len(bind) :].astype(np.intp)
 
 
 def run_rounds(
@@ -697,25 +697,24 @@ def run_rounds(
 ):
     """x random restarts, each polished by the two swap rules; best wins.
 
-    Each start's ordering becomes its binding vector once and the search
-    runs on vectors.  Returns (bind, schedule, DistanceReport) for the
-    winning vector bind (label -> team, as `binding_vector` gives it).
+    One start is held at a time: each is drawn, bound with `binding_vector`,
+    polished and scored before the next is drawn, the derandomized start
+    last; the first with the least total wins.  Returns (bind, schedule,
+    DistanceReport) for the winning vector bind (label -> team, as
+    `binding_vector` gives it).
     """
     if x < 1:
         raise ValueError("round count must be >= 1")
     m = inst.n // 2
     coeffs = extract_coefficients(template)
-    starts = [random_ordering(m, base_seed + r) for r in range(x)]
-    if include_derandomized:
-        starts.append(derandomize(coeffs, inst, matching)[0])
 
-    best = None
-    best_total = None
-    for ordering in starts:
-        bind = polish(binding_vector(matching, ordering), coeffs, inst)
-        total = coefficient_total(coeffs, inst, bind)
-        if best_total is None or total < best_total:
-            best_total = total
-            best = bind
+    def starts():
+        for r in range(x):
+            yield random_ordering(m, base_seed + r)
+        if include_derandomized:
+            yield derandomize(coeffs, inst, matching)[0]
+
+    polished = (polish(binding_vector(matching, ordering), coeffs, inst) for ordering in starts())
+    best = min(polished, key=lambda bind: coefficient_total(coeffs, inst, bind))
     schedule = _relabel(template, best)
     return best.tolist(), schedule, total_distance(schedule, inst)

@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +460,17 @@ def test_a_bad_round_count_exits_2_with_the_usage_on_every_call(tmp_path, capsys
     assert errors[0].startswith("usage: ttp2 solve ")
     assert "ttp2 solve: error: argument --rounds: expected an integer >= 1, got '0'" in errors[0]
     assert errors == [errors[0]] * 3
+
+
+def test_readme_cli_synopsis_names_every_option():
+    """Each subcommand's line of README's CLI synopsis names every option
+    its parser takes, other than -h/--help."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    synopsis = {line.split()[1]: line for line in readme.splitlines() if line.startswith("ttp2 ")}
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert synopsis.keys() == sub.choices.keys()
+    missing = {}
+    for command, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        missing[command] = sorted(options - set(re.findall(r"--[\w-]+", synopsis[command])))
+    assert missing == dict.fromkeys(sub.choices, [])

@@ -49,7 +49,7 @@ def test_kernel_deltas_are_exact_on_float_exact_tiers(n, tier):
     swaps, flips = _sweep(n // 2, False)[:2], _sweep(n // 2, True)[:2]
     for seed in range(3):
         bind = np.random.default_rng(seed).permutation(n)
-        buf = _search_state(bind, inst)[1]
+        buf = _search_state(bind, inst)
         for kernel, (src, dst) in ((_swap_deltas, swaps), (_flip_deltas, flips)):
             deltas = kernel(coeffs.blocks, buf)()
             exact = [Fraction(_exact_move_delta(coeffs, inst, bind, s, t), scale) for s, t in zip(src, dst)]
@@ -168,7 +168,7 @@ def test_window_deltas_equal_the_sweep(n, tier):
     assert any(b < m for _, b in windows) and any(a > 0 for a, _ in windows)
     src, dst = _sweep(m, False)[:2]
     bind = np.random.default_rng(n).permutation(n)
-    buf = _search_state(bind, inst)[1]
+    buf = _search_state(bind, inst)
     whole = _swap_deltas(coeffs.blocks, buf)()
     slack, scale = _slack(inst), inst.exact_weights[1]
     exact = {}
@@ -280,10 +280,11 @@ def test_bound_evaluator_tracks_the_buffer(n, tier):
     `_sweep`'s cells at n = 12, by permuting P's rows and columns and the
     labels at n = 80), the swap, flip and window evaluators bound to the
     moved buffer give bit for bit the deltas of evaluators bound afresh to
-    the search state gathered afresh from the moved vector."""
+    the search buffer gathered afresh from the moved vector."""
     inst = _tier_instance(n, 11, tier)
     blocks, m = _coeffs(n).blocks, n // 2
-    bind, buf = _search_state(np.random.default_rng(n).permutation(n), inst)
+    bind = np.random.default_rng(n).permutation(n)
+    buf = _search_state(bind, inst)
     row_start = [i * (m - 1) - i * (i - 1) // 2 for i in range(m + 1)]
     windows = [((a, b), (row_start[a], row_start[b])) for a, b in ((0, 1), (1, m // 2), (m // 2, m), (0, m))]
 
@@ -312,7 +313,7 @@ def test_bound_evaluator_tracks_the_buffer(n, tier):
             to, fr = cells
             buf[to[q]] = buf.take(fr[q])
         bind[src[q]] = bind[dst[q]]
-        fresh = _search_state(bind, inst)[1]
+        fresh = _search_state(bind, inst)
         assert np.array_equal(buf[: n * n], fresh[: n * n]) and np.array_equal(tail, fresh[-n:])
         for got, want in zip(deltas(*evaluators), deltas(*bound(fresh)), strict=True):
             assert np.array_equal(got, want)

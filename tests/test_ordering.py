@@ -146,8 +146,8 @@ def test_swap_passes_noop_on_tight():
     template = build_even_template(n)
     coeffs = extract_coefficients(template)
     b = binding_vector(matching, random_ordering(n // 2, 1))
-    b1, improved1 = swap_super_teams_pass(*_search_state(b, ti), coeffs, inst=ti)
-    b2, improved2 = swap_within_pass(*_search_state(b, ti), coeffs, inst=ti)
+    b1, improved1 = _pass(swap_super_teams_pass, b, coeffs, ti)
+    b2, improved2 = _pass(swap_within_pass, b, coeffs, ti)
     assert not improved1 and not improved2
     assert b1.tolist() == b and b2.tolist() == b
 
@@ -172,7 +172,7 @@ def test_super_swap_improves_two_cluster_instance():
     for seed in range(6):
         b = binding_vector(matching, random_ordering(n // 2, seed))
         w0 = coefficient_total(coeffs, inst, b)
-        b1, improved = swap_super_teams_pass(*_search_state(b, inst), coeffs, inst)
+        b1, improved = _pass(swap_super_teams_pass, b, coeffs, inst)
         w1 = coefficient_total(coeffs, inst, b1)
         assert w1 <= w0
         improved_somewhere |= improved
@@ -190,7 +190,7 @@ def test_within_swap_improves_hand_instance():
     improved_somewhere = False
     for seed in range(8):
         b = binding_vector(matching, random_ordering(n // 2, seed))
-        _, improved = swap_within_pass(*_search_state(b, inst), coeffs, inst)
+        _, improved = _pass(swap_within_pass, b, coeffs, inst)
         improved_somewhere |= improved
     assert improved_somewhere
 
@@ -253,12 +253,19 @@ def _exact_form_total(coeffs, inst, bind):
     return sum(k * Fraction(x) for k, x in zip(coeffs.c.ravel().tolist(), d)) / 2
 
 
+def _pass(rule, bind, coeffs, inst):
+    """A pass run on the search buffer `_search_state` builds from bind;
+    returns (the buffer's bind as an integer vector, improved)."""
+    buf, improved = rule(_search_state(bind, inst), coeffs, inst)
+    return buf[-len(bind) :].astype(np.intp), improved
+
+
 def _checked(run, bind, coeffs, inst):
-    """`polish` or a pass run on bind, a pass on the state `_search_state`
-    builds from it, checked at every evaluation against the same function
-    of `search_reference`: the same rule and vector, P equal to
-    dist[bind][:, bind], every kernel delta within slack of the exact
-    delta, and every `_exact_move_delta` equal to the full recomputation.
+    """`polish` or a pass run on bind, a pass through `_pass`, checked at
+    every evaluation against the same function of `search_reference`: the
+    same rule and vector, P equal to dist[bind][:, bind], every kernel
+    delta within slack of the exact delta, and every `_exact_move_delta`
+    equal to the full recomputation.
     Returns run's result, equal to the reference's."""
     expected = []
     want = getattr(search_reference, run.__name__)(bind, coeffs, inst, lambda *e: expected.append(e))
@@ -278,7 +285,7 @@ def _checked(run, bind, coeffs, inst):
                 return evaluation
 
             mp.setattr(ordering, name, spy)
-        got = run(bind, coeffs, inst) if run is polish else run(*_search_state(bind, inst), coeffs, inst)
+        got = run(bind, coeffs, inst) if run is polish else _pass(run, bind, coeffs, inst)
     assert len(seen) == len(expected)
     slack, scale = _slack(inst), inst.exact_weights[1]
     for (rule, P, deltas), (want_rule, b, exact) in zip(seen, expected):
@@ -436,7 +443,7 @@ def test_neighbourhood_deltas_equal_recomputation(n, seed, kind):
     pairs = [(i, j) for i in range(n // 2) for j in range(i + 1, n // 2)]
     moves = [((2 * i, 2 * i + 1, 2 * j, 2 * j + 1), (2 * j, 2 * j + 1, 2 * i, 2 * i + 1)) for i, j in pairs]
     moves += [((2 * i, 2 * i + 1), (2 * i + 1, 2 * i)) for i in range(n // 2)]
-    buf = _search_state(bind, inst)[1]
+    buf = _search_state(bind, inst)
     deltas = np.concatenate([_swap_deltas(coeffs.blocks, buf)(), _flip_deltas(coeffs.blocks, buf)()])
     assert len(deltas) == len(moves)
     for value, (src, dst) in zip(deltas, moves):
@@ -516,25 +523,55 @@ def test_swap_passes_verified_on_every_tier(n, tier):
 
 @pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("n", [12, 48])
-def test_passes_return_integer_vectors_equal_to_the_buffers_bind(n, tier):
-    """Both passes and `polish` return an integer vector, and after every
-    pass the bind at the end of the search buffer equals it.  n = 12 applies
-    moves with the cells of whole sweeps, n = 48 by permuting rows,
-    columns and labels."""
+def test_passes_return_integer_vectors_equal_to_the_buffers_bind(n, tier, monkeypatch):
+    """The binding lives only in the search buffer: both passes return
+    (buf, improved) with the very buffer they were given, whose bind tail
+    is a permutation of the teams after every pass, and `polish` returns
+    the integer vector equal to the tail of the buffer its passes ran on.
+    n = 12 applies moves with the cells of whole sweeps, n = 48 by
+    permuting rows, columns and labels."""
     inst = _tier_instance(n, 11, tier)
     matching = min_weight_perfect_matching(inst)
     _, coeffs = _template_and_coeffs(n)
     moved = False
     for seed in range(2):
         start = binding_vector(matching, random_ordering(n // 2, seed))
-        bind, buf = _search_state(start, inst)
+        buf = _search_state(start, inst)
         for rule in (swap_super_teams_pass, swap_within_pass, swap_super_teams_pass):
-            bind, improved = rule(bind, buf, coeffs, inst)
-            assert bind.dtype.kind == "i" and np.array_equal(buf[-n:], bind)
+            out, improved = rule(buf, coeffs, inst)
+            assert out is buf and sorted(buf[-n:].tolist()) == list(range(n))
             moved |= improved
-        polished = polish(start, coeffs, inst)
-        assert polished.dtype.kind == "i"
     assert moved == (tier != "all-0.5")  # all 0.5: every delta is 0
+
+    buffers = []
+    for name in ("swap_super_teams_pass", "swap_within_pass"):
+
+        def spy(buf, *args, _rule=getattr(ordering, name)):
+            buffers.append(buf)
+            return _rule(buf, *args)
+
+        monkeypatch.setattr(ordering, name, spy)
+    for seed in range(2):
+        buffers.clear()
+        polished = polish(binding_vector(matching, random_ordering(n // 2, seed)), coeffs, inst)
+        assert polished.dtype == np.intp and all(b is buffers[0] for b in buffers)
+        assert polished.tolist() == buffers[-1][-n:].tolist()
+
+
+def test_run_rounds_polishes_each_start_before_drawing_the_next(monkeypatch):
+    log = []
+    for name, event in (("random_ordering", "draw"), ("polish", "polish"), ("derandomize", "derandomize")):
+
+        def spy(*args, _f=getattr(ordering, name), _event=event):
+            log.append(_event)
+            return _f(*args)
+
+        monkeypatch.setattr(ordering, name, spy)
+    n = 12
+    inst = random_metric_instance(n, 4)
+    template, _ = _template_and_coeffs(n)
+    run_rounds(inst, template, min_weight_perfect_matching(inst), x=3, include_derandomized=True)
+    assert log == ["draw", "polish"] * 3 + ["derandomize", "polish"]
 
 
 def test_run_rounds_returns_the_winning_vector_as_python_ints():
@@ -588,7 +625,7 @@ def test_kernel_deltas_within_rounding_slack(n, seed, kind):
     if kind == "tiny":
         assert 0 < inst.dist[inst.dist > 0].min() < sys.float_info.min  # subnormal entries
     bind = np.random.default_rng(seed).permutation(n)
-    buf = _search_state(bind, inst)[1]
+    buf = _search_state(bind, inst)
     scale = inst.exact_weights[1]
     swaps, flips = _sweep(n // 2, False)[:2], _sweep(n // 2, True)[:2]
     for kernel, (src, dst) in ((_swap_deltas, swaps), (_flip_deltas, flips)):
@@ -654,11 +691,11 @@ def test_rejected_proposals_leave_the_search_unchanged(monkeypatch):
 
 def _polish_by_rounds(bind, coeffs, inst):
     """The reference stop rule: alternate whole swap-then-flip rounds until
-    a round in which neither pass improves.  Each pass starts from a state
-    gathered afresh, so `polish`'s carried state is compared with it."""
+    a round in which neither pass improves.  Each pass starts from a buffer
+    gathered afresh, so `polish`'s carried buffer is compared with it."""
     while True:
-        bind, a = swap_super_teams_pass(*_search_state(bind, inst), coeffs, inst)
-        bind, b = swap_within_pass(*_search_state(bind, inst), coeffs, inst)
+        bind, a = _pass(swap_super_teams_pass, bind, coeffs, inst)
+        bind, b = _pass(swap_within_pass, bind, coeffs, inst)
         if not (a or b):
             return bind
 
@@ -713,7 +750,7 @@ def test_pass_accepts_the_last_move_of_a_sweep(rule, monkeypatch):
         kernel, run, src, dst = _flip_deltas, swap_within_pass, [8, 9], [9, 8]
     start = best.copy()
     start[src] = best[dst]  # one step from `best`, by the last move
-    deltas = kernel(coeffs.blocks, _search_state(start, inst)[1])()
+    deltas = kernel(coeffs.blocks, _search_state(start, inst))()
     assert np.flatnonzero(deltas < 0).tolist() == [len(deltas) - 1]
 
     evaluations = []
