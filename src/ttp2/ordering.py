@@ -22,9 +22,8 @@ or type of the distances.  The sigma phase keeps its free-set sums current
 as each edge leaves, rather than summing them again every step.
 
 The swap local search runs on the binding vector (label -> team) alone:
-`run_rounds` draws one start at a time and makes its ordering a vector
-once, `polish` takes and returns a vector, and `run_rounds` returns the
-winning vector.
+each start's ordering becomes its vector once, `polish` takes and returns
+a vector, and `run_rounds` returns the winning vector.
 After every accepted move the search evaluates the moves it goes on to
 scan, many at once, in float64, from P = dist[bind][:, bind] (the c (x) P
 delta form of quadratic-assignment local search): all m in-slot flips
@@ -697,24 +696,25 @@ def run_rounds(
 ):
     """x random restarts, each polished by the two swap rules; best wins.
 
-    One start is held at a time: each is drawn, bound with `binding_vector`,
-    polished and scored before the next is drawn, the derandomized start
-    last; the first with the least total wins.  Returns (bind, schedule,
-    DistanceReport) for the winning vector bind (label -> team, as
-    `binding_vector` gives it).
+    Each start's ordering becomes its binding vector once and the search
+    runs on vectors.  Returns (bind, schedule, DistanceReport) for the
+    winning vector bind (label -> team, as `binding_vector` gives it).
     """
     if x < 1:
         raise ValueError("round count must be >= 1")
     m = inst.n // 2
     coeffs = extract_coefficients(template)
+    starts = [random_ordering(m, base_seed + r) for r in range(x)]
+    if include_derandomized:
+        starts.append(derandomize(coeffs, inst, matching)[0])
 
-    def starts():
-        for r in range(x):
-            yield random_ordering(m, base_seed + r)
-        if include_derandomized:
-            yield derandomize(coeffs, inst, matching)[0]
-
-    polished = (polish(binding_vector(matching, ordering), coeffs, inst) for ordering in starts())
-    best = min(polished, key=lambda bind: coefficient_total(coeffs, inst, bind))
+    best = None
+    best_total = None
+    for ordering in starts:
+        bind = polish(binding_vector(matching, ordering), coeffs, inst)
+        total = coefficient_total(coeffs, inst, bind)
+        if best_total is None or total < best_total:
+            best_total = total
+            best = bind
     schedule = _relabel(template, best)
     return best.tolist(), schedule, total_distance(schedule, inst)
