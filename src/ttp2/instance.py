@@ -82,7 +82,7 @@ class Instance:
 
     @functools.cached_property
     def sum_dist(self) -> np.ndarray:
-        """The distances that totals and the triangle scan sum over: `dist`,
+        """The distances that `row_sums` and the triangle scan read: `dist`,
         or the exact Python-int weights of an integer instance that is not
         `float_exact`.
 
@@ -90,6 +90,19 @@ class Instance:
         keeps every total far inside int64; real-valued totals sum in float64.
         """
         return self.exact_weights[0] if self.integral and not self.float_exact else self.dist
+
+    def row_sums(self, index) -> list:
+        """Row sums of ``sum_dist[index]`` (a 2-D selection).
+
+        The one rule for every reported distance sum (walks, LB rows, D_G
+        and D_M): each row is added left to right, from 0, as ``sum()`` adds
+        it up to Python 3.11.  On int64 and object rows the sums are exact
+        integers.
+        """
+        # A float cumsum starts at its first term, not at 0; that differs
+        # from sum() only when every term is -0.0, and adding 0 maps that
+        # -0.0 to 0.0 and leaves every other value as it is.
+        return (np.cumsum(self.sum_dist[index], axis=1)[:, -1] + 0).tolist()
 
     @functools.cached_property
     def exact_weights(self) -> tuple[np.ndarray, int]:

@@ -87,10 +87,12 @@ def min_weight_perfect_matching(inst: Instance) -> Matching:
     _certified_slack(gain, tight, mate, dual, blossoms, full=False)
     pairs = tuple((i, j) for i, j in enumerate(mate) if i < j)
 
-    pi, pj = zip(*pairs)
-    weight = sum(inst.dist[pi, pj].tolist())  # in pair order, as Python scalars
+    # D_M is the one row of the pairs in pair order, D_G that of the
+    # row-major upper triangle.
+    pi, pj = np.array(pairs).T
+    (weight,) = inst.row_sums((pi[None], pj[None]))
     iu, ju = np.triu_indices(n, 1)
-    (d_g,) = _row_sums(inst, (iu[None], ju[None]))
+    (d_g,) = inst.row_sums((iu[None], ju[None]))
     return Matching(pairs=pairs, weight=weight, d_g=d_g, d_h=d_g - weight)
 
 
@@ -125,24 +127,13 @@ def _priced_slack(inst: Instance) -> np.ndarray:
 
 
 def independent_lower_bound(inst: Instance, m: Matching) -> LowerBound:
-    """Per-team bound D_i + D_M; the total telescopes to 2*D_G + n*D_M."""
-    per_team = tuple(r + m.weight for r in _row_sums(inst, np.s_[:]))
-    return LowerBound(per_team)
+    """Per-team bound D_i + D_M; the total telescopes to 2*D_G + n*D_M.
 
-
-def _row_sums(inst: Instance, index) -> list:
-    """Row sums of the distances ``dist[index]`` (a 2-D selection), as ``sum()`` gives them.
-
-    Integer instances give exact Python ints, summed over
-    `Instance.sum_dist` (n max(d) < travel_bound(n, max(d)) bounds a row
-    sum).  Real-valued ones accumulate from 0.0 left to right in float64,
-    the additions ``sum()`` makes in the order it makes them, so the values
-    are bit-identical to the loop.
+    D_i is row i of the distances, added by `Instance.row_sums`, the rule
+    that adds each team's walk in `total_distance`.
     """
-    if inst.integral:
-        return inst.sum_dist[index].sum(axis=1).tolist()
-    rows = inst.dist[index]
-    return np.cumsum(np.hstack([np.zeros((len(rows), 1)), rows]), axis=1)[:, -1].tolist()
+    per_team = tuple(r + m.weight for r in inst.row_sums(np.s_[:]))
+    return LowerBound(per_team)
 
 
 def _blossom_on(gain: np.ndarray, solved: np.ndarray):

@@ -191,9 +191,10 @@ def validate_schedule(s: Schedule, k: int = 2) -> FeasibilityReport:
 def total_distance(s: Schedule, inst: Instance) -> DistanceReport:
     """Sum of direct travels along every team's venue sequence.
 
-    Legs of `Instance.sum_dist` are added in walking order, so integer
-    totals are exact and real-valued totals are those of a walk.  This is
-    the one rule for a schedule's total: every command reports it.
+    Each team's legs are added in walking order by `Instance.row_sums`,
+    the one rule for every reported distance sum, so integer totals are
+    exact, real-valued totals are those of a walk, and a walk of -0.0 legs
+    reads 0.0 as its LB row does.  Every command reports this total.
     Raises ValidationError when the team counts differ.
     """
     if s.n != inst.n:
@@ -201,16 +202,17 @@ def total_distance(s: Schedule, inst: Instance) -> DistanceReport:
     v = s.venues
     # A 2-D gather, not a flat take: an away venue past the last team must
     # raise IndexError, where a flat index would read another row's cell.
-    legs = inst.sum_dist[v[:, :-1], v[:, 1:]]
-    per_team = tuple(np.cumsum(legs, axis=1)[:, -1].tolist())
-    return DistanceReport(per_team)
+    return DistanceReport(tuple(inst.row_sums((v[:, :-1], v[:, 1:]))))
 
 
 def itinerary_of(s: Schedule, team: int) -> list[list[int]]:
     """Road trips of a team: maximal away blocks as visited-opponent lists.
 
-    Raises IndexError for a team outside 0..n-1; a negative index would
-    otherwise read another team's row."""
+    `team` is read with `operator.index`: a float raises TypeError, and a
+    bool or a NumPy integer reads as the equal int.  Raises IndexError for
+    a team outside 0..n-1; a negative index would otherwise read another
+    team's row."""
+    team = operator.index(team)
     if not 0 <= team < s.n:
         raise IndexError(f"team {team} is not in 0..{s.n - 1}")
     trips: list[list[int]] = []

@@ -144,6 +144,18 @@ def test_validate_reports_a_zero_gap_when_the_lb_is_zero(tmp_path, capsys, n):
     assert checked["gap_percent"] == solved["gap_percent"] == 0.0
 
 
+def test_validate_prints_no_negative_zero_for_walks_of_negative_zero_legs(tmp_path, capsys):
+    """Every distance is -0.0: each walk, like each LB row, is a sum from 0
+    and reads 0.0."""
+    path = write_inst(tmp_path, "negzero.txt", Instance(n=8, dist=np.full((8, 8), -0.0)))
+    assert main(["solve", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["validate", str(tmp_path / "negzero.schedule.csv"), str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    assert json.loads(out)["per_team"] == [0.0] * 8
+
+
 def test_validate_catches_corruption(tmp_path, capsys):
     path = write_inst(tmp_path, "tight8.txt", tight_instance(8))
     run(capsys, ["solve", str(path)])

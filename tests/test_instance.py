@@ -1,14 +1,18 @@
+import functools
+import operator
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttp2.errors import FormatError, ValidationError
 from ttp2.instance import Instance, check_metric, parse_instance, travel_bound, write_instance
+from ttp2.matching import independent_lower_bound, min_weight_perfect_matching
 from ttp2.oracle import random_metric_instance, tight_instance
 from ttp2.pipeline import solve
+from ttp2.schedule import Schedule, total_distance
 
 
 def test_parse_leading_count_zero_matrix():
@@ -287,3 +291,76 @@ def test_parse_names_a_non_numeric_token():
 def test_distance_matrix_of_the_wrong_shape_is_rejected():
     with pytest.raises(ValidationError, match=r"distance matrix shape \(5, 5\) does not match n=4"):
         Instance(n=4, dist=np.zeros((5, 5), int))
+
+
+def _left_sum(xs):
+    """xs added left to right from 0: what sum() computes up to Python 3.11
+    (from 3.12 on, sum() compensates float additions)."""
+    return functools.reduce(operator.add, xs, 0)
+
+
+@st.composite
+def _instances_and_tables(draw):
+    """An integer, a 2**62-scale integer or a real-valued instance, whose
+    real zeros, the diagonal's included, take either sign, and an n x (2n-2)
+    table of cells in -n..n (every such table has a venue walk).  Euclidean
+    distances between integer points make float sums depend on their order."""
+    kind = draw(st.sampled_from(["int", "2**62", "real", "euclid"]))
+    n = draw(st.sampled_from([4, 6, 8, 10, 12, 16]))
+    iu = np.triu_indices(n, 1)
+    pairs = len(iu[0])
+    zero = st.sampled_from([0.0, -0.0])
+    if kind in ("int", "2**62"):
+        top = 1000 if kind == "int" else 2**62
+        upper = draw(st.lists(st.integers(0, top), min_size=pairs, max_size=pairs))
+        diagonal, dtype = [0] * n, np.int64
+    else:
+        if kind == "real":
+            upper = draw(st.lists(st.one_of(zero, st.floats(0.0, 1e6)), min_size=pairs, max_size=pairs))
+        else:
+            point = st.tuples(st.integers(0, 1000), st.integers(0, 1000))
+            pts = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+            upper = np.linalg.norm(pts[:, None] - pts[None], axis=-1)[iu].tolist()
+            for i, z in draw(st.lists(st.tuples(st.integers(0, pairs - 1), zero), max_size=2)):
+                upper[i] = z
+        diagonal, dtype = draw(st.lists(zero, min_size=n, max_size=n)), np.float64
+    d = np.zeros((n, n), dtype)
+    d[iu] = d.T[iu] = upper
+    np.fill_diagonal(d, diagonal)
+    cells = draw(st.lists(st.integers(-n, n), min_size=n * (2 * n - 2), max_size=n * (2 * n - 2)))
+    return Instance(n, d), np.array(cells, dtype=np.int64).reshape(n, 2 * n - 2)
+
+
+# Ten points whose D_M and D_G change when their terms are added in reverse.
+_ORDER_SENSITIVE = np.array(
+    [[473, 512], [755, 951], [34, 144], [823, 949], [249, 312]]
+    + [[869, 423], [273, 828], [257, 409], [644, 550], [85, 27]]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_instances_and_tables())
+@example((Instance(8, np.full((8, 8), -0.0)), np.zeros((8, 14), dtype=np.int64)))
+@example(
+    (
+        Instance(10, np.linalg.norm(_ORDER_SENSITIVE[:, None] - _ORDER_SENSITIVE[None], axis=-1)),
+        np.tile(np.arange(18) % 10 + 1, (10, 1)),
+    )
+)
+def test_every_reported_distance_sum_is_a_sum_from_zero(case):
+    """Walks, LB rows, D_G and D_M each equal the left-to-right sum from 0
+    of the same Python scalars in the same order, by repr, so that the type
+    and the sign of a zero count too."""
+    inst, table = case
+    n, d = inst.n, inst.dist.tolist()
+    m = min_weight_perfect_matching(inst)
+    d_m = _left_sum(d[i][j] for i, j in m.pairs)
+    assert repr(m.weight) == repr(d_m)
+    assert repr(m.d_g) == repr(_left_sum(d[i][j] for i in range(n) for j in range(i + 1, n)))
+    lb = independent_lower_bound(inst, m)
+    assert repr(lb.per_team) == repr(tuple(_left_sum(row) + d_m for row in d))
+    walks = []
+    for team, row in enumerate(table.tolist()):
+        venues = [team] + [c - 1 if c > 0 else team for c in row] + [team]
+        walks.append(_left_sum(d[a][b] for a, b in zip(venues, venues[1:])))
+    assert repr(total_distance(Schedule(table), inst).per_team) == repr(tuple(walks))

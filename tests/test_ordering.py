@@ -523,14 +523,13 @@ def test_swap_passes_verified_on_every_tier(n, tier):
 
 @pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("n", [12, 48])
-def test_passes_return_integer_vectors_equal_to_the_buffers_bind(n, tier, monkeypatch):
+def test_passes_return_their_buffer_and_polish_reads_its_bind(n, tier, monkeypatch):
     """The binding lives only in the search buffer: both passes return
     (buf, improved) with the very buffer they were given, whose bind tail
     is a permutation of the teams after every pass, and `polish` returns
     the integer vector equal to the tail of the buffer its passes ran on.
     n = 12 applies moves with the cells of whole sweeps, n = 48 by
-    permuting rows, columns and labels.  The name is from when the passes
-    returned integer vectors; it is kept so its 14 cases keep their ids."""
+    permuting rows, columns and labels."""
     inst = _tier_instance(n, 11, tier)
     matching = min_weight_perfect_matching(inst)
     _, coeffs = _template_and_coeffs(n)

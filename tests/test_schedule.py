@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ttp2.errors import FormatError, ValidationError
 from ttp2.even import build_even_template
 from ttp2.instance import Instance
+from ttp2.matching import independent_lower_bound, min_weight_perfect_matching
 from ttp2.oracle import random_metric_instance, tight_instance
 from ttp2.schedule import (
     games_to_schedule,
@@ -158,6 +160,16 @@ def test_total_distance_exact_in_python_ints_past_float_exact(scale):
     assert all(type(t) is int for t in rep.per_team) and rep.total == 67 * scale
 
 
+def test_walks_of_negative_zero_legs_read_positive_zero_as_the_lb_rows(golden_n8):
+    """Every leg is -0.0: sum() from 0 gives 0.0 for each walk, as for
+    each LB row; a cumsum that starts at the first leg would keep -0.0."""
+    inst = Instance(8, np.full((8, 8), -0.0))
+    walks = total_distance(golden_n8, inst).per_team
+    bounds = independent_lower_bound(inst, min_weight_perfect_matching(inst)).per_team
+    for figure in walks + bounds:
+        assert figure == 0.0 and math.copysign(1.0, figure) == 1.0
+
+
 def test_itinerary_trips(golden_n8):
     trips = itinerary_of(golden_n8, 0)
     assert trips[0] == [2, 3]  # first trip of team 1 visits t3 then t4
@@ -172,11 +184,26 @@ def test_itinerary_single_trips_and_pairs():
     assert itinerary_of(s, 3) == [[0, 1], [2]]
 
 
-@pytest.mark.parametrize("team", [-1, 8])
+@pytest.mark.parametrize("team", [-1, 8, np.int8(-1)], ids=["-1", "8", "np.int8(-1)"])
 def test_itinerary_rejects_a_team_outside_0_to_n_minus_1(golden_n8, team):
     # NumPy would read row n - 1 for team -1.
     with pytest.raises(IndexError, match=f"team {team} is not in 0..7"):
         itinerary_of(golden_n8, team)
+
+
+@pytest.mark.parametrize(
+    "team, outcome",
+    [(2.0, TypeError), (np.float64(2), TypeError), (True, 1), (np.int64(3), 3)],
+    ids=["float", "np.float64", "True", "np.int64"],
+)
+def test_itinerary_reads_the_team_with_operator_index(golden_n8, team, outcome):
+    """A float team raises TypeError naming its type; a bool or a NumPy
+    integer reads as the equal int."""
+    if outcome is TypeError:
+        with pytest.raises(TypeError, match="float(64)?' object cannot be interpreted as an integer"):
+            itinerary_of(golden_n8, team)
+    else:
+        assert itinerary_of(golden_n8, team) == itinerary_of(golden_n8, outcome)
 
 
 def test_render_roundtrip(golden_n8):
